@@ -8,11 +8,8 @@ first-hitting-time curves and validation statistics.
 
 from .episodes import (
     EpisodeTable,
-    FhtEpisode,
     ThresholdWindow,
-    extract_episodes,
     extract_table,
-    sweep_windows,
     window_family,
 )
 from .model import (
@@ -44,10 +41,12 @@ from .returns import (
 )
 from .stats import (
     AcfSeries,
+    CurveComparison,
     CurvePeak,
     Histogram,
     MfhtCurve,
     acf,
+    compare_curves,
     ensemble_acf,
     fht_pdf,
     histogram,

@@ -16,11 +16,13 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
+from ._io import fmt, write_json
 from .episodes import (
     DEFAULT_ENTRY_RULE,
     DEFAULT_VOL_SCOPE,
@@ -34,19 +36,7 @@ from .episodes import (
     window_family,
     write_episodes_csv,
 )
-from .model import (
-    DEFAULT_DAYS,
-    DEFAULT_DT,
-    DEFAULT_N_SERIES,
-    DEFAULT_SEED,
-    DEFAULT_STEPS_PER_DAY,
-    CirParams,
-    ModelParams,
-    PotentialParams,
-    SimConfig,
-    daily_returns,
-    simulate_ensemble,
-)
+from .model import ModelParams, SimConfig, daily_returns, simulate_ensemble
 from .returns import (
     ReturnSeries,
     load_prices,
@@ -60,12 +50,14 @@ from .stats import (
     DEFAULT_BINS,
     DEFAULT_MIN_COUNT,
     MfhtCurve,
+    compare_curves,
     ensemble_acf,
     fht_pdf,
     mfht_curve,
     nonmonotonicity_verdict,
     read_curve_csv,
     write_acf_csv,
+    write_comparison_csv,
     write_curve_csv,
     write_histogram_csv,
 )
@@ -75,24 +67,34 @@ EXIT_CONFIG = 2
 EXIT_INPUT = 3
 EXIT_EMPTY = 4
 
-_INT_KEYS = ("steps_per_day", "days", "n_series", "seed")
-_FLOAT_KEYS = ("m", "n", "a", "b", "c", "v_start", "x0", "dt")
+
+def _leaf_fields(params) -> dict:
+    """Leaf fields of a (nested) parameter dataclass, in declaration order."""
+    out = {}
+    for f in fields(params):
+        value = getattr(params, f.name)
+        out.update(_leaf_fields(value) if is_dataclass(value) else {f.name: value})
+    return out
+
+
+def _from_leaf_fields(template, config: dict):
+    """A parameter dataclass shaped like ``template`` with its leaves taken from ``config``."""
+    values = {}
+    for f in fields(template):
+        value = getattr(template, f.name)
+        values[f.name] = _from_leaf_fields(value, config) if is_dataclass(value) else config[f.name]
+    return type(template)(**values)
+
+
+# The model's dataclass defaults are the only statement of the defaults.
+DEFAULT_CONFIG = {**_leaf_fields(ModelParams()), **_leaf_fields(SimConfig())}
+_INT_KEYS = tuple(k for k, v in DEFAULT_CONFIG.items() if isinstance(v, int))
+_FLOAT_KEYS = tuple(k for k, v in DEFAULT_CONFIG.items() if isinstance(v, float))
 CONFIG_KEYS = _FLOAT_KEYS + _INT_KEYS
 
-DEFAULT_CONFIG = {
-    "m": 2.0,
-    "n": 3.0,
-    "a": 2.0,
-    "b": 0.01,
-    "c": 0.83,
-    "v_start": 8.62e-5,
-    "x0": 0.0,
-    "dt": DEFAULT_DT,
-    "steps_per_day": DEFAULT_STEPS_PER_DAY,
-    "days": DEFAULT_DAYS,
-    "n_series": DEFAULT_N_SERIES,
-    "seed": DEFAULT_SEED,
-}
+# Smallest accepted value of each integer flag that is not a model key;
+# model keys are checked by the model's dataclasses.
+_FLAG_MINIMA = {"threads": 1, "bins": 1, "min_count": 1, "max_lag": 0}
 
 
 class ConfigError(Exception):
@@ -158,21 +160,16 @@ def resolve_config(args: argparse.Namespace) -> dict:
 
 def build_model(config: dict) -> tuple[ModelParams, SimConfig]:
     try:
-        mp = ModelParams(
-            potential=PotentialParams(m=config["m"], n=config["n"]),
-            cir=CirParams(a=config["a"], b=config["b"], c=config["c"], v_start=config["v_start"]),
-            x0=config["x0"],
-        )
-        cfg = SimConfig(
-            dt=config["dt"],
-            steps_per_day=config["steps_per_day"],
-            days=config["days"],
-            n_series=config["n_series"],
-            seed=config["seed"],
-        )
+        return _from_leaf_fields(ModelParams(), config), _from_leaf_fields(SimConfig(), config)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return mp, cfg
+
+
+def _check_flag_minima(args: argparse.Namespace) -> None:
+    for key, lowest in _FLAG_MINIMA.items():
+        value = getattr(args, key, None)
+        if value is not None and value < lowest:
+            raise ConfigError(f"--{key.replace('_', '-')} must be >= {lowest}, got {value}")
 
 
 def _sha256(path: Path) -> str:
@@ -209,15 +206,7 @@ def write_manifest(
     }
     if extra:
         manifest.update(extra)
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _write_json(payload, path: Path) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(manifest, out / "manifest.json")
 
 
 # ---------------------------------------------------------------- simulate
@@ -228,7 +217,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     mp, cfg = build_model(config)
     out = _out_dir(args, cfg.seed)
 
-    trajectories = simulate_ensemble(mp, cfg, threads=args.threads)
+    try:
+        trajectories = simulate_ensemble(mp, cfg, threads=args.threads)
+    except FloatingPointError as exc:  # the integration blew up: a configuration fault
+        raise ConfigError(str(exc)) from None
     if cfg.days >= 1:
         series = [daily_returns(t, ticker=f"sim{i:04d}") for i, t in enumerate(trajectories)]
         write_returns_csv(series, out / "returns.csv")
@@ -243,7 +235,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             fh.write("series,day,x,v\n")
             for i, t in enumerate(trajectories):
                 fh.writelines(
-                    f"{i},{d},{xv!r},{vv!r}\n"
+                    f"{i},{d},{fmt(xv)},{fmt(vv)}\n"
                     for d, (xv, vv) in enumerate(zip(t.x.tolist(), t.v.tolist()))
                 )
 
@@ -251,7 +243,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     write_manifest(out, "simulate", config, inputs, extra={"sigma_bar": sigma_bar})
     print(f"simulate: {cfg.n_series} series x {cfg.days} days -> {out}")
     if sigma_bar is not None:
-        print(f"sigma_bar = {sigma_bar!r}")
+        print(f"sigma_bar = {fmt(sigma_bar)}")
     return EXIT_OK
 
 
@@ -311,6 +303,7 @@ def _empty_curve(min_count: int) -> MfhtCurve:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     config = resolve_config(args)
+    build_model(config)  # reject an invalid configuration before it is recorded
     series, inputs = _load_input_series(args)
     sigma_bar = args.sigma_bar if args.sigma_bar is not None else market_stats(series).sigma_bar
     windows = _resolve_windows(args, sigma_bar)
@@ -322,7 +315,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     ]
     write_episodes_csv(tables, out / "episodes.csv")
     verdicts = _curves_and_verdicts(out, tables, args.bins, args.min_count)
-    _write_json(verdicts, out / "verdicts.json")
+    write_json(verdicts, out / "verdicts.json")
     write_manifest(
         out,
         "analyze",
@@ -363,7 +356,7 @@ def cmd_mfht(args: argparse.Namespace) -> int:
     tables = _load_episode_tables(args.episodes)
     out = _out_dir(args, None)
     verdicts = _curves_and_verdicts(out, tables, args.bins, args.min_count)
-    _write_json(verdicts, out / "verdicts.json")
+    write_json(verdicts, out / "verdicts.json")
     write_manifest(
         out,
         "mfht",
@@ -393,7 +386,10 @@ def cmd_acf(args: argparse.Namespace) -> int:
     shortest = min(rs.returns.size for rs in series)
     if shortest <= args.max_lag + 1:
         raise InputError(f"shortest series ({shortest}) too short for max_lag={args.max_lag}")
-    result = ensemble_acf(series, args.max_lag, absolute=args.absolute)
+    try:
+        result = ensemble_acf(series, args.max_lag, absolute=args.absolute)
+    except ValueError as exc:  # a zero-variance series
+        raise InputError(str(exc)) from None
     out = _out_dir(args, None)
     name = "acf_abs.csv" if args.absolute else "acf.csv"
     write_acf_csv(result, out / name)
@@ -407,80 +403,17 @@ def cmd_acf(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------- compare
 
 
-def _rebin(curve: MfhtCurve, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Count-weighted means of populated source bins onto the common grid."""
-    mids = np.sqrt(curve.bin_edges[:-1] * curve.bin_edges[1:])
-    sums = np.zeros(edges.size - 1)
-    counts = np.zeros(edges.size - 1)
-    for i in np.flatnonzero(curve.populated):
-        j = int(np.searchsorted(edges, mids[i], side="right")) - 1
-        if mids[i] == edges[-1]:
-            j = edges.size - 2
-        if 0 <= j < edges.size - 1:
-            sums[j] += curve.mfht[i] * curve.counts[i]
-            counts[j] += curve.counts[i]
-    with np.errstate(invalid="ignore"):
-        return sums / counts, counts
-
-
 def cmd_compare(args: argparse.Namespace) -> int:
     try:
         empirical = read_curve_csv(Path(args.empirical))
         model = read_curve_csv(Path(args.model))
+        comparison = compare_curves(empirical, model)
     except (OSError, ValueError) as exc:
         raise InputError(str(exc)) from None
-
-    def _span(curve: MfhtCurve) -> tuple[float, float]:
-        pop = np.flatnonzero(curve.populated)
-        if pop.size == 0:
-            raise InputError("curve has no populated bins")
-        return float(curve.bin_edges[pop[0]]), float(curve.bin_edges[pop[-1] + 1])
-
-    lo_e, hi_e = _span(empirical)
-    lo_m, hi_m = _span(model)
-    lo, hi = max(lo_e, lo_m), min(hi_e, hi_m)
-    if not lo < hi:
-        raise InputError("no overlap between the volatility ranges of the two curves")
-
-    if empirical.bin_edges.size == model.bin_edges.size and np.array_equal(
-        empirical.bin_edges, model.bin_edges
-    ):
-        edges = empirical.bin_edges
-        mfht_e = empirical.mfht.copy()
-        mfht_m = model.mfht.copy()
-    else:
-        nbins = max(8, min(empirical.n_bins, model.n_bins))
-        edges = np.exp(np.linspace(np.log(lo), np.log(hi), nbins + 1))
-        edges[0], edges[-1] = lo, hi
-        mfht_e, _ = _rebin(empirical, edges)
-        mfht_m, _ = _rebin(model, edges)
-
-    both = np.isfinite(mfht_e) & np.isfinite(mfht_m)
-    if not both.any():
-        raise InputError("no common populated bins after rebinning")
-    diff = np.where(both, mfht_e - mfht_m, np.nan)
-
-    peak_e = int(np.nanargmax(np.where(np.isfinite(mfht_e), mfht_e, -np.inf)))
-    peak_m = int(np.nanargmax(np.where(np.isfinite(mfht_m), mfht_m, -np.inf)))
-    report = {
-        "bins_compared": int(both.sum()),
-        "max_abs_diff": float(np.nanmax(np.abs(diff))),
-        "mean_abs_diff": float(np.nanmean(np.abs(diff[both]))),
-        "peak_bin_empirical": peak_e,
-        "peak_bin_model": peak_m,
-        "peak_offset_bins": abs(peak_e - peak_m),
-        "verdict_empirical": nonmonotonicity_verdict(empirical, window_id="empirical"),
-        "verdict_model": nonmonotonicity_verdict(model, window_id="model"),
-    }
+    report = comparison.report
     out = _out_dir(args, None)
-    with open(out / "compare.csv", "w", newline="") as fh:
-        fh.write("bin_lo,bin_hi,mfht_empirical,mfht_model,diff\n")
-        for i in range(edges.size - 1):
-            e = repr(float(mfht_e[i])) if np.isfinite(mfht_e[i]) else ""
-            m = repr(float(mfht_m[i])) if np.isfinite(mfht_m[i]) else ""
-            d = repr(float(diff[i])) if np.isfinite(diff[i]) else ""
-            fh.write(f"{edges[i]!r},{edges[i + 1]!r},{e},{m},{d}\n")
-    _write_json(report, out / "compare.json")
+    write_comparison_csv(comparison, out / "compare.csv")
+    write_json(report, out / "compare.json")
     write_manifest(out, "compare", {}, [Path(args.empirical), Path(args.model)])
     print(
         f"compare: {report['bins_compared']} common bins, "
@@ -492,18 +425,17 @@ def cmd_compare(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ parser
 
 
-def _add_shared(p: argparse.ArgumentParser) -> None:
+def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    """Flags of the subcommands that resolve and record a model configuration."""
     p.add_argument("--config", help="key = value config file, or a manifest .json to replay")
     p.add_argument("--seed", type=int, default=None, help="master seed")
-    p.add_argument("--out", help="output directory (default: runs/<timestamp>-seed<seed>)")
-    p.add_argument("--threads", type=int, default=1, help="worker threads for simulation")
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
     for key in _FLOAT_KEYS:
         p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=float, default=None)
     for key in _INT_KEYS:
-        if key != "seed":  # already a shared flag
+        if key != "seed":  # added with the config flags
             p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=int, default=None)
 
 
@@ -528,46 +460,43 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"volstab {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("simulate", help="generate a return ensemble from the model")
-    _add_shared(p)
+    def add(name: str, func, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--out", help="output directory (default: runs/<timestamp>[-seed<seed>])")
+        p.set_defaults(func=func)
+        return p
+
+    p = add("simulate", cmd_simulate, "generate a return ensemble from the model")
+    _add_config_flags(p)
+    p.add_argument("--threads", type=int, default=1, help="worker threads for simulation")
     _add_model_flags(p)
     p.add_argument("--write-trajectories", action="store_true",
                    help="also export series,day,x,v rows")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("analyze", help="extract episodes and build hitting-time curves")
-    _add_shared(p)
+    p = add("analyze", cmd_analyze, "extract episodes and build hitting-time curves")
+    _add_config_flags(p)
     p.add_argument("--returns", help="returns CSV (ticker,day_index,return)")
     p.add_argument("--prices", help="price CSV file or directory")
     p.add_argument("--layout", choices=("per-stock", "wide"), default="per-stock")
     _add_analysis_flags(p)
-    p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("mfht", help="bin an episode file into curves and verdicts")
-    _add_shared(p)
+    p = add("mfht", cmd_mfht, "bin an episode file into curves and verdicts")
     p.add_argument("--episodes", required=True)
     p.add_argument("--bins", type=int, default=DEFAULT_BINS)
     p.add_argument("--min-count", dest="min_count", type=int, default=DEFAULT_MIN_COUNT)
-    p.set_defaults(func=cmd_mfht)
 
-    p = sub.add_parser("fht-pdf", help="histogram the hitting times of an episode file")
-    _add_shared(p)
+    p = add("fht-pdf", cmd_fht_pdf, "histogram the hitting times of an episode file")
     p.add_argument("--episodes", required=True)
     p.add_argument("--bins", type=int, default=DEFAULT_BINS)
-    p.set_defaults(func=cmd_fht_pdf)
 
-    p = sub.add_parser("acf", help="ensemble-average autocorrelation of a returns file")
-    _add_shared(p)
+    p = add("acf", cmd_acf, "ensemble-average autocorrelation of a returns file")
     p.add_argument("--returns", required=True)
     p.add_argument("--max-lag", dest="max_lag", type=int, default=50)
     p.add_argument("--absolute", action="store_true", help="autocorrelation of |returns|")
-    p.set_defaults(func=cmd_acf)
 
-    p = sub.add_parser("compare", help="compare two hitting-time curves")
-    _add_shared(p)
+    p = add("compare", cmd_compare, "compare two hitting-time curves")
     p.add_argument("--empirical", required=True)
     p.add_argument("--model", required=True)
-    p.set_defaults(func=cmd_compare)
 
     return parser
 
@@ -576,6 +505,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flag_minima(args)
         return args.func(args)
     except (ConfigError, InputError, EmptyResultError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,15 +16,13 @@ from pathlib import Path
 
 import numpy as np
 
+from ._io import fmt
 from .returns import ReturnSeries
 
 __all__ = [
     "ThresholdWindow",
-    "FhtEpisode",
     "EpisodeTable",
-    "extract_episodes",
     "extract_table",
-    "sweep_windows",
     "window_family",
     "WINDOW_FAMILIES",
     "ENTRY_RULES",
@@ -79,22 +77,6 @@ class ThresholdWindow:
     @property
     def window_id(self) -> str:
         return f"{self.direction}_ti{self.theta_i:+.2f}_tf{self.theta_f:+.2f}"
-
-
-@dataclass(frozen=True)
-class FhtEpisode:
-    """One first-hitting episode of one series."""
-
-    ticker: str
-    start_index: int
-    fht: int
-    volatility: float
-
-    def __post_init__(self) -> None:
-        if self.fht < 1:
-            raise ValueError(f"fht must be >= 1, got {self.fht}")
-        if not (math.isnan(self.volatility) or self.volatility >= 0):
-            raise ValueError(f"volatility must be >= 0 or NaN, got {self.volatility}")
 
 
 @dataclass(eq=False)
@@ -193,20 +175,6 @@ def scan_returns(
     return starts.astype(np.int64), fht.astype(np.int64), vol
 
 
-def extract_episodes(
-    rs: ReturnSeries,
-    window: ThresholdWindow,
-    entry_rule: str = DEFAULT_ENTRY_RULE,
-    vol_scope: str = DEFAULT_VOL_SCOPE,
-) -> list[FhtEpisode]:
-    """Episodes of one series as objects, ordered by start index."""
-    starts, fht, vol = scan_returns(rs.returns, window, entry_rule, vol_scope)
-    return [
-        FhtEpisode(ticker=rs.ticker, start_index=int(s), fht=int(f), volatility=float(v))
-        for s, f, v in zip(starts, fht, vol)
-    ]
-
-
 def extract_table(
     series: list[ReturnSeries],
     window: ThresholdWindow,
@@ -231,22 +199,6 @@ def extract_table(
         fht=np.concatenate(fhts) if fhts else _EMPTY[1],
         volatility=np.concatenate(vols) if vols else _EMPTY[2],
     )
-
-
-def sweep_windows(
-    series: list[ReturnSeries],
-    windows: list[ThresholdWindow],
-    entry_rule: str = DEFAULT_ENTRY_RULE,
-    vol_scope: str = DEFAULT_VOL_SCOPE,
-) -> dict[ThresholdWindow, list[FhtEpisode]]:
-    """Apply every window to every series; results keyed by window."""
-    out: dict[ThresholdWindow, list[FhtEpisode]] = {}
-    for w in windows:
-        episodes: list[FhtEpisode] = []
-        for rs in series:
-            episodes.extend(extract_episodes(rs, w, entry_rule, vol_scope))
-        out[w] = episodes
-    return out
 
 
 def _theta_range(start_tenths: int, stop_tenths: int, step_tenths: int) -> list[float]:
@@ -282,19 +234,15 @@ def window_family(name: str, sigma_bar: float) -> list[ThresholdWindow]:
     raise ValueError(f"unknown window family {name!r} (expected one of {WINDOW_FAMILIES})")
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def write_episodes_csv(tables: list[EpisodeTable], path: str | Path) -> None:
     """Write ``ticker,window_id,theta_i,theta_f,start_index,fht,volatility`` rows."""
     with open(path, "w", newline="") as fh:
         fh.write("ticker,window_id,theta_i,theta_f,start_index,fht,volatility\n")
         for table in tables:
             w = table.window
-            head = f"{w.window_id},{_fmt(w.theta_i)},{_fmt(w.theta_f)}"
+            head = f"{w.window_id},{fmt(w.theta_i)},{fmt(w.theta_f)}"
             fh.writelines(
-                f"{t},{head},{s},{f},{_fmt(v)}\n"
+                f"{t},{head},{s},{f},{fmt(v)}\n"
                 for t, s, f, v in zip(
                     table.tickers,
                     table.start_index.tolist(),

@@ -11,9 +11,10 @@ carries the raw Euler state, feeds only its nonnegative part into drift,
 diffusion and the return equation, and reports max(v, 0) in trajectories,
 so sampled variances stay nonnegative even when 2ab < c^2 and the
 continuous process can reach zero.  Each series draws from its own pair of
-counter-based substreams keyed by (seed, series_index), which makes any
-single trajectory reproducible in isolation, independent of ensemble
-partitioning and thread scheduling.
+PCG64 generators, seeded by SeedSequence spawn keys (series_index, 0) and
+(series_index, 1) under the master seed, which makes any single trajectory
+reproducible in isolation, independent of ensemble partitioning and thread
+scheduling.
 """
 
 from __future__ import annotations
@@ -42,16 +43,6 @@ __all__ = [
     "simulate_ensemble",
     "daily_returns",
 ]
-
-# Default integration step, in the time unit of the variance parameters a
-# and c.  One sampled day spans dt * steps_per_day of that unit; with the
-# default variance parameters this step calibrates the ensemble-average
-# daily volatility to ~0.0237 (see README, "Calibration").
-DEFAULT_DT = 7.0e-4
-DEFAULT_STEPS_PER_DAY = 100
-DEFAULT_DAYS = 3000
-DEFAULT_N_SERIES = 1071
-DEFAULT_SEED = 12345
 
 # RNG draw block, in days.  Trajectories do not depend on this value: each
 # series consumes two dedicated substreams strictly in step order.
@@ -135,11 +126,14 @@ class SimConfig:
     in which case a trajectory holds only the initial state.
     """
 
-    dt: float = DEFAULT_DT
-    steps_per_day: int = DEFAULT_STEPS_PER_DAY
-    days: int = DEFAULT_DAYS
-    n_series: int = DEFAULT_N_SERIES
-    seed: int = DEFAULT_SEED
+    # The default step is in the time unit of the variance parameters a and
+    # c; with the default variance parameters it calibrates the
+    # ensemble-average daily volatility to ~0.0237 (see README, "Calibration").
+    dt: float = 7.0e-4
+    steps_per_day: int = 100
+    days: int = 3000
+    n_series: int = 1071
+    seed: int = 12345
 
     def __post_init__(self) -> None:
         _require_finite("dt", self.dt)
@@ -151,6 +145,8 @@ class SimConfig:
             raise ValueError(f"days must be >= 0, got {self.days}")
         if self.n_series < 1:
             raise ValueError(f"n_series must be >= 1, got {self.n_series}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def day_length(self) -> float:
@@ -230,6 +226,10 @@ def simulate_paths(
     rare deep excursion (roughly one series in thirty over 3000 days at
     default parameters) runs away to -inf in finite time and poisons the
     whole series.  Reflection touches only those excursions.
+
+    The state is checked for finiteness once per block of ``_CHUNK_DAYS``
+    days; a step too coarse for the parameters raises FloatingPointError
+    naming the first series and day that went non-finite.
     """
     for i in series_indices:
         if not 0 <= i < cfg.n_series:
@@ -253,23 +253,33 @@ def simulate_paths(
     chunk = min(days, _CHUNK_DAYS)
     dw1 = np.empty((k, chunk * spd))
     dw2 = np.empty((k, chunk * spd))
-    for day0 in range(0, days, chunk):
-        ndays = min(chunk, days - day0)
-        nsteps = ndays * spd
-        for row in range(k):
-            dw1[row, :nsteps] = rng1[row].standard_normal(nsteps)
-            dw2[row, :nsteps] = rng2[row].standard_normal(nsteps)
-        np.multiply(dw1, sqdt, out=dw1)
-        np.multiply(dw2, sqdt, out=dw2)
-        s = 0
-        for d in range(ndays):
-            for _ in range(spd):
-                xnext = heston_step(xt, np.maximum(vt, 0.0), mp, dt, dw1[:, s])
-                vt = cir_step_raw(vt, mp.cir, dt, dw2[:, s])
-                xt = np.where(xnext < barrier, 2.0 * barrier - xnext, xnext)
-                s += 1
-            x[:, day0 + d + 1] = xt
-            v[:, day0 + d + 1] = np.maximum(vt, 0.0)
+    # Overflow is caught by the finiteness check below, not by warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for day0 in range(0, days, chunk):
+            ndays = min(chunk, days - day0)
+            nsteps = ndays * spd
+            for row in range(k):
+                dw1[row, :nsteps] = rng1[row].standard_normal(nsteps)
+                dw2[row, :nsteps] = rng2[row].standard_normal(nsteps)
+            np.multiply(dw1, sqdt, out=dw1)
+            np.multiply(dw2, sqdt, out=dw2)
+            s = 0
+            for d in range(ndays):
+                for _ in range(spd):
+                    xnext = heston_step(xt, np.maximum(vt, 0.0), mp, dt, dw1[:, s])
+                    vt = cir_step_raw(vt, mp.cir, dt, dw2[:, s])
+                    xt = np.where(xnext < barrier, 2.0 * barrier - xnext, xnext)
+                    s += 1
+                x[:, day0 + d + 1] = xt
+                v[:, day0 + d + 1] = np.maximum(vt, 0.0)
+            block = slice(day0 + 1, day0 + ndays + 1)
+            bad = ~(np.isfinite(x[:, block]) & np.isfinite(v[:, block]))
+            if bad.any():
+                day, row = np.argwhere(bad.T)[0]
+                raise FloatingPointError(
+                    f"series {series_indices[row]} turned non-finite on day {day0 + day + 1}: "
+                    f"the integration blew up; lower dt (now {dt!r})"
+                )
     return x, v
 
 

@@ -8,13 +8,14 @@ same way for both.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from ._io import fmt, write_json
 
 __all__ = [
     "PriceSeries",
@@ -214,10 +215,6 @@ def load_prices(path: str | Path, layout: str = "per-stock") -> list[PriceSeries
     raise ValueError(f"unknown layout {layout!r} (expected 'per-stock' or 'wide')")
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def write_returns_csv(series: list[ReturnSeries], path: str | Path) -> None:
     """Write ``ticker,day_index,return`` rows; floats round-trip exactly."""
     with open(path, "w", newline="") as fh:
@@ -225,7 +222,7 @@ def write_returns_csv(series: list[ReturnSeries], path: str | Path) -> None:
         for rs in series:
             ticker = rs.ticker
             fh.writelines(
-                f"{ticker},{i},{_fmt(r)}\n" for i, r in enumerate(rs.returns.tolist())
+                f"{ticker},{i},{fmt(r)}\n" for i, r in enumerate(rs.returns.tolist())
             )
 
 
@@ -261,6 +258,4 @@ def write_stats_json(stats: MarketStats, path: str | Path) -> None:
         "sigma_bar": stats.sigma_bar,
         "per_series_sigma": stats.per_series_sigma,
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(payload, path)

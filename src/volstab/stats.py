@@ -11,11 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .episodes import EpisodeTable, FhtEpisode, ThresholdWindow
+from ._io import fmt
+from .episodes import EpisodeTable, ThresholdWindow
 from .returns import ReturnSeries
 
 __all__ = [
@@ -23,10 +24,12 @@ __all__ = [
     "CurvePeak",
     "Histogram",
     "AcfSeries",
+    "CurveComparison",
     "mfht_curve",
     "mfht_curve_from_arrays",
     "locate_maximum",
     "nonmonotonicity_verdict",
+    "compare_curves",
     "histogram",
     "fht_pdf",
     "return_pdf",
@@ -35,6 +38,7 @@ __all__ = [
     "ensemble_acf",
     "write_curve_csv",
     "read_curve_csv",
+    "write_comparison_csv",
     "write_histogram_csv",
     "write_acf_csv",
 ]
@@ -81,6 +85,21 @@ class Histogram:
     bin_edges: np.ndarray
     density: np.ndarray
     counts: np.ndarray
+
+
+@dataclass(eq=False)
+class CurveComparison:
+    """Two curves on one volatility grid, their per-bin difference, and a summary.
+
+    The mfht arrays and ``diff`` are NaN where a bin is not populated (in
+    both curves, for ``diff``).
+    """
+
+    bin_edges: np.ndarray
+    mfht_empirical: np.ndarray
+    mfht_model: np.ndarray
+    diff: np.ndarray
+    report: dict
 
 
 @dataclass(eq=False)
@@ -160,22 +179,15 @@ def mfht_curve_from_arrays(
     return MfhtCurve(bin_edges=edges, mfht=mfht, counts=counts, min_count=min_count, window=window)
 
 
-def _episode_arrays(episodes: Sequence[FhtEpisode] | EpisodeTable) -> tuple[np.ndarray, np.ndarray, ThresholdWindow | None]:
-    if isinstance(episodes, EpisodeTable):
-        return episodes.fht, episodes.volatility, episodes.window
-    fht = np.array([e.fht for e in episodes], dtype=float)
-    vol = np.array([e.volatility for e in episodes], dtype=float)
-    return fht, vol, None
-
-
 def mfht_curve(
-    episodes: Sequence[FhtEpisode] | EpisodeTable,
+    table: EpisodeTable,
     bins: int | np.ndarray = DEFAULT_BINS,
     min_count: int = DEFAULT_MIN_COUNT,
 ) -> MfhtCurve:
-    """Mean-FHT-versus-volatility curve from episodes (list or table)."""
-    fht, vol, window = _episode_arrays(episodes)
-    return mfht_curve_from_arrays(fht, vol, bins=bins, min_count=min_count, window=window)
+    """Mean-FHT-versus-volatility curve from the episodes of one window."""
+    return mfht_curve_from_arrays(
+        table.fht, table.volatility, bins=bins, min_count=min_count, window=table.window
+    )
 
 
 def locate_maximum(curve: MfhtCurve) -> CurvePeak | None:
@@ -238,6 +250,77 @@ def nonmonotonicity_verdict(
     return out
 
 
+def _populated_span(curve: MfhtCurve) -> tuple[float, float]:
+    pop = np.flatnonzero(curve.populated)
+    if pop.size == 0:
+        raise ValueError("curve has no populated bins")
+    return float(curve.bin_edges[pop[0]]), float(curve.bin_edges[pop[-1] + 1])
+
+
+def _rebin(curve: MfhtCurve, edges: np.ndarray) -> np.ndarray:
+    """Count-weighted means of populated source bins onto the common grid."""
+    mids = np.sqrt(curve.bin_edges[:-1] * curve.bin_edges[1:])
+    sums = np.zeros(edges.size - 1)
+    counts = np.zeros(edges.size - 1)
+    for i in np.flatnonzero(curve.populated):
+        j = int(np.searchsorted(edges, mids[i], side="right")) - 1
+        if mids[i] == edges[-1]:
+            j = edges.size - 2
+        if 0 <= j < edges.size - 1:
+            sums[j] += curve.mfht[i] * curve.counts[i]
+            counts[j] += curve.counts[i]
+    with np.errstate(invalid="ignore"):
+        return sums / counts
+
+
+def compare_curves(empirical: MfhtCurve, model: MfhtCurve) -> CurveComparison:
+    """Align two curves and summarise how they differ.
+
+    Curves with identical edges are compared bin by bin.  Otherwise both are
+    rebinned, count-weighted, onto a common log grid of at least 8 bins over
+    the overlap of their populated volatility ranges.  Raises ValueError
+    when a curve is empty, the ranges do not overlap, or no bin is populated
+    in both.
+    """
+    lo_e, hi_e = _populated_span(empirical)
+    lo_m, hi_m = _populated_span(model)
+    lo, hi = max(lo_e, lo_m), min(hi_e, hi_m)
+    if not lo < hi:
+        raise ValueError("no overlap between the volatility ranges of the two curves")
+
+    if np.array_equal(empirical.bin_edges, model.bin_edges):
+        edges = empirical.bin_edges
+        mfht_e = empirical.mfht.copy()
+        mfht_m = model.mfht.copy()
+    else:
+        nbins = max(8, min(empirical.n_bins, model.n_bins))
+        edges = np.exp(np.linspace(np.log(lo), np.log(hi), nbins + 1))
+        edges[0], edges[-1] = lo, hi
+        mfht_e = _rebin(empirical, edges)
+        mfht_m = _rebin(model, edges)
+
+    both = np.isfinite(mfht_e) & np.isfinite(mfht_m)
+    if not both.any():
+        raise ValueError("no common populated bins after rebinning")
+    diff = np.where(both, mfht_e - mfht_m, np.nan)
+
+    peak_e = int(np.nanargmax(np.where(np.isfinite(mfht_e), mfht_e, -np.inf)))
+    peak_m = int(np.nanargmax(np.where(np.isfinite(mfht_m), mfht_m, -np.inf)))
+    report = {
+        "bins_compared": int(both.sum()),
+        "max_abs_diff": float(np.nanmax(np.abs(diff))),
+        "mean_abs_diff": float(np.nanmean(np.abs(diff[both]))),
+        "peak_bin_empirical": peak_e,
+        "peak_bin_model": peak_m,
+        "peak_offset_bins": abs(peak_e - peak_m),
+        "verdict_empirical": nonmonotonicity_verdict(empirical, window_id="empirical"),
+        "verdict_model": nonmonotonicity_verdict(model, window_id="model"),
+    }
+    return CurveComparison(
+        bin_edges=edges, mfht_empirical=mfht_e, mfht_model=mfht_m, diff=diff, report=report
+    )
+
+
 def histogram(values: Iterable[float], bins: int | np.ndarray = DEFAULT_BINS, log: bool = False) -> Histogram:
     """Normalized histogram; density integrates to 1 over the in-range values."""
     values = np.asarray(list(values) if not isinstance(values, np.ndarray) else values, dtype=float)
@@ -260,12 +343,11 @@ def histogram(values: Iterable[float], bins: int | np.ndarray = DEFAULT_BINS, lo
     return Histogram(bin_edges=edges, density=density, counts=counts)
 
 
-def fht_pdf(episodes: Sequence[FhtEpisode] | EpisodeTable, bins: int | np.ndarray = DEFAULT_BINS) -> Histogram:
+def fht_pdf(table: EpisodeTable, bins: int | np.ndarray = DEFAULT_BINS) -> Histogram:
     """Distribution of hitting times, log-spaced bins by default."""
-    fht, _, _ = _episode_arrays(episodes)
-    if fht.size == 0:
+    if len(table) == 0:
         raise ValueError("no episodes")
-    return histogram(fht, bins=bins, log=True)
+    return histogram(table.fht, bins=bins, log=True)
 
 
 def return_pdf(series: list[ReturnSeries], bins: int | np.ndarray = DEFAULT_BINS) -> Histogram:
@@ -277,18 +359,14 @@ def return_pdf(series: list[ReturnSeries], bins: int | np.ndarray = DEFAULT_BINS
 
 
 def vol_pdf(
-    volatilities: Sequence[FhtEpisode] | EpisodeTable | Iterable[float],
+    volatilities: EpisodeTable | Iterable[float],
     bins: int | np.ndarray = DEFAULT_BINS,
 ) -> Histogram:
-    """Distribution of volatility values (episodes or raw values), log bins."""
+    """Distribution of volatility values (an episode table or raw values), log bins."""
     if isinstance(volatilities, EpisodeTable):
         values = volatilities.volatility
     else:
-        items = list(volatilities)
-        if items and isinstance(items[0], FhtEpisode):
-            values = np.array([e.volatility for e in items])
-        else:
-            values = np.asarray(items, dtype=float)
+        values = np.asarray(list(volatilities), dtype=float)
     if values.size == 0:
         raise ValueError("no volatility values")
     return histogram(values, bins=bins, log=True)
@@ -320,18 +398,14 @@ def ensemble_acf(series: list[ReturnSeries], max_lag: int, absolute: bool = Fals
     return AcfSeries(lags=np.arange(max_lag + 1), values=stack.mean(axis=0))
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def write_curve_csv(curve: MfhtCurve, path: str | Path) -> None:
     """Write ``bin_lo,bin_hi,mfht,count``; unpopulated bins leave mfht empty."""
     with open(path, "w", newline="") as fh:
         fh.write("bin_lo,bin_hi,mfht,count\n")
         for i in range(curve.n_bins):
             m = curve.mfht[i]
-            mtxt = _fmt(m) if np.isfinite(m) else ""
-            fh.write(f"{_fmt(curve.bin_edges[i])},{_fmt(curve.bin_edges[i + 1])},{mtxt},{int(curve.counts[i])}\n")
+            mtxt = fmt(m) if np.isfinite(m) else ""
+            fh.write(f"{fmt(curve.bin_edges[i])},{fmt(curve.bin_edges[i + 1])},{mtxt},{int(curve.counts[i])}\n")
 
 
 def read_curve_csv(path: str | Path, min_count: int = 1) -> MfhtCurve:
@@ -367,13 +441,24 @@ def read_curve_csv(path: str | Path, min_count: int = 1) -> MfhtCurve:
     )
 
 
+def write_comparison_csv(comparison: CurveComparison, path: str | Path) -> None:
+    """Write ``bin_lo,bin_hi,mfht_empirical,mfht_model,diff``; NaN cells stay empty."""
+    edges = comparison.bin_edges
+    columns = (comparison.mfht_empirical, comparison.mfht_model, comparison.diff)
+    with open(path, "w", newline="") as fh:
+        fh.write("bin_lo,bin_hi,mfht_empirical,mfht_model,diff\n")
+        for i in range(edges.size - 1):
+            cells = [fmt(col[i]) if np.isfinite(col[i]) else "" for col in columns]
+            fh.write(f"{fmt(edges[i])},{fmt(edges[i + 1])},{','.join(cells)}\n")
+
+
 def write_histogram_csv(hist: Histogram, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("bin_lo,bin_hi,density,count\n")
         for i in range(hist.density.size):
             fh.write(
-                f"{_fmt(hist.bin_edges[i])},{_fmt(hist.bin_edges[i + 1])},"
-                f"{_fmt(hist.density[i])},{int(hist.counts[i])}\n"
+                f"{fmt(hist.bin_edges[i])},{fmt(hist.bin_edges[i + 1])},"
+                f"{fmt(hist.density[i])},{int(hist.counts[i])}\n"
             )
 
 
@@ -381,4 +466,4 @@ def write_acf_csv(series: AcfSeries, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("lag,value\n")
         for lag, value in zip(series.lags.tolist(), series.values.tolist()):
-            fh.write(f"{lag},{_fmt(value)}\n")
+            fh.write(f"{lag},{fmt(value)}\n")

@@ -94,16 +94,17 @@ def random_windows(rng: np.random.Generator, sigma_bar: float, n_crash: int, n_r
     return windows
 
 
-def assert_episodes_match(actual, expected, context: str = ""):
-    """Exact (start, fht) agreement; volatilities equal to float tolerance."""
-    got = [(e.start_index, e.fht) for e in actual]
+def assert_episodes_match(table, expected, context: str = ""):
+    """Exact (start, fht) agreement of an EpisodeTable with oracle tuples;
+    volatilities equal to float tolerance."""
+    got = list(zip(table.start_index.tolist(), table.fht.tolist()))
     want = [(s, f) for s, f, _ in expected]
     assert got == want, f"{context}: episodes {got} != oracle {want}"
-    for e, (_, _, vol) in zip(actual, expected):
+    for got_vol, (_, _, vol) in zip(table.volatility.tolist(), expected):
         if math.isnan(vol):
-            assert math.isnan(e.volatility), context
+            assert math.isnan(got_vol), context
         else:
             # prefix-sum variance carries O(sqrt(eps)) absolute noise near zero
-            assert math.isclose(e.volatility, vol, rel_tol=1e-9, abs_tol=1e-9), (
-                f"{context}: volatility {e.volatility} != {vol}"
+            assert math.isclose(got_vol, vol, rel_tol=1e-9, abs_tol=1e-9), (
+                f"{context}: volatility {got_vol} != {vol}"
             )

@@ -51,6 +51,61 @@ def test_invalid_parameter_exits_with_config_error(tmp_path):
     assert run("simulate", "--dt", "-1", "--out", str(tmp_path / "o")) == EXIT_CONFIG
 
 
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """A returns file and the episode file analyze makes of it."""
+    d = tmp_path_factory.mktemp("inputs")
+    rng = np.random.default_rng(8)
+    returns = _write_returns(d, [(f"s{i}", rng.uniform(-0.06, 0.06, 300)) for i in range(4)])
+    assert run(
+        "analyze", "--returns", str(returns), "--window", "fig1a",
+        "--sigma-bar", "0.02", "--out", str(d / "an"),
+    ) == 0
+    return {"returns": str(returns), "episodes": str(d / "an" / "episodes.csv")}
+
+
+# A bad numeric value on otherwise valid input, and a word its error names.
+BAD_VALUES = [
+    (["acf", "--returns", "{returns}", "--max-lag", "-1"], "--max-lag"),
+    (["fht-pdf", "--episodes", "{episodes}", "--bins", "0"], "--bins"),
+    (["mfht", "--episodes", "{episodes}", "--min-count", "0"], "--min-count"),
+    (["simulate", "--n-series", "2", "--days", "5", "--seed", "-1"], "seed"),
+    (["analyze", "--returns", "{returns}", "--seed", "-1"], "seed"),
+    (["analyze", "--returns", "{returns}", "--bins", "0"], "--bins"),
+    (["analyze", "--returns", "{returns}", "--bins", "-3"], "--bins"),
+    (["analyze", "--returns", "{returns}", "--min-count", "-1"], "--min-count"),
+    (["simulate", "--n-series", "2", "--days", "5", "--threads", "0"], "--threads"),
+    (["simulate", "--n-series", "2", "--days", "5", "--threads", "-5"], "--threads"),
+    (["simulate", "--n-series", "3", "--days", "50", "--dt", "1"], "lower dt"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, needle", BAD_VALUES, ids=[" ".join(a for a in argv if "{" not in a) for argv, _ in BAD_VALUES]
+)
+def test_bad_numeric_value_is_one_line_config_error(valid_inputs, tmp_path, capsys, argv, needle):
+    rc = run(*[a.format(**valid_inputs) for a in argv], "--out", str(tmp_path / "o"))
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG
+    assert err.startswith("error: ") and err.count("\n") == 1 and needle in err, err
+
+
+def test_config_seed_threads_only_on_subcommands_that_read_them(capsys):
+    expected = {
+        "simulate": {"--config", "--seed", "--threads"},
+        "analyze": {"--config", "--seed"},
+        "mfht": set(),
+        "fht-pdf": set(),
+        "acf": set(),
+        "compare": set(),
+    }
+    for sub, flags in expected.items():
+        with pytest.raises(SystemExit):
+            run(sub, "--help")
+        text = capsys.readouterr().out
+        assert {f for f in ("--config", "--seed", "--threads") if f in text} == flags, sub
+
+
 def test_simulate_writes_returns_stats_manifest(tmp_path):
     out = tmp_path / "sim"
     rc = run("simulate", "--n-series", "4", "--days", "120", "--seed", "5", "--out", str(out))
@@ -291,6 +346,8 @@ def test_acf_subcommand(tmp_path):
     assert (out / "acf_abs.csv").exists()
     rc = run("acf", "--returns", str(path), "--max-lag", "500", "--out", str(out))
     assert rc == EXIT_INPUT
+    flat = _write_returns(tmp_path, [("flat", [0.0] * 20)], name="flat.csv")
+    assert run("acf", "--returns", str(flat), "--max-lag", "2", "--out", str(out)) == EXIT_INPUT
 
 
 def test_compare_identity(tmp_path):
@@ -309,6 +366,9 @@ def test_compare_identity(tmp_path):
     assert rc == 0
     report = json.loads((out2 / "compare.json").read_text())
     assert report["max_abs_diff"] == 0.0
+    rows = [r.split(",") for r in (out2 / "compare.csv").read_text().splitlines()[1:]]
+    edges = read_curve_csv(curve).bin_edges
+    assert [float(r[0]) for r in rows] + [float(rows[-1][1])] == edges.tolist()
     assert report["peak_offset_bins"] == 0
     assert report["verdict_empirical"]["interior_maximum"] == report["verdict_model"]["interior_maximum"]
 

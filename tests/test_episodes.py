@@ -2,19 +2,21 @@ import numpy as np
 import pytest
 
 from helpers import assert_episodes_match, oracle_episodes, random_windows
-from volstab.episodes import (
-    VOL_SCOPES,
-    ThresholdWindow,
-    extract_episodes,
-    extract_table,
-    sweep_windows,
-    window_family,
-)
+from volstab.episodes import VOL_SCOPES, ThresholdWindow, extract_table, window_family
 from volstab.returns import ReturnSeries
 
 
 def _series(values, ticker="t"):
     return ReturnSeries.from_returns(ticker, np.asarray(values, dtype=float))
+
+
+def _scan(rs, window, **kwargs):
+    """Episodes of one series, as a one-series table."""
+    return extract_table([rs], window, **kwargs)
+
+
+def _pairs(table):
+    return list(zip(table.start_index.tolist(), table.fht.tolist()))
 
 
 FIG1A = ThresholdWindow(-0.1, -1.5, 0.02, "crash")  # thresholds -0.002 / -0.03
@@ -36,28 +38,23 @@ def test_window_validation_and_ids():
 
 def test_hand_traced_crash_episode():
     rs = _series([0.001, -0.003, -0.010, -0.035, 0.004])
-    eps = extract_episodes(rs, FIG1A)
-    assert len(eps) == 1
-    (e,) = eps
-    assert e.start_index == 1
-    assert e.fht == 2
-    assert e.volatility == pytest.approx(np.std([-0.003, -0.010, -0.035]), rel=1e-12)
+    table = _scan(rs, FIG1A)
+    assert _pairs(table) == [(1, 2)]
+    assert table.tickers == ["t"]
+    assert table.volatility[0] == pytest.approx(np.std([-0.003, -0.010, -0.035]), rel=1e-12)
 
 
 def test_all_zero_returns_no_episodes():
-    assert extract_episodes(_series([0.0] * 10), FIG1A) == []
+    assert len(_scan(_series([0.0] * 10), FIG1A)) == 0
 
 
 def test_rally_mirror_of_crash():
     values = [0.001, -0.003, -0.010, -0.035, 0.004]
-    crash_eps = extract_episodes(_series(values), FIG1A)
+    crash = _scan(_series(values), FIG1A)
     rally = ThresholdWindow(+0.1, +1.5, 0.02, "rally")
-    rally_eps = extract_episodes(_series([-v for v in values]), rally)
-    assert [(e.start_index, e.fht) for e in rally_eps] == [
-        (e.start_index, e.fht) for e in crash_eps
-    ]
-    for a, b in zip(rally_eps, crash_eps):
-        assert a.volatility == b.volatility
+    mirrored = _scan(_series([-v for v in values]), rally)
+    assert _pairs(mirrored) == _pairs(crash)
+    assert mirrored.volatility.tolist() == crash.volatility.tolist()
 
 
 def test_sign_symmetry_random():
@@ -65,73 +62,62 @@ def test_sign_symmetry_random():
     rally = ThresholdWindow(+0.1, +1.5, 0.02, "rally")
     for _ in range(50):
         r = rng.uniform(-0.06, 0.06, size=rng.integers(5, 60))
-        crash_eps = extract_episodes(_series(r), FIG1A)
-        rally_eps = extract_episodes(_series(-r), rally)
-        assert [(e.start_index, e.fht) for e in crash_eps] == [
-            (e.start_index, e.fht) for e in rally_eps
-        ]
+        assert _pairs(_scan(_series(r), FIG1A)) == _pairs(_scan(_series(-r), rally))
 
 
 def test_jump_through_opens_no_episode():
     # one day falls straight from above theta_i to below theta_f
     rs = _series([0.001, -0.04, -0.001, -0.01, -0.05])
-    eps = extract_episodes(rs, FIG1A)
-    assert [(e.start_index, e.fht) for e in eps] == [(3, 1)]
+    assert _pairs(_scan(rs, FIG1A)) == [(3, 1)]
 
 
 def test_entry_on_day_zero_by_level():
     rs = _series([-0.01, -0.02, -0.04])
-    eps = extract_episodes(rs, FIG1A)
-    assert [(e.start_index, e.fht) for e in eps] == [(0, 2)]
+    assert _pairs(_scan(rs, FIG1A)) == [(0, 2)]
 
 
 def test_deep_excursion_spawns_single_episode_under_crossing_rule():
     # stays below theta_i for many days; only one entry is counted
     rs = _series([0.001, -0.005, -0.006, -0.007, -0.008, -0.04])
-    eps = extract_episodes(rs, FIG1A)
-    assert [(e.start_index, e.fht) for e in eps] == [(1, 4)]
+    assert _pairs(_scan(rs, FIG1A)) == [(1, 4)]
     # the level rule instead re-enters right after each hit
-    level = extract_episodes(rs, FIG1A, entry_rule="level")
-    assert [(e.start_index, e.fht) for e in level] == [(1, 4)]
+    assert _pairs(_scan(rs, FIG1A, entry_rule="level")) == [(1, 4)]
 
 
 def test_level_rule_allows_reentry_without_recrossing():
     rs = _series([0.001, -0.005, -0.04, -0.006, -0.04])
-    crossing = extract_episodes(rs, FIG1A, entry_rule="crossing")
-    assert [(e.start_index, e.fht) for e in crossing] == [(1, 1)]
-    level = extract_episodes(rs, FIG1A, entry_rule="level")
-    assert [(e.start_index, e.fht) for e in level] == [(1, 1), (3, 1)]
+    assert _pairs(_scan(rs, FIG1A, entry_rule="crossing")) == [(1, 1)]
+    assert _pairs(_scan(rs, FIG1A, entry_rule="level")) == [(1, 1), (3, 1)]
 
 
 def test_exact_threshold_values_are_attained():
     w = FIG1A
     rs = _series([0.001, w.theta_i_abs, 0.001, w.theta_i_abs, w.theta_f_abs])
-    eps = extract_episodes(rs, w)
     # r == theta_i enters; r == theta_f terminates
-    assert [(e.start_index, e.fht) for e in eps] == [(1, 3)]
+    assert _pairs(_scan(rs, w)) == [(1, 3)]
 
 
 def test_censored_tail_is_discarded():
     rs = _series([0.001, -0.005, -0.006, -0.007])
-    assert extract_episodes(rs, FIG1A) == []
+    assert len(_scan(rs, FIG1A)) == 0
 
 
 def test_censoring_appending_quiet_tail_changes_nothing():
     rng = np.random.default_rng(23)
     for _ in range(30):
         r = rng.uniform(-0.06, 0.06, size=40)
-        base = [(e.start_index, e.fht, e.volatility) for e in extract_episodes(_series(r), FIG1A)]
+        base = _scan(_series(r), FIG1A)
         quiet = rng.uniform(-0.001, 0.001, size=15)  # never reaches theta_f
-        extended = extract_episodes(_series(np.concatenate([r, quiet])), FIG1A)
-        assert base == [(e.start_index, e.fht, e.volatility) for e in extended]
+        extended = _scan(_series(np.concatenate([r, quiet])), FIG1A)
+        assert _pairs(base) == _pairs(extended)
+        assert base.volatility.tolist() == extended.volatility.tolist()
 
 
 def test_non_overlap_and_ordering():
     rng = np.random.default_rng(5)
     for _ in range(30):
         r = rng.uniform(-0.06, 0.06, size=80)
-        eps = extract_episodes(_series(r), FIG1A)
-        spans = [(e.start_index, e.start_index + e.fht) for e in eps]
+        spans = [(s, s + f) for s, f in _pairs(_scan(_series(r), FIG1A))]
         assert spans == sorted(spans)
         for (_, end), (nxt, _) in zip(spans, spans[1:]):
             assert nxt > end
@@ -147,7 +133,7 @@ def test_matches_quadratic_oracle_everywhere():
         for w in windows:
             for entry_rule in ("crossing", "level"):
                 for scope in VOL_SCOPES:
-                    got = extract_episodes(rs, w, entry_rule=entry_rule, vol_scope=scope)
+                    got = _scan(rs, w, entry_rule=entry_rule, vol_scope=scope)
                     want = oracle_episodes(
                         r, w.theta_i_abs, w.theta_f_abs, w.direction, entry_rule, scope
                     )
@@ -166,41 +152,27 @@ def test_vol_scope_segments():
         "stretch": np.std([0.001, -0.003, -0.010, -0.035]),
     }
     for scope, want in by_scope.items():
-        (e,) = extract_episodes(rs, FIG1A, vol_scope=scope)
-        assert e.volatility == pytest.approx(float(want), rel=1e-12), scope
+        table = _scan(rs, FIG1A, vol_scope=scope)
+        assert len(table) == 1, scope
+        assert table.volatility[0] == pytest.approx(float(want), rel=1e-12), scope
 
 
 def test_interior_scope_single_day_episode_has_nan_volatility():
     rs = _series([0.001, -0.003, -0.035])
-    (e,) = extract_episodes(rs, FIG1A, vol_scope="interior")
-    assert e.fht == 1 and np.isnan(e.volatility)
+    table = _scan(rs, FIG1A, vol_scope="interior")
+    assert _pairs(table) == [(1, 1)] and np.isnan(table.volatility[0])
 
 
 def test_extract_table_concatenates_per_series():
     rng = np.random.default_rng(31)
     series = [_series(rng.uniform(-0.06, 0.06, 50), ticker=f"s{i}") for i in range(7)]
     table = extract_table(series, FIG1A)
-    rebuilt = []
-    for rs in series:
-        rebuilt.extend(extract_episodes(rs, FIG1A))
-    assert len(table) == len(rebuilt)
-    assert table.tickers == [e.ticker for e in rebuilt]
-    assert table.start_index.tolist() == [e.start_index for e in rebuilt]
-    assert table.fht.tolist() == [e.fht for e in rebuilt]
-    np.testing.assert_array_equal(table.volatility, np.array([e.volatility for e in rebuilt]))
-
-
-def test_sweep_windows_composition_and_empty():
-    rng = np.random.default_rng(4)
-    series = [_series(rng.uniform(-0.06, 0.06, 60), ticker=f"s{i}") for i in range(3)]
-    out = sweep_windows(series, [FIG1A])
-    direct = []
-    for rs in series:
-        direct.extend(extract_episodes(rs, FIG1A))
-    assert [(e.ticker, e.start_index, e.fht) for e in out[FIG1A]] == [
-        (e.ticker, e.start_index, e.fht) for e in direct
-    ]
-    assert sweep_windows(series, []) == {}
+    parts = [_scan(rs, FIG1A) for rs in series]
+    assert sum(len(p) for p in parts) == len(table) > 0
+    assert table.tickers == [rs.ticker for rs, p in zip(series, parts) for _ in range(len(p))]
+    assert table.start_index.tolist() == [s for p in parts for s in p.start_index.tolist()]
+    assert table.fht.tolist() == [f for p in parts for f in p.fht.tolist()]
+    np.testing.assert_array_equal(table.volatility, np.concatenate([p.volatility for p in parts]))
 
 
 def test_deeper_final_threshold_never_gains_episodes():
@@ -212,8 +184,8 @@ def test_deeper_final_threshold_never_gains_episodes():
     for _ in range(100):
         r = rng.uniform(-3 * sigma_bar, 3 * sigma_bar, size=50)
         rs = _series(r)
-        total_shallow += len(extract_episodes(rs, shallow))
-        total_deep += len(extract_episodes(rs, deep))
+        total_shallow += len(_scan(rs, shallow))
+        total_deep += len(_scan(rs, deep))
     assert total_shallow >= total_deep
     assert total_shallow > 0
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from volstab.episodes import FhtEpisode, ThresholdWindow, extract_table
+from volstab.episodes import EpisodeTable, ThresholdWindow, extract_table
 from volstab.returns import ReturnSeries
 from volstab.stats import (
     MfhtCurve,
@@ -22,8 +22,19 @@ from volstab.stats import (
 )
 
 
-def _episode(fht, vol, ticker="t", start=0):
-    return FhtEpisode(ticker=ticker, start_index=start, fht=fht, volatility=vol)
+FIG1A = ThresholdWindow(-0.1, -1.5, 0.02, "crash")
+
+
+def _table(fht, vol):
+    """Synthetic episodes of one window with the given hitting times and volatilities."""
+    fht = np.asarray(fht, dtype=np.int64)
+    return EpisodeTable(
+        window=FIG1A,
+        tickers=["t"] * fht.size,
+        start_index=np.zeros(fht.size, dtype=np.int64),
+        fht=fht,
+        volatility=np.asarray(vol, dtype=float),
+    )
 
 
 def _curve(mfht_values, counts=None, min_count=1):
@@ -37,20 +48,19 @@ def _curve(mfht_values, counts=None, min_count=1):
 
 
 def test_single_episode_single_bin():
-    curve = mfht_curve([_episode(7, 0.01)], min_count=1)
+    curve = mfht_curve(_table([7], [0.01]), min_count=1)
     pop = np.flatnonzero(curve.populated)
     assert pop.size == 1
     assert curve.mfht[pop[0]] == 7.0
     assert curve.counts.sum() == 1
     # below min_count the bin is flagged empty but keeps its raw count
-    sparse = mfht_curve([_episode(7, 0.01)], min_count=5)
+    sparse = mfht_curve(_table([7], [0.01]), min_count=5)
     assert sparse.populated.sum() == 0
     assert sparse.counts.sum() == 1
 
 
 def test_two_episodes_same_bin_mean():
-    eps = [_episode(4, 0.0100), _episode(8, 0.0101)]
-    curve = mfht_curve(eps, bins=1, min_count=1)
+    curve = mfht_curve(_table([4, 8], [0.0100, 0.0101]), bins=1, min_count=1)
     pop = np.flatnonzero(curve.populated)
     assert curve.mfht[pop].tolist() == [6.0]
     assert curve.counts.sum() == 2
@@ -58,14 +68,11 @@ def test_two_episodes_same_bin_mean():
 
 def test_curve_permutation_invariance():
     rng = np.random.default_rng(44)
-    eps = [
-        _episode(int(f), float(v))
-        for f, v in zip(rng.integers(1, 300, 500), rng.uniform(1e-3, 0.3, 500))
-    ]
-    a = mfht_curve(eps, bins=20, min_count=3)
-    shuffled = list(eps)
-    rng.shuffle(shuffled)
-    b = mfht_curve(shuffled, bins=20, min_count=3)
+    fht = rng.integers(1, 300, 500)
+    vol = rng.uniform(1e-3, 0.3, 500)
+    a = mfht_curve(_table(fht, vol), bins=20, min_count=3)
+    perm = rng.permutation(fht.size)
+    b = mfht_curve(_table(fht[perm], vol[perm]), bins=20, min_count=3)
     assert np.array_equal(a.bin_edges, b.bin_edges)
     assert np.array_equal(a.counts, b.counts)
     np.testing.assert_array_equal(a.mfht, b.mfht)  # integer sums: exact
@@ -87,28 +94,24 @@ def test_curve_refinement_merge_consistency():
 
 def test_curve_mfht_bounded_by_episode_range():
     rng = np.random.default_rng(46)
-    eps = [
-        _episode(int(f), float(v))
-        for f, v in zip(rng.integers(1, 500, 300), rng.uniform(1e-3, 0.5, 300))
-    ]
-    curve = mfht_curve(eps, bins=15, min_count=1)
-    fhts = [e.fht for e in eps]
+    fht = rng.integers(1, 500, 300)
+    curve = mfht_curve(_table(fht, rng.uniform(1e-3, 0.5, 300)), bins=15, min_count=1)
     pop = curve.mfht[curve.populated]
-    assert pop.min() >= min(fhts)
-    assert pop.max() <= max(fhts)
+    assert pop.min() >= fht.min()
+    assert pop.max() <= fht.max()
 
 
 def test_curve_counts_exclude_filtered_episodes():
-    eps = [_episode(3, 0.01), _episode(5, 0.02), _episode(7, float("nan")), _episode(9, 0.0)]
-    curve = mfht_curve(eps, bins=4, min_count=1)
+    table = _table([3, 5, 7, 9], [0.01, 0.02, float("nan"), 0.0])
+    curve = mfht_curve(table, bins=4, min_count=1)
     assert curve.counts.sum() == 2  # NaN and non-positive volatilities do not contribute
 
 
 def test_curve_empty_errors():
     with pytest.raises(ValueError):
-        mfht_curve([])
+        mfht_curve(_table([], []))
     with pytest.raises(ValueError):
-        mfht_curve([_episode(3, float("nan"))])
+        mfht_curve(_table([3], [float("nan")]))
 
 
 def test_locate_maximum_basic_and_interior_flag():
@@ -171,7 +174,7 @@ def test_fht_pdf_matches_geometric_oracle():
     rng = np.random.default_rng(7)
     p = 0.3
     draws = rng.geometric(p, size=20000)
-    hist = fht_pdf([_episode(int(k), 0.01) for k in draws], bins=12)
+    hist = fht_pdf(_table(draws, np.full(draws.size, 0.01)), bins=12)
     edges = hist.bin_edges
     n = draws.size
     kmax = int(draws.max())
@@ -203,8 +206,7 @@ def test_return_pdf_symmetry_and_tails():
 
 
 def test_vol_pdf_accepts_episodes_and_values():
-    eps = [_episode(3, 0.01), _episode(5, 0.02), _episode(5, 0.04)]
-    h1 = vol_pdf(eps, bins=4)
+    h1 = vol_pdf(_table([3, 5, 5], [0.01, 0.02, 0.04]), bins=4)
     h2 = vol_pdf([0.01, 0.02, 0.04], bins=4)
     assert np.array_equal(h1.counts, h2.counts)
 
@@ -276,11 +278,8 @@ def test_ensemble_acf_is_mean_of_series_acfs():
 
 def test_curve_csv_round_trip(tmp_path):
     rng = np.random.default_rng(16)
-    eps = [
-        _episode(int(f), float(v))
-        for f, v in zip(rng.integers(1, 50, 200), rng.uniform(0.005, 0.1, 200))
-    ]
-    curve = mfht_curve(eps, bins=12, min_count=5)
+    table = _table(rng.integers(1, 50, 200), rng.uniform(0.005, 0.1, 200))
+    curve = mfht_curve(table, bins=12, min_count=5)
     path = tmp_path / "curve.csv"
     write_curve_csv(curve, path)
     back = read_curve_csv(path)
@@ -294,9 +293,8 @@ def test_curve_from_real_extraction_has_window_id(tmp_path):
     series = [
         ReturnSeries.from_returns(f"s{i}", rng.uniform(-0.06, 0.06, 200)) for i in range(10)
     ]
-    w = ThresholdWindow(-0.1, -1.5, 0.02, "crash")
-    table = extract_table(series, w)
+    table = extract_table(series, FIG1A)
     curve = mfht_curve(table, bins=10, min_count=2)
     verdict = nonmonotonicity_verdict(curve)
-    assert verdict["window_id"] == w.window_id
+    assert verdict["window_id"] == FIG1A.window_id
     assert verdict["n_episodes"] == curve.counts.sum()
