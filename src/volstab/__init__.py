@@ -17,16 +17,12 @@ from .model import (
     ModelParams,
     PotentialParams,
     SimConfig,
-    Trajectory,
-    cir_step,
     cir_step_raw,
     daily_returns,
     heston_step,
     potential,
     potential_gradient,
     simulate_ensemble,
-    simulate_paths,
-    simulate_series,
 )
 from .returns import (
     MarketStats,

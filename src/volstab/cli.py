@@ -215,14 +215,14 @@ def write_manifest(
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     mp, cfg = build_model(config)
-    out = _out_dir(args, cfg.seed)
-
     try:
-        trajectories = simulate_ensemble(mp, cfg, threads=args.threads)
+        x, v = simulate_ensemble(mp, cfg, threads=args.threads)
     except FloatingPointError as exc:  # the integration blew up: a configuration fault
         raise ConfigError(str(exc)) from None
+    out = _out_dir(args, cfg.seed)
+
     if cfg.days >= 1:
-        series = [daily_returns(t, ticker=f"sim{i:04d}") for i, t in enumerate(trajectories)]
+        series = daily_returns(x, [f"sim{i:04d}" for i in range(cfg.n_series)])
         write_returns_csv(series, out / "returns.csv")
         stats = market_stats(series)
         write_stats_json(stats, out / "stats.json")
@@ -233,10 +233,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.write_trajectories or cfg.days < 1:
         with open(out / "trajectories.csv", "w", newline="") as fh:
             fh.write("series,day,x,v\n")
-            for i, t in enumerate(trajectories):
+            for i, (xs, vs) in enumerate(zip(x.tolist(), v.tolist())):
                 fh.writelines(
-                    f"{i},{d},{fmt(xv)},{fmt(vv)}\n"
-                    for d, (xv, vv) in enumerate(zip(t.x.tolist(), t.v.tolist()))
+                    f"{i},{d},{fmt(xv)},{fmt(vv)}\n" for d, (xv, vv) in enumerate(zip(xs, vs))
                 )
 
     inputs = [Path(args.config)] if args.config else []
@@ -305,7 +304,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     build_model(config)  # reject an invalid configuration before it is recorded
     series, inputs = _load_input_series(args)
-    sigma_bar = args.sigma_bar if args.sigma_bar is not None else market_stats(series).sigma_bar
+    sigma_bar = args.sigma_bar
+    if sigma_bar is None:
+        sigma_bar = market_stats(series).sigma_bar
+        if sigma_bar <= 0:
+            raise InputError(
+                f"{args.returns or args.prices}: every series has zero variance, "
+                "so sigma_bar is 0 and no threshold can be set from it"
+            )
     windows = _resolve_windows(args, sigma_bar)
     out = _out_dir(args, config["seed"])
 
@@ -468,7 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("simulate", cmd_simulate, "generate a return ensemble from the model")
     _add_config_flags(p)
-    p.add_argument("--threads", type=int, default=1, help="worker threads for simulation")
+    p.add_argument("--threads", type=int, default=1,
+                   help="threads that draw the normals (capped at one per series and per CPU)")
     _add_model_flags(p)
     p.add_argument("--write-trajectories", action="store_true",
                    help="also export series,day,x,v rows")

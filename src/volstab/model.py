@@ -8,18 +8,18 @@ recorded once per trading day:
 
 The variance update uses the full-truncation Euler scheme: the integrator
 carries the raw Euler state, feeds only its nonnegative part into drift,
-diffusion and the return equation, and reports max(v, 0) in trajectories,
+diffusion and the return equation, and reports max(v, 0) at day boundaries,
 so sampled variances stay nonnegative even when 2ab < c^2 and the
 continuous process can reach zero.  Each series draws from its own pair of
 PCG64 generators, seeded by SeedSequence spawn keys (series_index, 0) and
 (series_index, 1) under the master seed, which makes any single trajectory
-reproducible in isolation, independent of ensemble partitioning and thread
-scheduling.
+the same in any ensemble that contains it and for any thread count.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -32,14 +32,10 @@ __all__ = [
     "CirParams",
     "ModelParams",
     "SimConfig",
-    "Trajectory",
     "potential",
     "potential_gradient",
-    "cir_step",
     "cir_step_raw",
     "heston_step",
-    "simulate_paths",
-    "simulate_series",
     "simulate_ensemble",
     "daily_returns",
 ]
@@ -123,7 +119,7 @@ class SimConfig:
 
     ``dt`` is the integration step and ``dt * steps_per_day`` the amount of
     model time mapped onto one sampled trading day.  ``days`` may be zero,
-    in which case a trajectory holds only the initial state.
+    in which case the integrator returns only the initial state.
     """
 
     # The default step is in the time unit of the variance parameters a and
@@ -154,24 +150,6 @@ class SimConfig:
         return self.dt * self.steps_per_day
 
 
-@dataclass(frozen=True, eq=False)
-class Trajectory:
-    """One simulated series sampled at day boundaries (length days + 1)."""
-
-    x: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.x.shape != self.v.shape or self.x.ndim != 1 or self.x.size < 1:
-            raise ValueError("x and v must be 1-d arrays of equal nonzero length")
-        if np.any(self.v < 0):
-            raise ValueError("variance path contains negative values")
-
-    @property
-    def days(self) -> int:
-        return self.x.size - 1
-
-
 def potential(x, p: PotentialParams):
     """U(x) = m x^3 + n x^2; accepts scalars or arrays."""
     return p.m * x**3 + p.n * x**2
@@ -196,11 +174,6 @@ def cir_step_raw(v, p: CirParams, dt: float, dw):
     return v + p.a * (p.b - vplus) * dt + p.c * np.sqrt(vplus) * dw
 
 
-def cir_step(v, p: CirParams, dt: float, dw):
-    """Nonnegative variance reported after one full-truncation update."""
-    return np.maximum(cir_step_raw(v, p, dt, dw), 0.0)
-
-
 def heston_step(x, v, mp: ModelParams, dt: float, dw1):
     """One Euler update of the return state at current variance v >= 0."""
     return x - (potential_gradient(x, mp.potential) + 0.5 * v) * dt + np.sqrt(v) * dw1
@@ -210,16 +183,21 @@ def _substream(seed: int, series_index: int, which: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(series_index, which)))
 
 
-def simulate_paths(
-    mp: ModelParams, cfg: SimConfig, series_indices: list[int]
+def simulate_ensemble(
+    mp: ModelParams, cfg: SimConfig, *, threads: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate the coupled SDEs for the given ensemble members.
+    """Integrate the coupled SDEs for every ensemble member.
 
-    Returns (x, v), float64 arrays of shape (len(series_indices), days + 1)
-    sampled at day boundaries.  Series ``i`` consumes the substreams keyed
-    (seed, i, 0) for dW1 and (seed, i, 1) for dW2 strictly in step order,
-    so the output for a given index never depends on which other indices
-    are simulated alongside it.
+    Returns (x, v), float64 arrays of shape (n_series, days + 1) sampled at
+    day boundaries, v as max(v, 0).  Series ``i`` consumes the substreams
+    keyed (seed, i, 0) for dW1 and (seed, i, 1) for dW2 strictly in step
+    order, so row ``i`` is the same in any ensemble that contains it.
+
+    ``threads`` workers, at most one per series and per CPU, share out the
+    normal draws of each block of ``_CHUNK_DAYS`` days; numpy releases the
+    GIL while it fills, and each row owns its generators, so the result
+    does not depend on the thread count.  The step loop runs on the
+    calling thread over the whole ensemble.
 
     The cubic well is unbounded beyond its barrier top, so a state that
     steps past the barrier is reflected back across it; without this the
@@ -227,40 +205,43 @@ def simulate_paths(
     default parameters) runs away to -inf in finite time and poisons the
     whole series.  Reflection touches only those excursions.
 
-    The state is checked for finiteness once per block of ``_CHUNK_DAYS``
-    days; a step too coarse for the parameters raises FloatingPointError
-    naming the first series and day that went non-finite.
+    The state is checked for finiteness once per block; a step too coarse
+    for the parameters raises FloatingPointError naming the first series
+    and day that went non-finite.
     """
-    for i in series_indices:
-        if not 0 <= i < cfg.n_series:
-            raise ValueError(f"series index {i} outside ensemble of size {cfg.n_series}")
-    k = len(series_indices)
+    n = cfg.n_series
     days, spd, dt = cfg.days, cfg.steps_per_day, cfg.dt
-    x = np.empty((k, days + 1))
-    v = np.empty((k, days + 1))
+    x = np.empty((n, days + 1))
+    v = np.empty((n, days + 1))
     x[:, 0] = mp.x0
     v[:, 0] = mp.cir.v_start
     if days == 0:
         return x, v
 
-    rng1 = [_substream(cfg.seed, i, 0) for i in series_indices]
-    rng2 = [_substream(cfg.seed, i, 1) for i in series_indices]
+    rng1 = [_substream(cfg.seed, i, 0) for i in range(n)]
+    rng2 = [_substream(cfg.seed, i, 1) for i in range(n)]
     sqdt = math.sqrt(dt)
     barrier = mp.potential.barrier
-    xt = np.full(k, float(mp.x0))
-    vt = np.full(k, float(mp.cir.v_start))
+    xt = np.full(n, float(mp.x0))
+    vt = np.full(n, float(mp.cir.v_start))
 
     chunk = min(days, _CHUNK_DAYS)
-    dw1 = np.empty((k, chunk * spd))
-    dw2 = np.empty((k, chunk * spd))
+    dw1 = np.empty((n, chunk * spd))
+    dw2 = np.empty((n, chunk * spd))
+
+    def fill(rows: range, nsteps: int) -> None:
+        for row in rows:
+            rng1[row].standard_normal(out=dw1[row, :nsteps])
+            rng2[row].standard_normal(out=dw2[row, :nsteps])
+
+    workers = min(threads, n, os.cpu_count() or 1)
+    blocks = [range(n * w // workers, n * (w + 1) // workers) for w in range(workers)]
     # Overflow is caught by the finiteness check below, not by warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
+    with ThreadPoolExecutor(workers) as pool, np.errstate(over="ignore", invalid="ignore"):
         for day0 in range(0, days, chunk):
             ndays = min(chunk, days - day0)
             nsteps = ndays * spd
-            for row in range(k):
-                dw1[row, :nsteps] = rng1[row].standard_normal(nsteps)
-                dw2[row, :nsteps] = rng2[row].standard_normal(nsteps)
+            list(pool.map(fill, blocks, [nsteps] * workers))
             np.multiply(dw1, sqdt, out=dw1)
             np.multiply(dw2, sqdt, out=dw2)
             s = 0
@@ -277,43 +258,16 @@ def simulate_paths(
             if bad.any():
                 day, row = np.argwhere(bad.T)[0]
                 raise FloatingPointError(
-                    f"series {series_indices[row]} turned non-finite on day {day0 + day + 1}: "
+                    f"series {row} turned non-finite on day {day0 + day + 1}: "
                     f"the integration blew up; lower dt (now {dt!r})"
                 )
     return x, v
 
 
-def simulate_series(mp: ModelParams, cfg: SimConfig, series_index: int) -> Trajectory:
-    """Simulate one ensemble member; a pure function of (mp, cfg, series_index)."""
-    x, v = simulate_paths(mp, cfg, [series_index])
-    return Trajectory(x=x[0], v=v[0])
-
-
-def simulate_ensemble(mp: ModelParams, cfg: SimConfig, *, threads: int = 1) -> list[Trajectory]:
-    """Simulate the whole ensemble, optionally splitting series across threads.
-
-    The result is identical for any thread count because every series owns
-    its random substreams.
-    """
-    indices = list(range(cfg.n_series))
-    if threads <= 1 or cfg.n_series == 1:
-        x, v = simulate_paths(mp, cfg, indices)
-        return [Trajectory(x=x[i], v=v[i]) for i in range(cfg.n_series)]
-
-    nblocks = min(threads, cfg.n_series)
-    blocks = [indices[i::nblocks] for i in range(nblocks)]
-    with ThreadPoolExecutor(max_workers=nblocks) as pool:
-        results = list(pool.map(lambda blk: simulate_paths(mp, cfg, blk), blocks))
-    out: list[Trajectory | None] = [None] * cfg.n_series
-    for blk, (xb, vb) in zip(blocks, results):
-        for row, i in enumerate(blk):
-            out[i] = Trajectory(x=xb[row], v=vb[row])
-    return out  # type: ignore[return-value]
-
-
-def daily_returns(t: Trajectory, ticker: str = "sim") -> ReturnSeries:
-    """Daily increments x(t) - x(t-1), adopted as the simulated return series."""
-    if t.x.size < 2:
-        raise ValueError("trajectory must span at least one day to form returns")
-    r = np.diff(t.x)
-    return ReturnSeries.from_returns(ticker, r)
+def daily_returns(x: np.ndarray, tickers: list[str]) -> list[ReturnSeries]:
+    """Daily increments x(t) - x(t-1) of each row of ``x``, adopted as simulated return series."""
+    if x.ndim != 2 or x.shape[1] < 2:
+        raise ValueError("trajectories must span at least one day to form returns")
+    if len(tickers) != x.shape[0]:
+        raise ValueError(f"{len(tickers)} tickers for {x.shape[0]} trajectories")
+    return [ReturnSeries.from_returns(t, r) for t, r in zip(tickers, np.diff(x, axis=1))]

@@ -15,7 +15,7 @@ import pytest
 from helpers import assert_episodes_match, oracle_episodes, random_windows
 from volstab.cli import main as cli_main
 from volstab.episodes import extract_table, window_family
-from volstab.model import ModelParams, SimConfig, simulate_paths
+from volstab.model import ModelParams, SimConfig, simulate_ensemble
 from volstab.returns import ReturnSeries, read_returns_csv
 from volstab.stats import ensemble_acf, fht_pdf, mfht_curve, nonmonotonicity_verdict
 
@@ -142,7 +142,7 @@ def test_a6_no_arbitrage_and_clustering(ensemble):
 
 def test_a7_cir_positivity_and_mean_reversion():
     cfg = SimConfig(dt=0.01, steps_per_day=1, days=100_000, n_series=100, seed=4242)
-    _, v = simulate_paths(DEFAULT_MP, cfg, list(range(cfg.n_series)))
+    _, v = simulate_ensemble(DEFAULT_MP, cfg)
     samples = v[:, 1:]
     n_samples = samples.size
     vbar = float(samples.mean())
@@ -159,7 +159,7 @@ def test_a7_cir_positivity_and_mean_reversion():
 def test_a8_discretization_stability():
     def sigma_bar(dt, spd):
         cfg = SimConfig(dt=dt, steps_per_day=spd, days=6000, n_series=100, seed=0)
-        x, _ = simulate_paths(DEFAULT_MP, cfg, list(range(cfg.n_series)))
+        x, _ = simulate_ensemble(DEFAULT_MP, cfg)
         return float(np.diff(x, axis=1).std(axis=1).mean())
 
     coarse = sigma_bar(7.0e-4, 100)

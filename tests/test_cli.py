@@ -53,41 +53,55 @@ def test_invalid_parameter_exits_with_config_error(tmp_path):
 
 @pytest.fixture(scope="module")
 def valid_inputs(tmp_path_factory):
-    """A returns file and the episode file analyze makes of it."""
+    """A returns file, the episode file analyze makes of it, and a file of flat series."""
     d = tmp_path_factory.mktemp("inputs")
     rng = np.random.default_rng(8)
     returns = _write_returns(d, [(f"s{i}", rng.uniform(-0.06, 0.06, 300)) for i in range(4)])
+    flat = _write_returns(d, [(f"z{i}", [0.0] * 4) for i in range(2)], name="flat.csv")
     assert run(
         "analyze", "--returns", str(returns), "--window", "fig1a",
         "--sigma-bar", "0.02", "--out", str(d / "an"),
     ) == 0
-    return {"returns": str(returns), "episodes": str(d / "an" / "episodes.csv")}
+    return {
+        "returns": str(returns),
+        "episodes": str(d / "an" / "episodes.csv"),
+        "flat": str(flat),
+    }
 
 
-# A bad numeric value on otherwise valid input, and a word its error names.
+# A bad value, the exit code it ends in, and a word its error names.
 BAD_VALUES = [
-    (["acf", "--returns", "{returns}", "--max-lag", "-1"], "--max-lag"),
-    (["fht-pdf", "--episodes", "{episodes}", "--bins", "0"], "--bins"),
-    (["mfht", "--episodes", "{episodes}", "--min-count", "0"], "--min-count"),
-    (["simulate", "--n-series", "2", "--days", "5", "--seed", "-1"], "seed"),
-    (["analyze", "--returns", "{returns}", "--seed", "-1"], "seed"),
-    (["analyze", "--returns", "{returns}", "--bins", "0"], "--bins"),
-    (["analyze", "--returns", "{returns}", "--bins", "-3"], "--bins"),
-    (["analyze", "--returns", "{returns}", "--min-count", "-1"], "--min-count"),
-    (["simulate", "--n-series", "2", "--days", "5", "--threads", "0"], "--threads"),
-    (["simulate", "--n-series", "2", "--days", "5", "--threads", "-5"], "--threads"),
-    (["simulate", "--n-series", "3", "--days", "50", "--dt", "1"], "lower dt"),
+    (["acf", "--returns", "{returns}", "--max-lag", "-1"], EXIT_CONFIG, "--max-lag"),
+    (["fht-pdf", "--episodes", "{episodes}", "--bins", "0"], EXIT_CONFIG, "--bins"),
+    (["mfht", "--episodes", "{episodes}", "--min-count", "0"], EXIT_CONFIG, "--min-count"),
+    (["simulate", "--n-series", "2", "--days", "5", "--seed", "-1"], EXIT_CONFIG, "seed"),
+    (["analyze", "--returns", "{returns}", "--seed", "-1"], EXIT_CONFIG, "seed"),
+    (["analyze", "--returns", "{returns}", "--bins", "0"], EXIT_CONFIG, "--bins"),
+    (["analyze", "--returns", "{returns}", "--bins", "-3"], EXIT_CONFIG, "--bins"),
+    (["analyze", "--returns", "{returns}", "--min-count", "-1"], EXIT_CONFIG, "--min-count"),
+    (["analyze", "--returns", "{returns}", "--sigma-bar", "0"], EXIT_CONFIG, "sigma_bar"),
+    (["analyze", "--returns", "{flat}"], EXIT_INPUT, "{flat}"),
+    (["simulate", "--n-series", "2", "--days", "5", "--threads", "0"], EXIT_CONFIG, "--threads"),
+    (["simulate", "--n-series", "2", "--days", "5", "--threads", "-5"], EXIT_CONFIG, "--threads"),
+    (["simulate", "--n-series", "3", "--days", "50", "--dt", "1"], EXIT_CONFIG, "lower dt"),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv, needle", BAD_VALUES, ids=[" ".join(a for a in argv if "{" not in a) for argv, _ in BAD_VALUES]
+    "argv, code, needle",
+    BAD_VALUES,
+    ids=[" ".join(a for a in argv if "{" not in a) for argv, _, _ in BAD_VALUES],
 )
-def test_bad_numeric_value_is_one_line_config_error(valid_inputs, tmp_path, capsys, argv, needle):
-    rc = run(*[a.format(**valid_inputs) for a in argv], "--out", str(tmp_path / "o"))
+def test_bad_numeric_value_is_one_line_config_error(
+    valid_inputs, tmp_path, capsys, argv, code, needle
+):
+    out = tmp_path / "o"
+    rc = run(*[a.format(**valid_inputs) for a in argv], "--out", str(out))
     err = capsys.readouterr().err
-    assert rc == EXIT_CONFIG
-    assert err.startswith("error: ") and err.count("\n") == 1 and needle in err, err
+    assert rc == code
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert needle.format(**valid_inputs) in err, err
+    assert not out.exists()  # a failed run leaves no output directory behind
 
 
 def test_config_seed_threads_only_on_subcommands_that_read_them(capsys):
@@ -149,6 +163,9 @@ def test_simulate_threads_do_not_change_output(tmp_path):
     assert run(*base, "--threads", "1", "--out", str(out1)) == 0
     assert run(*base, "--threads", "4", "--out", str(out4)) == 0
     assert (out1 / "returns.csv").read_bytes() == (out4 / "returns.csv").read_bytes()
+    out64 = tmp_path / "t64"  # more threads than series or CPUs: the pool is capped
+    assert run(*base, "--threads", "64", "--out", str(out64)) == 0
+    assert (out1 / "returns.csv").read_bytes() == (out64 / "returns.csv").read_bytes()
 
 
 def test_analyze_does_not_mutate_inputs(tmp_path):

@@ -1,24 +1,23 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from volstab import model
 from volstab.model import (
     CirParams,
     ModelParams,
     PotentialParams,
     SimConfig,
-    Trajectory,
     _substream,
-    cir_step,
     cir_step_raw,
     daily_returns,
     heston_step,
     potential,
     potential_gradient,
     simulate_ensemble,
-    simulate_paths,
-    simulate_series,
 )
 
 DEFAULT_MP = ModelParams()
@@ -77,13 +76,13 @@ def test_feller_ratio_reported_not_enforced():
 
 def test_cir_step_fixed_point_and_drift():
     p = CirParams(a=2.0, b=0.01, c=0.0)
-    assert cir_step(p.b, p, dt=0.37, dw=123.0) == pytest.approx(p.b)
-    assert cir_step(0.0, p, dt=0.01, dw=0.0) == pytest.approx(2e-4)
+    assert np.maximum(cir_step_raw(p.b, p, dt=0.37, dw=123.0), 0.0) == pytest.approx(p.b)
+    assert np.maximum(cir_step_raw(0.0, p, dt=0.01, dw=0.0), 0.0) == pytest.approx(2e-4)
 
 
 def test_cir_step_truncation_floor():
     p = CirParams()
-    assert cir_step(1e-6, p, dt=0.01, dw=-5.0) == 0.0
+    assert np.maximum(cir_step_raw(1e-6, p, dt=0.01, dw=-5.0), 0.0) == 0.0
     assert cir_step_raw(1e-6, p, dt=0.01, dw=-5.0) < 0.0
 
 
@@ -97,49 +96,68 @@ def test_heston_step_hand_values():
 
 def test_simulate_days_zero_returns_initial_state_only():
     cfg = SimConfig(days=0, n_series=1, seed=3)
-    t = simulate_series(DEFAULT_MP, cfg, 0)
-    assert t.x.size == 1 and t.v.size == 1
-    assert t.x[0] == DEFAULT_MP.x0
-    assert t.v[0] == DEFAULT_MP.cir.v_start
+    x, v = simulate_ensemble(DEFAULT_MP, cfg)
+    assert x.shape == v.shape == (1, 1)
+    assert x[0, 0] == DEFAULT_MP.x0
+    assert v[0, 0] == DEFAULT_MP.cir.v_start
     with pytest.raises(ValueError):
-        daily_returns(t)
+        daily_returns(x, ["sim"])
 
 
 def test_simulate_is_deterministic_and_order_independent():
     cfg = SimConfig(days=40, n_series=5, seed=42)
-    a = simulate_series(DEFAULT_MP, cfg, 3)
-    b = simulate_series(DEFAULT_MP, cfg, 3)
-    assert np.array_equal(a.x, b.x) and np.array_equal(a.v, b.v)
-    # a series is the same whether simulated alone or inside any batch
-    x, v = simulate_paths(DEFAULT_MP, cfg, [4, 3, 0])
-    assert np.array_equal(x[1], a.x) and np.array_equal(v[1], a.v)
+    xa, va = simulate_ensemble(DEFAULT_MP, cfg)
+    xb, vb = simulate_ensemble(DEFAULT_MP, cfg)
+    assert np.array_equal(xa, xb) and np.array_equal(va, vb)
+    # a series is the same whatever other series are simulated alongside it
+    x8, v8 = simulate_ensemble(DEFAULT_MP, replace(cfg, n_series=8))
+    assert np.array_equal(x8[:5], xa) and np.array_equal(v8[:5], va)
 
 
 def test_simulate_ensemble_threads_do_not_change_results():
     cfg = SimConfig(days=30, n_series=7, seed=11)
-    one = simulate_ensemble(DEFAULT_MP, cfg, threads=1)
-    four = simulate_ensemble(DEFAULT_MP, cfg, threads=4)
-    for t1, t4 in zip(one, four):
-        assert np.array_equal(t1.x, t4.x) and np.array_equal(t1.v, t4.v)
+    x1, v1 = simulate_ensemble(DEFAULT_MP, cfg, threads=1)
+    x4, v4 = simulate_ensemble(DEFAULT_MP, cfg, threads=4)
+    assert np.array_equal(x1, x4) and np.array_equal(v1, v4)
+
+
+@pytest.mark.parametrize(
+    "threads, n_series, cpus, width", [(64, 3, 8, 3), (64, 5, 2, 2), (4, 5, None, 1), (1, 5, 8, 1)]
+)
+def test_thread_pool_is_bounded_by_series_and_cpus(monkeypatch, threads, n_series, cpus, width):
+    widths = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            widths.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(model, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(model.os, "cpu_count", lambda: cpus)
+    cfg = SimConfig(days=3, n_series=n_series, seed=5)
+    x, v = simulate_ensemble(DEFAULT_MP, cfg, threads=threads)
+    assert widths == [width]
+    x1, v1 = simulate_ensemble(DEFAULT_MP, cfg, threads=1)
+    assert np.array_equal(x, x1) and np.array_equal(v, v1)
 
 
 def test_kernel_matches_composed_step_operations():
-    # one fine step of the integrator == heston_step + cir_step on the same state
+    # one fine step of the integrator == heston_step + floored cir_step_raw on the same state
     cfg = SimConfig(days=1, steps_per_day=1, dt=0.01, n_series=1, seed=9)
-    t = simulate_series(DEFAULT_MP, cfg, 0)
+    x, v = simulate_ensemble(DEFAULT_MP, cfg)
     rng1 = _substream(9, 0, 0)
     rng2 = _substream(9, 0, 1)
     dw1 = rng1.standard_normal(1)[0] * math.sqrt(0.01)
     dw2 = rng2.standard_normal(1)[0] * math.sqrt(0.01)
     x1 = heston_step(DEFAULT_MP.x0, DEFAULT_MP.cir.v_start, DEFAULT_MP, 0.01, dw1)
-    v1 = cir_step(DEFAULT_MP.cir.v_start, DEFAULT_MP.cir, 0.01, dw2)
-    assert t.x[1] == x1
-    assert t.v[1] == v1
+    v1 = np.maximum(cir_step_raw(DEFAULT_MP.cir.v_start, DEFAULT_MP.cir, 0.01, dw2), 0.0)
+    assert x[0, 1] == x1
+    assert v[0, 1] == v1
 
 
 def test_variance_path_never_negative():
     cfg = SimConfig(days=400, n_series=20, seed=1234)
-    _, v = simulate_paths(DEFAULT_MP, cfg, list(range(20)))
+    _, v = simulate_ensemble(DEFAULT_MP, cfg)
     assert (v >= 0).all()
     assert (v == 0).any()  # the zero boundary is actually visited at these parameters
 
@@ -147,14 +165,14 @@ def test_variance_path_never_negative():
 def test_positivity_under_feller_violating_parameters_many_seeds():
     for seed in (0, 7, 99):
         cfg = SimConfig(days=100, n_series=5, seed=seed)
-        _, v = simulate_paths(DEFAULT_MP, cfg, list(range(5)))
+        _, v = simulate_ensemble(DEFAULT_MP, cfg)
         assert (v >= 0).all()
 
 
 def test_cir_long_run_average_near_b():
     # pooled time-average over 1e7 sampled steps
     cfg = SimConfig(dt=0.01, steps_per_day=1, days=100_000, n_series=100, seed=4242)
-    _, v = simulate_paths(DEFAULT_MP, cfg, list(range(100)))
+    _, v = simulate_ensemble(DEFAULT_MP, cfg)
     vbar = v[:, 1:].mean()
     assert abs(vbar - DEFAULT_MP.cir.b) / DEFAULT_MP.cir.b < 0.05
 
@@ -171,7 +189,8 @@ def test_driftless_random_walk_variance_matches_b():
     # flat potential, frozen variance: daily increments ~ Normal(-b/2, b)
     mp = ModelParams(potential=PotentialParams(m=0, n=0), cir=CirParams(c=0, v_start=0.01))
     cfg = SimConfig(dt=0.01, steps_per_day=100, days=10_000, n_series=1, seed=5)
-    r = daily_returns(simulate_series(mp, cfg, 0)).returns
+    x, _ = simulate_ensemble(mp, cfg)
+    r = daily_returns(x, ["sim"])[0].returns
     assert abs(r.var() - 0.01) / 0.01 < 0.05
 
 
@@ -179,18 +198,18 @@ def test_gradient_flow_with_noise_off():
     # b = c = v_start = 0 freezes the variance at zero; x follows -U'(x)
     quiet = CirParams(a=2.0, b=0.0, c=0.0, v_start=0.0)
     cfg = SimConfig(dt=0.01, steps_per_day=100, days=30, n_series=1, seed=1)
-    at_rest = simulate_series(ModelParams(cir=quiet, x0=0.0), cfg, 0)
-    assert np.all(at_rest.x == 0.0)
-    in_well = simulate_series(ModelParams(cir=quiet, x0=-0.9), cfg, 0)
-    assert np.all(np.diff(in_well.x) >= 0)  # monotone climb back to the minimum
-    assert abs(in_well.x[-1]) < 1e-6
+    at_rest, _ = simulate_ensemble(ModelParams(cir=quiet, x0=0.0), cfg)
+    assert np.all(at_rest == 0.0)
+    in_well, _ = simulate_ensemble(ModelParams(cir=quiet, x0=-0.9), cfg)
+    assert np.all(np.diff(in_well[0]) >= 0)  # monotone climb back to the minimum
+    assert abs(in_well[0, -1]) < 1e-6
 
 
 def test_discretization_stability_sigma_bar():
     # halving dt at a fixed day grid moves the mean per-series sigma by < 2%
     def sigma_bar(dt, spd, seed):
         cfg = SimConfig(dt=dt, steps_per_day=spd, days=2000, n_series=100, seed=seed)
-        x, _ = simulate_paths(DEFAULT_MP, cfg, list(range(100)))
+        x, _ = simulate_ensemble(DEFAULT_MP, cfg)
         return np.diff(x, axis=1).std(axis=1).mean()
 
     coarse = sigma_bar(7.0e-4, 100, seed=2)
@@ -199,23 +218,13 @@ def test_discretization_stability_sigma_bar():
 
 
 def test_daily_returns_shape_and_values():
-    t = Trajectory(x=np.array([0.0, 0.01, 0.01]), v=np.zeros(3))
-    rs = daily_returns(t, ticker="z")
-    assert rs.returns.tolist() == pytest.approx([0.01, 0.0])
-    assert rs.ticker == "z"
-    flat = Trajectory(x=np.full(5, 0.3), v=np.zeros(5))
-    assert np.all(daily_returns(flat).returns == 0.0)
-    cfg = SimConfig(days=17, n_series=1, seed=0)
-    t2 = simulate_series(DEFAULT_MP, cfg, 0)
-    assert daily_returns(t2).returns.size == t2.x.size - 1
-
-
-def test_trajectory_rejects_negative_variance():
+    x = np.array([[0.0, 0.01, 0.01], [0.3, 0.3, 0.3]])
+    z, flat = daily_returns(x, ["z", "flat"])
+    assert z.returns.tolist() == pytest.approx([0.01, 0.0])
+    assert z.ticker == "z"
+    assert np.all(flat.returns == 0.0)
     with pytest.raises(ValueError):
-        Trajectory(x=np.zeros(3), v=np.array([0.0, -1e-9, 0.0]))
-
-
-def test_simulate_paths_rejects_bad_index():
-    cfg = SimConfig(days=3, n_series=2, seed=0)
-    with pytest.raises(ValueError):
-        simulate_paths(DEFAULT_MP, cfg, [2])
+        daily_returns(x, ["z"])
+    cfg = SimConfig(days=17, n_series=2, seed=0)
+    xs, _ = simulate_ensemble(DEFAULT_MP, cfg)
+    assert [rs.returns.size for rs in daily_returns(xs, ["a", "b"])] == [17, 17]

@@ -213,10 +213,10 @@ def test_vol_pdf_accepts_episodes_and_values():
 
 def test_pooled_simulated_returns_have_excess_kurtosis():
     # stochastic variance fattens the tails relative to a Gaussian
-    from volstab.model import ModelParams, SimConfig, simulate_paths
+    from volstab.model import ModelParams, SimConfig, simulate_ensemble
 
     cfg = SimConfig(days=1500, n_series=60, seed=606)
-    x, _ = simulate_paths(ModelParams(), cfg, list(range(cfg.n_series)))
+    x, _ = simulate_ensemble(ModelParams(), cfg)
     pooled = np.diff(x, axis=1).ravel()
     z = (pooled - pooled.mean()) / pooled.std()
     excess_kurtosis = float((z**4).mean() - 3.0)
