@@ -25,6 +25,7 @@ from .model import (
     simulate_ensemble,
 )
 from .returns import (
+    Ensemble,
     MarketStats,
     PriceSeries,
     ReturnSeries,

@@ -38,7 +38,7 @@ from .episodes import (
 )
 from .model import ModelParams, SimConfig, daily_returns, simulate_ensemble
 from .returns import (
-    ReturnSeries,
+    Ensemble,
     load_prices,
     market_stats,
     read_returns_csv,
@@ -222,9 +222,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out = _out_dir(args, cfg.seed)
 
     if cfg.days >= 1:
-        series = daily_returns(x, [f"sim{i:04d}" for i in range(cfg.n_series)])
-        write_returns_csv(series, out / "returns.csv")
-        stats = market_stats(series)
+        ensemble = daily_returns(x, [f"sim{i:04d}" for i in range(cfg.n_series)])
+        write_returns_csv(ensemble, out / "returns.csv")
+        stats = market_stats(ensemble)
         write_stats_json(stats, out / "stats.json")
         sigma_bar = stats.sigma_bar
     else:
@@ -249,7 +249,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------- analyze
 
 
-def _load_input_series(args: argparse.Namespace) -> tuple[list[ReturnSeries], list[Path]]:
+def _load_input_series(args: argparse.Namespace) -> tuple[Ensemble, list[Path]]:
     if bool(args.returns) == bool(args.prices):
         raise ConfigError("exactly one of --returns or --prices is required")
     try:
@@ -258,8 +258,10 @@ def _load_input_series(args: argparse.Namespace) -> tuple[list[ReturnSeries], li
             return read_returns_csv(path), [path]
         path = Path(args.prices)
         prices = load_prices(path, layout=args.layout)
+        if not prices:
+            raise InputError(f"{path}: no series with at least two valid prices")
         files = sorted(path.glob("*.csv")) if path.is_dir() else [path]
-        return [to_returns(p) for p in prices], files
+        return Ensemble.from_series(to_returns(p) for p in prices), files
     except (OSError, ValueError) as exc:
         raise InputError(str(exc)) from None
 
@@ -303,10 +305,10 @@ def _empty_curve(min_count: int) -> MfhtCurve:
 def cmd_analyze(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     build_model(config)  # reject an invalid configuration before it is recorded
-    series, inputs = _load_input_series(args)
+    ensemble, inputs = _load_input_series(args)
     sigma_bar = args.sigma_bar
     if sigma_bar is None:
-        sigma_bar = market_stats(series).sigma_bar
+        sigma_bar = market_stats(ensemble).sigma_bar
         if sigma_bar <= 0:
             raise InputError(
                 f"{args.returns or args.prices}: every series has zero variance, "
@@ -316,9 +318,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     out = _out_dir(args, config["seed"])
 
     tables = [
-        extract_table(series, w, entry_rule=args.entry_rule, vol_scope=args.vol_scope)
+        extract_table(ensemble, w, entry_rule=args.entry_rule, vol_scope=args.vol_scope)
         for w in windows
     ]
+    n_series = len(ensemble)
+    del ensemble  # its arrays and prefix sums outweigh the tables; free them before writing
     write_episodes_csv(tables, out / "episodes.csv")
     verdicts = _curves_and_verdicts(out, tables, args.bins, args.min_count)
     write_json(verdicts, out / "verdicts.json")
@@ -337,7 +341,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         },
     )
     total = sum(len(t) for t in tables)
-    print(f"analyze: {len(series)} series, {len(windows)} window(s), {total} episodes -> {out}")
+    print(f"analyze: {n_series} series, {len(windows)} window(s), {total} episodes -> {out}")
     if total == 0:
         print("no episodes extracted", file=sys.stderr)
         return EXIT_EMPTY
@@ -386,14 +390,14 @@ def cmd_fht_pdf(args: argparse.Namespace) -> int:
 
 def cmd_acf(args: argparse.Namespace) -> int:
     try:
-        series = read_returns_csv(Path(args.returns))
+        ensemble = read_returns_csv(Path(args.returns))
     except (OSError, ValueError) as exc:
         raise InputError(str(exc)) from None
-    shortest = min(rs.returns.size for rs in series)
+    shortest = int(ensemble.lengths.min())
     if shortest <= args.max_lag + 1:
         raise InputError(f"shortest series ({shortest}) too short for max_lag={args.max_lag}")
     try:
-        result = ensemble_acf(series, args.max_lag, absolute=args.absolute)
+        result = ensemble_acf(ensemble, args.max_lag, absolute=args.absolute)
     except ValueError as exc:  # a zero-variance series
         raise InputError(str(exc)) from None
     out = _out_dir(args, None)
@@ -402,7 +406,7 @@ def cmd_acf(args: argparse.Namespace) -> int:
     write_manifest(
         out, "acf", {"max_lag": args.max_lag, "absolute": args.absolute}, [Path(args.returns)]
     )
-    print(f"acf: {len(series)} series, lags 0..{args.max_lag} -> {out / name}")
+    print(f"acf: {len(ensemble)} series, lags 0..{args.max_lag} -> {out / name}")
     return EXIT_OK
 
 

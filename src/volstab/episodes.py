@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from ._io import fmt
-from .returns import ReturnSeries
+from .returns import Ensemble
 
 __all__ = [
     "ThresholdWindow",
@@ -45,6 +45,10 @@ DEFAULT_ENTRY_RULE = "crossing"
 DEFAULT_VOL_SCOPE = "window"
 
 WINDOW_FAMILIES = ("fig1a", "fig1b", "fig1c", "fig2a", "fig2b", "fig2c")
+
+# An episode variance below this multiple of the prefix sums' magnitude is
+# within their rounding noise and is recomputed from the returns themselves.
+_NOISE_REL = 64 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -93,64 +97,65 @@ class EpisodeTable:
         return self.fht.size
 
 
-_EMPTY = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))
-
-
-def scan_returns(
-    r: np.ndarray,
+def extract_table(
+    ensemble: Ensemble,
     window: ThresholdWindow,
     entry_rule: str = DEFAULT_ENTRY_RULE,
     vol_scope: str = DEFAULT_VOL_SCOPE,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scan one return series; returns (start_index, fht, volatility) arrays.
+) -> EpisodeTable:
+    """Episodes of every series of ``ensemble`` for one window, in column form.
 
-    The scan is left to right and episodes never overlap: each hit closes
-    at most one episode whose start is the first qualifying entry after the
-    previous hit.  Under the ``crossing`` rule an entry requires the return
-    to arrive at the start threshold from the non-entered side (day 0
-    qualifies by level); under ``level`` any day at or beyond the start
-    threshold qualifies.  A day that jumps from outside the window straight
-    to the final threshold opens no episode, and an episode still open at
-    the end of the series is discarded.
+    Each series is scanned left to right and its episodes never overlap:
+    each hit closes at most one episode whose start is the first qualifying
+    entry after the previous hit.  Under the ``crossing`` rule an entry
+    requires the return to arrive at the start threshold from the
+    non-entered side (a series' first day qualifies by level); under
+    ``level`` any day at or beyond the start threshold qualifies.  A day
+    that jumps from outside the window straight to the final threshold
+    opens no episode, and an episode still open at the end of its series is
+    discarded.
+
+    All series are scanned at once on the flat ``ensemble.values``: a span
+    between hits never reaches back past its series' first day, so no
+    episode crosses from one series into the next.  Rows come out by
+    series, then by start.
     """
     if entry_rule not in ENTRY_RULES:
         raise ValueError(f"unknown entry rule {entry_rule!r}")
     if vol_scope not in VOL_SCOPES:
         raise ValueError(f"unknown vol scope {vol_scope!r}")
-    y = np.asarray(r, dtype=float)
+    y = ensemble.values
     ti, tf = window.theta_i_abs, window.theta_f_abs
-    if window.direction == "rally":
-        # Mirror onto the crash scan; standard deviations are sign-invariant.
-        y = -y
-        ti, tf = -ti, -tf
-    if y.size == 0:
-        return _EMPTY
-
-    hit_idx = np.flatnonzero(y <= tf)
-    if hit_idx.size == 0:
-        return _EMPTY
-    entry = y <= ti
+    if window.direction == "crash":
+        hit_idx = np.flatnonzero(y <= tf)
+        entry = y <= ti
+        from_outside = y[:-1] > ti
+    else:  # the crash scan mirrored, inequality for inequality
+        hit_idx = np.flatnonzero(y >= tf)
+        entry = y >= ti
+        from_outside = y[:-1] < ti
+    first_day = ensemble.offsets[:-1]
     if entry_rule == "crossing":
-        entry[1:] &= y[:-1] > ti
+        by_level = entry[first_day]
+        entry[1:] &= from_outside
+        entry[first_day] = by_level
     entry_idx = np.flatnonzero(entry)
-    if entry_idx.size == 0:
-        return _EMPTY
 
     # First qualifying entry in each inter-hit span; e == hit is the
     # jump-through case and opens no episode.
+    series = np.searchsorted(ensemble.offsets, hit_idx, side="right") - 1
     span_start = np.empty_like(hit_idx)
-    span_start[0] = 0
+    span_start[:1] = 0
     span_start[1:] = hit_idx[:-1] + 1
+    np.maximum(span_start, first_day[series], out=span_start)
     cand = np.searchsorted(entry_idx, span_start, side="left")
     have = cand < entry_idx.size
     starts = entry_idx[cand[have]]
     hits = hit_idx[have]
-    spans = span_start[have]
     keep = starts < hits
-    starts, hits, spans = starts[keep], hits[keep], spans[keep]
-    fht = hits - starts
-    if starts.size == 0:
-        return _EMPTY
+    starts, hits = starts[keep], hits[keep]
+    spans = span_start[have][keep]
+    series = series[have][keep]
 
     if vol_scope == "window":
         beg, end = starts, hits
@@ -163,41 +168,28 @@ def scan_returns(
     else:  # stretch
         beg, end = spans, hits
 
-    s1 = np.concatenate(([0.0], np.cumsum(y)))
-    s2 = np.concatenate(([0.0], np.cumsum(y * y)))
+    # Negating a series negates its sums exactly, so a rally window reads
+    # the same sums as the crash scan of the mirrored series, bit for bit.
+    s1, s2 = ensemble.prefix_sums()
+    lo, hi = beg + series, end + series + 1
     length = (end - beg + 1).astype(float)
     with np.errstate(invalid="ignore", divide="ignore"):
-        mean = (s1[end + 1] - s1[beg]) / length
-        var = (s2[end + 1] - s2[beg]) / length - mean * mean
+        mean = (s1[hi] - s1[lo]) / length
+        var = (s2[hi] - s2[lo]) / length - mean * mean
         vol = np.sqrt(np.maximum(var, 0.0))
+        # The sums' rounding scales with their magnitude at the segment ends.
+        noise = _NOISE_REL * (s2[hi] + np.abs(mean) * (np.abs(s1[lo]) + np.abs(s1[hi])))
+        for k in np.flatnonzero((var < noise) & (length > 1)).tolist():
+            vol[k] = np.std(y[beg[k] : end[k] + 1])
     vol[length == 1] = 0.0  # prefix-sum cancellation noise on single points
     vol[length < 1] = np.nan
-    return starts.astype(np.int64), fht.astype(np.int64), vol
-
-
-def extract_table(
-    series: list[ReturnSeries],
-    window: ThresholdWindow,
-    entry_rule: str = DEFAULT_ENTRY_RULE,
-    vol_scope: str = DEFAULT_VOL_SCOPE,
-) -> EpisodeTable:
-    """Episodes of many series for one window, in column form."""
-    tickers: list[str] = []
-    starts: list[np.ndarray] = []
-    fhts: list[np.ndarray] = []
-    vols: list[np.ndarray] = []
-    for rs in series:
-        s, f, v = scan_returns(rs.returns, window, entry_rule, vol_scope)
-        tickers.extend([rs.ticker] * s.size)
-        starts.append(s)
-        fhts.append(f)
-        vols.append(v)
+    names = ensemble.tickers
     return EpisodeTable(
         window=window,
-        tickers=tickers,
-        start_index=np.concatenate(starts) if starts else _EMPTY[0],
-        fht=np.concatenate(fhts) if fhts else _EMPTY[1],
-        volatility=np.concatenate(vols) if vols else _EMPTY[2],
+        tickers=[names[i] for i in series.tolist()],
+        start_index=(starts - first_day[series]).astype(np.int64),
+        fht=(hits - starts).astype(np.int64),
+        volatility=vol,
     )
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .returns import ReturnSeries
+from .returns import Ensemble
 
 __all__ = [
     "PotentialParams",
@@ -264,10 +264,11 @@ def simulate_ensemble(
     return x, v
 
 
-def daily_returns(x: np.ndarray, tickers: list[str]) -> list[ReturnSeries]:
-    """Daily increments x(t) - x(t-1) of each row of ``x``, adopted as simulated return series."""
+def daily_returns(x: np.ndarray, tickers: list[str]) -> Ensemble:
+    """Daily increments x(t) - x(t-1) of each row of ``x``, one simulated return series per row."""
     if x.ndim != 2 or x.shape[1] < 2:
         raise ValueError("trajectories must span at least one day to form returns")
     if len(tickers) != x.shape[0]:
         raise ValueError(f"{len(tickers)} tickers for {x.shape[0]} trajectories")
-    return [ReturnSeries.from_returns(t, r) for t, r in zip(tickers, np.diff(x, axis=1))]
+    n, days = x.shape[0], x.shape[1] - 1
+    return Ensemble(tickers, np.diff(x, axis=1).ravel(), np.arange(n + 1, dtype=np.int64) * days)

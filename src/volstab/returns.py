@@ -2,16 +2,21 @@
 
 Empirical and simulated series flow through the same types here, so the
 market-average volatility that anchors threshold windows is computed the
-same way for both.
+same way for both.  Many series travel together as one ``Ensemble``: a
+flat array of returns cut into series by offsets.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
 import math
-from dataclasses import dataclass
+import warnings
+from collections import Counter
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -20,6 +25,7 @@ from ._io import fmt, write_json
 __all__ = [
     "PriceSeries",
     "ReturnSeries",
+    "Ensemble",
     "MarketStats",
     "load_prices",
     "to_returns",
@@ -62,17 +68,113 @@ class ReturnSeries:
     sigma: float
 
     def __post_init__(self) -> None:
-        if self.returns.ndim != 1 or self.returns.size < 1:
-            raise ValueError(f"{self.ticker}: returns must be a nonempty 1-d array")
-        if not np.all(np.isfinite(self.returns)):
-            raise ValueError(f"{self.ticker}: returns contain non-finite values")
+        _check_returns(self.ticker, self.returns)
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError(f"{self.ticker}: sigma must be finite and >= 0")
 
     @classmethod
     def from_returns(cls, ticker: str, returns: np.ndarray) -> "ReturnSeries":
         r = np.asarray(returns, dtype=float)
+        _check_returns(ticker, r)  # before np.std, which warns on non-finite input
         return cls(ticker=ticker, returns=r, sigma=float(np.std(r)))
+
+
+def _check_returns(ticker: str, r: np.ndarray) -> None:
+    if r.ndim != 1 or r.size < 1:
+        raise ValueError(f"{ticker}: returns must be a nonempty 1-d array")
+    if not np.all(np.isfinite(r)):
+        raise ValueError(f"{ticker}: returns contain non-finite values")
+
+
+@dataclass(eq=False)
+class Ensemble:
+    """Return series stored end to end: series ``i`` is ``values[offsets[i]:offsets[i + 1]]``.
+
+    ``sigmas`` holds each series' population standard deviation, computed
+    from ``values`` when not given.  ``len`` counts the series, and
+    iterating or indexing yields one ``ReturnSeries`` (a view) per series.
+    The arrays are not to be changed once built: ``prefix_sums`` are kept.
+    """
+
+    tickers: list[str]
+    values: np.ndarray
+    offsets: np.ndarray
+    sigmas: np.ndarray | None = None
+    _sums: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.tickers = list(self.tickers)
+        self.values = np.asarray(self.values, dtype=float)
+        self.offsets = np.asarray(self.offsets, dtype=np.int64)
+        n = len(self.tickers)
+        if n == 0:
+            raise ValueError("no return series")
+        if len(set(self.tickers)) != n:
+            dup = next(t for t, count in Counter(self.tickers).items() if count > 1)
+            raise ValueError(f"duplicate ticker {dup!r}")
+        if (
+            self.values.ndim != 1
+            or self.offsets.shape != (n + 1,)
+            or self.offsets[0] != 0
+            or self.offsets[-1] != self.values.size
+            or np.any(np.diff(self.offsets) < 1)
+        ):
+            raise ValueError("offsets must cut values into one nonempty series per ticker")
+        bad = np.flatnonzero(~np.isfinite(self.values))
+        if bad.size:  # checked before np.std, which warns on non-finite input
+            i = int(np.searchsorted(self.offsets, bad[0], side="right")) - 1
+            raise ValueError(f"{self.tickers[i]}: returns contain non-finite values")
+        if self.sigmas is None:
+            self.sigmas = np.array([np.std(self.values[a:b]) for a, b in self._bounds()])
+        self.sigmas = np.asarray(self.sigmas, dtype=float)
+        if self.sigmas.shape != (n,) or not np.all(np.isfinite(self.sigmas) & (self.sigmas >= 0)):
+            raise ValueError("sigmas must be finite and >= 0, one per series")
+
+    @classmethod
+    def from_series(cls, series: Iterable[ReturnSeries]) -> "Ensemble":
+        series = list(series)
+        lengths = [rs.returns.size for rs in series]
+        return cls(
+            tickers=[rs.ticker for rs in series],
+            values=np.concatenate([rs.returns for rs in series]) if series else np.empty(0),
+            offsets=np.concatenate(([0], np.cumsum(lengths, dtype=np.int64))),
+            sigmas=np.array([rs.sigma for rs in series]),
+        )
+
+    def __len__(self) -> int:
+        return len(self.tickers)
+
+    def __getitem__(self, i: int) -> ReturnSeries:
+        i = range(len(self))[i]
+        a, b = self.offsets[i], self.offsets[i + 1]
+        return ReturnSeries(self.tickers[i], self.values[a:b], float(self.sigmas[i]))
+
+    def __iter__(self) -> Iterator[ReturnSeries]:
+        return (self[i] for i in range(len(self)))
+
+    @property
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    def _bounds(self) -> Iterator[tuple[int, int]]:
+        return zip(self.offsets[:-1].tolist(), self.offsets[1:].tolist())
+
+    def prefix_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """Running sums of each series' returns and squared returns, built once.
+
+        Each series' sums are led by a 0.0, so the sums of series ``i``
+        start at ``offsets[i] + i``: the sum of ``values[a:b]`` within
+        series ``i`` is ``s1[b + i] - s1[a + i]``.
+        """
+        if self._sums is None:
+            s1 = np.zeros(self.values.size + len(self))
+            s2 = np.zeros_like(s1)
+            for i, (a, b) in enumerate(self._bounds()):
+                y = self.values[a:b]
+                np.cumsum(y, out=s1[a + i + 1 : b + i + 1])
+                np.cumsum(y * y, out=s2[a + i + 1 : b + i + 1])
+            self._sums = (s1, s2)
+        return self._sums
 
 
 @dataclass(frozen=True)
@@ -92,15 +194,9 @@ def to_returns(p: PriceSeries) -> ReturnSeries:
     return ReturnSeries.from_returns(p.ticker, r)
 
 
-def market_stats(series: list[ReturnSeries]) -> MarketStats:
+def market_stats(ensemble: Ensemble) -> MarketStats:
     """Arithmetic mean of per-series sigmas; exact (order-independent) summation."""
-    if not series:
-        raise ValueError("no return series given")
-    per = {}
-    for rs in series:
-        if rs.ticker in per:
-            raise ValueError(f"duplicate ticker {rs.ticker!r}")
-        per[rs.ticker] = rs.sigma
+    per = dict(zip(ensemble.tickers, ensemble.sigmas.tolist()))
     sigma_bar = math.fsum(per.values()) / len(per)
     return MarketStats(n_series=len(per), sigma_bar=sigma_bar, per_series_sigma=per)
 
@@ -215,41 +311,153 @@ def load_prices(path: str | Path, layout: str = "per-stock") -> list[PriceSeries
     raise ValueError(f"unknown layout {layout!r} (expected 'per-stock' or 'wide')")
 
 
-def write_returns_csv(series: list[ReturnSeries], path: str | Path) -> None:
+_RETURNS_HEADER = "ticker,day_index,return"
+
+
+def write_returns_csv(ensemble: Ensemble, path: str | Path) -> None:
     """Write ``ticker,day_index,return`` rows; floats round-trip exactly."""
     with open(path, "w", newline="") as fh:
-        fh.write("ticker,day_index,return\n")
-        for rs in series:
+        fh.write(_RETURNS_HEADER + "\n")
+        for rs in ensemble:
             ticker = rs.ticker
             fh.writelines(
                 f"{ticker},{i},{fmt(r)}\n" for i, r in enumerate(rs.returns.tolist())
             )
 
 
-def read_returns_csv(path: str | Path) -> list[ReturnSeries]:
-    order: list[str] = []
-    buckets: dict[str, list[float]] = {}
-    with open(path, newline="") as fh:
+_TICKER_BYTES = 16  # first guess at the ticker field width, widened when a ticker fills it
+
+
+def _load_rows(lines, width: int) -> np.ndarray:
+    dtype = [("ticker", f"S{width}"), ("day", np.int64), ("value", np.float64)]
+    with warnings.catch_warnings():
+        # A header-only file is reported by the caller, not by numpy.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+
+
+def _raise_malformed(path, lines: Iterable[str]) -> None:
+    """Raise naming the first nonblank line that is not ``ticker,int,float``."""
+    for line_no, line in enumerate(lines, start=2):
+        parts = line.strip().split(",")
+        if parts == [""]:
+            continue
+        if len(parts) != 3:
+            raise ValueError(f"{path}: line {line_no}: expected 3 columns, got {len(parts)}")
+        for name, parse, text in (("day_index", int, parts[1]), ("return", float, parts[2])):
+            try:
+                parse(text)
+            except ValueError:
+                raise ValueError(f"{path}: line {line_no}: {name} is not a number: {text!r}") from None
+
+
+def _data_line(fh, body: int, row: int) -> int:
+    """File line number of data row ``row`` (0-based, blank lines not counted)."""
+    fh.seek(body)
+    numbers = (n for n, line in enumerate(fh, start=2) if line.strip())
+    return next(itertools.islice(numbers, row, None))
+
+
+def _parse_rows(path, fh, body: int) -> np.ndarray:
+    """Every data row as (ticker bytes, day, value), by numpy's C parser.
+
+    The parser rejects whitespace-only lines, so a file that has them is
+    parsed again through a filter once every other line is known to be
+    well formed.  The ticker field is widened until no ticker fills it, so
+    no ticker is ever cut short.
+    """
+    width, skip_blank = _TICKER_BYTES, False
+    while True:
+        fh.seek(body)
+        try:
+            rows = _load_rows((ln for ln in fh if ln.strip()) if skip_blank else fh, width)
+        except ValueError as exc:
+            if skip_blank:
+                raise ValueError(f"{path}: {exc}") from None
+            fh.seek(body)
+            _raise_malformed(path, fh)
+            skip_blank = True
+            continue
+        if rows.size == 0 or not rows.view(np.uint8).reshape(rows.size, -1)[:, width - 1].any():
+            return rows  # no ticker reaches the field's last byte
+        width *= 4
+
+
+def read_returns_csv(path: str | Path) -> Ensemble:
+    """Read ``ticker,day_index,return`` rows into an Ensemble.
+
+    A ticker's rows need not be adjacent: tickers keep the order of their
+    first rows, and each ticker's day_index must count 0, 1, 2, ... in file
+    order.  Blank lines are skipped.  A malformed row, a non-finite return
+    or a day_index out of order raises ValueError naming the file line.
+    """
+    # latin-1 maps every byte to one character, so ticker bytes pass the
+    # parser unchanged; they are decoded as UTF-8 once per run of rows.
+    with open(path, encoding="latin-1") as fh:
         header = fh.readline().strip()
-        if header != "ticker,day_index,return":
-            raise ValueError(f"{path}: expected header 'ticker,day_index,return', got {header!r}")
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ValueError(f"{path}: line {line_no}: expected 3 columns")
-            ticker, idx, value = parts
-            if ticker not in buckets:
-                order.append(ticker)
-                buckets[ticker] = []
-            if int(idx) != len(buckets[ticker]):
-                raise ValueError(f"{path}: line {line_no}: day_index out of order for {ticker!r}")
-            buckets[ticker].append(float(value))
-    if not order:
-        raise ValueError(f"{path}: no return rows")
-    return [ReturnSeries.from_returns(t, np.array(buckets[t])) for t in order]
+        if header != _RETURNS_HEADER:
+            raise ValueError(f"{path}: expected header {_RETURNS_HEADER!r}, got {header!r}")
+        body = fh.tell()
+        rows = _parse_rows(path, fh, body)
+        if rows.size == 0:
+            raise ValueError(f"{path}: no return rows")
+
+        def fail(row: int, what: str) -> ValueError:
+            return ValueError(f"{path}: line {_data_line(fh, body, row)}: {what}")
+
+        raw = rows["ticker"]
+        run_starts = np.concatenate(([0], np.flatnonzero(raw[1:] != raw[:-1]) + 1))
+        run_names = []
+        for row, name in zip(run_starts.tolist(), raw[run_starts].tolist()):
+            try:  # a line's leading blanks are no part of its ticker
+                run_names.append(name.decode("utf-8").lstrip())
+            except UnicodeDecodeError:
+                raise fail(row, f"ticker {name!r} is not UTF-8") from None
+        groups: dict[str, int] = {}
+        run_group = np.array([groups.setdefault(t, len(groups)) for t in run_names])
+        tickers = list(groups)
+
+        bad = np.flatnonzero(~np.isfinite(rows["value"]))
+        if bad.size:
+            row = int(bad[0])
+            ticker = run_names[int(np.searchsorted(run_starts, row, side="right")) - 1]
+            raise fail(row, f"non-finite return {float(rows['value'][row])!r} for {ticker!r}")
+
+        run_ends = np.append(run_starts[1:], rows.size)
+        if len(tickers) == run_starts.size:  # each ticker's rows are adjacent
+            order = None
+            counts = run_ends - run_starts
+            day = rows["day"]
+        else:
+            row_group = np.repeat(run_group, run_ends - run_starts)
+            order = np.argsort(row_group, kind="stable")
+            counts = np.bincount(row_group)
+            day = rows["day"][order]
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+
+        # day_index is 0 on a ticker's first row and rises by one after it.
+        # The buffer that will hold the values holds the steps first, so
+        # the check allocates no array of the file's length.
+        values = np.empty(rows.size)
+        step = values.view(np.int64)
+        np.subtract(day[1:], day[:-1], out=step[1:])
+        in_step = step == 1
+        in_step[offsets[:-1]] = day[offsets[:-1]] == 0
+        bad = np.flatnonzero(~in_step)
+        if bad.size:
+            rows_in_file = bad if order is None else order[bad]
+            k = int(bad[np.argmin(rows_in_file)])
+            series = int(np.searchsorted(offsets, k, side="right")) - 1
+            raise fail(
+                int(rows_in_file.min()),
+                f"day_index {int(day[k])} out of order for {tickers[series]!r} "
+                f"(expected {k - int(offsets[series])})",
+            )
+        if order is None:
+            values[:] = rows["value"]
+        else:
+            np.take(rows["value"], order, out=values)
+    return Ensemble(tickers, values, offsets)
 
 
 def write_stats_json(stats: MarketStats, path: str | Path) -> None:

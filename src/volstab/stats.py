@@ -17,7 +17,7 @@ import numpy as np
 
 from ._io import fmt
 from .episodes import EpisodeTable, ThresholdWindow
-from .returns import ReturnSeries
+from .returns import Ensemble, ReturnSeries
 
 __all__ = [
     "MfhtCurve",
@@ -350,12 +350,9 @@ def fht_pdf(table: EpisodeTable, bins: int | np.ndarray = DEFAULT_BINS) -> Histo
     return histogram(table.fht, bins=bins, log=True)
 
 
-def return_pdf(series: list[ReturnSeries], bins: int | np.ndarray = DEFAULT_BINS) -> Histogram:
+def return_pdf(ensemble: Ensemble, bins: int | np.ndarray = DEFAULT_BINS) -> Histogram:
     """Distribution of pooled daily returns, linear bins."""
-    if not series:
-        raise ValueError("no return series")
-    pooled = np.concatenate([rs.returns for rs in series])
-    return histogram(pooled, bins=bins, log=False)
+    return histogram(ensemble.values, bins=bins, log=False)
 
 
 def vol_pdf(
@@ -390,11 +387,9 @@ def acf(series: ReturnSeries | np.ndarray, max_lag: int, absolute: bool = False)
     return AcfSeries(lags=np.arange(max_lag + 1), values=values)
 
 
-def ensemble_acf(series: list[ReturnSeries], max_lag: int, absolute: bool = False) -> AcfSeries:
+def ensemble_acf(ensemble: Ensemble, max_lag: int, absolute: bool = False) -> AcfSeries:
     """Per-lag average of the per-series autocorrelations."""
-    if not series:
-        raise ValueError("no return series")
-    stack = np.stack([acf(rs, max_lag, absolute=absolute).values for rs in series])
+    stack = np.stack([acf(rs, max_lag, absolute=absolute).values for rs in ensemble])
     return AcfSeries(lags=np.arange(max_lag + 1), values=stack.mean(axis=0))
 
 

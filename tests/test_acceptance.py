@@ -16,7 +16,7 @@ from helpers import assert_episodes_match, oracle_episodes, random_windows
 from volstab.cli import main as cli_main
 from volstab.episodes import extract_table, window_family
 from volstab.model import ModelParams, SimConfig, simulate_ensemble
-from volstab.returns import ReturnSeries, read_returns_csv
+from volstab.returns import Ensemble, ReturnSeries, read_returns_csv
 from volstab.stats import ensemble_acf, fht_pdf, mfht_curve, nonmonotonicity_verdict
 
 SIGMA_BAR_TARGET = 0.02383  # calibration target for the simulated ensemble
@@ -116,7 +116,7 @@ def test_a5_fht_engine_oracle():
         r = rng.uniform(-3 * sigma_bar, 3 * sigma_bar, size=rng.integers(2, 51))
         rs = ReturnSeries.from_returns(f"case{case}", r)
         for w in windows:
-            got = extract_table([rs], w)
+            got = extract_table(Ensemble.from_series([rs]), w)
             want = oracle_episodes(r, w.theta_i_abs, w.theta_f_abs, w.direction)
             assert_episodes_match(got, want, f"A5 case={case} {w.window_id}")
             checked += len(want)

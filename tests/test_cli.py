@@ -104,6 +104,78 @@ def test_bad_numeric_value_is_one_line_config_error(
     assert not out.exists()  # a failed run leaves no output directory behind
 
 
+RETURNS_HEADER = "ticker,day_index,return\n"
+EPISODE = [0.001, -0.003, -0.010, -0.035, 0.004]  # one fig1a crash episode at sigma_bar 0.02
+
+
+def _rows(ticker, values):
+    return "".join(f"{ticker},{d},{v!r}\n" for d, v in enumerate(values))
+
+
+# A malformed returns file body, the file line its error names (None when
+# the fault has no line), and a word the error must contain.
+MALFORMED_RETURNS = [
+    ("bad float", "aa,0,0.1\naa,1,x\n", 3, "'x'"),
+    ("bad int", "aa,0,0.1\naa,1.5,0.2\n", 3, "'1.5'"),
+    ("inf", "aa,0,0.1\naa,1,inf\n", 3, "'aa'"),
+    ("nan", "aa,0,0.1\n\naa,1,nan\n", 4, "'aa'"),
+    ("2 columns", "aa,0,0.1\naa,1\n", 3, "columns"),
+    ("4 columns", "aa,0,0.1\naa,1,0.2,0.3\n", 3, "columns"),
+    ("day_index gap", "aa,0,0.1\naa,2,0.2\n", 3, "day_index"),
+    ("interleaved day_index gap", "bb,0,0.1\naa,0,0.1\nbb,1,0.2\naa,2,0.2\n", 5, "'aa'"),
+    ("header only", "", None, "no return rows"),
+]
+
+
+@pytest.mark.filterwarnings("error")  # a numpy warning ahead of the error fails the row
+@pytest.mark.parametrize("sub", ["analyze", "acf"])
+@pytest.mark.parametrize(
+    "body, line, needle", [row[1:] for row in MALFORMED_RETURNS], ids=[row[0] for row in MALFORMED_RETURNS]
+)
+def test_malformed_returns_csv_is_one_line_input_error(tmp_path, capsys, sub, body, line, needle):
+    path = tmp_path / "returns.csv"
+    path.write_text(RETURNS_HEADER + body)
+    out = tmp_path / "o"
+    rc = run(sub, "--returns", str(path), "--out", str(out))
+    err = capsys.readouterr().err
+    assert rc == EXIT_INPUT
+    assert err.count("\n") == 1, err
+    where = f"error: {path}: " if line is None else f"error: {path}: line {line}: "
+    assert err.startswith(where) and needle in err, err
+    assert not out.exists()
+
+
+# Returns file bodies that must be accepted, and the tickers of the
+# episodes analyze finds in them, in order.
+ACCEPTED_RETURNS = [
+    ("40-character ticker", _rows("T" * 40, EPISODE), ["T" * 40]),
+    ("non-ASCII ticker", _rows("Société€", EPISODE), ["Société€"]),
+    ("whitespace-only lines", " \n" + _rows("aa", EPISODE).replace("\n", "\n\t \n\n"), ["aa"]),
+    (
+        "interleaved tickers",
+        "".join(a + b for a, b in zip(_rows("bb", EPISODE).splitlines(True), _rows("aa", EPISODE).splitlines(True))),
+        ["bb", "aa"],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "body, tickers", [row[1:] for row in ACCEPTED_RETURNS], ids=[row[0] for row in ACCEPTED_RETURNS]
+)
+def test_returns_csv_layouts_that_are_accepted(tmp_path, body, tickers):
+    path = tmp_path / "returns.csv"
+    path.write_text(RETURNS_HEADER + body, encoding="utf-8")
+    out = tmp_path / "an"
+    rc = run(
+        "analyze", "--returns", str(path), "--window", "fig1a", "--sigma-bar", "0.02",
+        "--out", str(out),
+    )
+    assert rc == 0
+    rows = (out / "episodes.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert [r.split(",")[0] for r in rows] == tickers
+    assert all(r.split(",")[4:6] == ["1", "2"] for r in rows)
+
+
 def test_config_seed_threads_only_on_subcommands_that_read_them(capsys):
     expected = {
         "simulate": {"--config", "--seed", "--threads"},
@@ -205,11 +277,14 @@ def test_manifest_replay_reproduces_bytes(tmp_path):
 
 
 def _write_returns(tmp_path, series, name="returns.csv"):
-    from volstab.returns import ReturnSeries, write_returns_csv
+    from volstab.returns import Ensemble, ReturnSeries, write_returns_csv
 
     path = tmp_path / name
     write_returns_csv(
-        [ReturnSeries.from_returns(t, np.asarray(v, dtype=float)) for t, v in series], path
+        Ensemble.from_series(
+            ReturnSeries.from_returns(t, np.asarray(v, dtype=float)) for t, v in series
+        ),
+        path,
     )
     return path
 
@@ -317,6 +392,16 @@ def test_analyze_from_prices_directory(tmp_path):
     assert rc in (0, EXIT_EMPTY)
     manifest = json.loads((out / "manifest.json").read_text())
     assert len(manifest["inputs"]) == 2
+
+
+def test_analyze_prices_without_a_usable_series_is_input_error(tmp_path, capsys):
+    d = tmp_path / "prices"
+    d.mkdir()
+    (d / "aa.csv").write_text("date,close\n2020-01-01,10\n2020-01-02,\n")
+    out = tmp_path / "an"
+    assert run("analyze", "--prices", str(d), "--out", str(out)) == EXIT_INPUT
+    assert capsys.readouterr().err.endswith(f"error: {d}: no series with at least two valid prices\n")
+    assert not out.exists()
 
 
 def test_mfht_and_fht_pdf_subcommands(tmp_path):

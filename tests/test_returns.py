@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from volstab.returns import (
+    Ensemble,
     MarketStats,
     PriceSeries,
     ReturnSeries,
@@ -56,26 +57,26 @@ def test_market_stats_mean_and_permutation_invariance():
         ReturnSeries("a", np.array([0.01, -0.01]), 0.01),
         ReturnSeries("b", np.array([0.03, -0.03]), 0.03),
     ]
-    stats = market_stats(series)
+    stats = market_stats(Ensemble.from_series(series))
     assert stats.sigma_bar == pytest.approx(0.02)
     assert stats.n_series == 2
-    single = market_stats(series[:1])
+    single = market_stats(Ensemble.from_series(series[:1]))
     assert single.sigma_bar == series[0].sigma
 
     rng = np.random.default_rng(8)
     many = [ReturnSeries(f"t{i}", np.array([0.0, 0.1]), float(s)) for i, s in enumerate(rng.uniform(0.001, 0.1, 50))]
-    forward = market_stats(many).sigma_bar
+    forward = market_stats(Ensemble.from_series(many)).sigma_bar
     shuffled = list(many)
     rng.shuffle(shuffled)
-    assert market_stats(shuffled).sigma_bar == forward  # exact summation
+    assert market_stats(Ensemble.from_series(shuffled)).sigma_bar == forward  # exact summation
 
 
 def test_market_stats_rejects_empty_and_duplicates():
-    with pytest.raises(ValueError):
-        market_stats([])
+    with pytest.raises(ValueError, match="no return series"):
+        market_stats(Ensemble.from_series([]))
     rs = ReturnSeries("x", np.array([0.1]), 0.0)
-    with pytest.raises(ValueError):
-        market_stats([rs, rs])
+    with pytest.raises(ValueError, match="duplicate ticker 'x'"):
+        market_stats(Ensemble.from_series([rs, rs]))
 
 
 def test_price_series_validation():
@@ -162,12 +163,65 @@ def test_returns_csv_round_trip(tmp_path):
         ReturnSeries.from_returns("bb", rng.normal(0, 0.05, 11)),
     ]
     path = tmp_path / "returns.csv"
-    write_returns_csv(series, path)
+    write_returns_csv(Ensemble.from_series(series), path)
     back = read_returns_csv(path)
     assert [rs.ticker for rs in back] == ["aa", "bb"]
     for orig, rs in zip(series, back):
         assert np.array_equal(orig.returns, rs.returns)  # repr round-trip is exact
         assert rs.sigma == orig.sigma
+
+
+def test_read_returns_csv_groups_rows_and_keeps_long_tickers(tmp_path):
+    long = "L" * 100  # wider than the parser's first guess at the ticker field, twice over
+    path = tmp_path / "returns.csv"
+    path.write_text(
+        "ticker,day_index,return\n"
+        f"{long},0,0.5\nb,0,-0.25\n\n{long},1,0.125\nb,1,1e-300\n  \nb,2,-0.0\n",
+        encoding="utf-8",
+    )
+    ens = read_returns_csv(path)
+    assert ens.tickers == [long, "b"]
+    assert ens.offsets.tolist() == [0, 2, 5]
+    assert ens.values.tolist() == [0.5, 0.125, -0.25, 1e-300, -0.0]
+    assert [rs.sigma for rs in ens] == [float(np.std(ens.values[:2])), float(np.std(ens.values[2:]))]
+
+
+@pytest.mark.filterwarnings("error")  # np.std would warn on non-finite input
+def test_non_finite_returns_raise_before_any_numpy_warning():
+    for bad in ([0.1, np.inf], [np.nan, 0.2], [-np.inf]):
+        with pytest.raises(ValueError, match="x: returns contain non-finite values"):
+            ReturnSeries.from_returns("x", np.array(bad))
+        with pytest.raises(ValueError, match="y: returns contain non-finite values"):
+            Ensemble(["w", "y"], [0.0, *bad], [0, 1, 1 + len(bad)])
+
+
+def test_ensemble_is_a_flat_view_of_its_series():
+    rng = np.random.default_rng(11)
+    series = [ReturnSeries.from_returns(f"s{i}", rng.normal(0, 0.02, n)) for i, n in enumerate((1, 7, 30))]
+    ens = Ensemble.from_series(series)
+    assert len(ens) == 3 and ens.lengths.tolist() == [1, 7, 30]
+    rebuilt = Ensemble(ens.tickers, ens.values, ens.offsets)  # sigmas from the flat values
+    for rs, a, b in zip(series, ens, rebuilt):
+        assert a.ticker == b.ticker == rs.ticker
+        assert np.array_equal(a.returns, rs.returns)
+        assert a.sigma == b.sigma == rs.sigma
+    assert ens[-1].ticker == "s2"
+    s1, s2 = ens.prefix_sums()
+    for i, rs in enumerate(series):
+        lo, hi = ens.offsets[i] + i, ens.offsets[i + 1] + i + 1
+        assert s1[lo] == s2[lo] == 0.0
+        assert np.array_equal(s1[lo + 1 : hi], np.cumsum(rs.returns))
+        assert np.array_equal(s2[lo + 1 : hi], np.cumsum(rs.returns * rs.returns))
+    assert ens.prefix_sums()[0] is s1  # built once
+
+
+def test_ensemble_rejects_bad_offsets_and_duplicates():
+    with pytest.raises(ValueError, match="offsets"):
+        Ensemble(["a", "b"], [0.1, 0.2], [0, 2, 2])  # an empty series
+    with pytest.raises(ValueError, match="offsets"):
+        Ensemble(["a"], [0.1, 0.2], [0, 1])  # a value left over
+    with pytest.raises(ValueError, match="duplicate ticker 'a'"):
+        Ensemble(["a", "a"], [0.1, 0.2], [0, 1, 2])
 
 
 def test_stats_json_schema(tmp_path):

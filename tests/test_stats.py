@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from volstab.episodes import EpisodeTable, ThresholdWindow, extract_table
-from volstab.returns import ReturnSeries
+from volstab.returns import Ensemble, ReturnSeries
 from volstab.stats import (
     MfhtCurve,
     acf,
@@ -196,7 +196,7 @@ def test_fht_pdf_matches_geometric_oracle():
 def test_return_pdf_symmetry_and_tails():
     rng = np.random.default_rng(11)
     series = [ReturnSeries.from_returns(f"s{i}", rng.normal(0, 0.02, 4000)) for i in range(4)]
-    hist = return_pdf(series, bins=41)
+    hist = return_pdf(Ensemble.from_series(series), bins=41)
     mids = 0.5 * (hist.bin_edges[:-1] + hist.bin_edges[1:])
     weights = hist.density * np.diff(hist.bin_edges)
     mean = float(mids @ weights)
@@ -268,7 +268,7 @@ def test_acf_errors():
 def test_ensemble_acf_is_mean_of_series_acfs():
     rng = np.random.default_rng(15)
     series = [ReturnSeries.from_returns(f"s{i}", rng.normal(0, 1, 500)) for i in range(5)]
-    out = ensemble_acf(series, 6)
+    out = ensemble_acf(Ensemble.from_series(series), 6)
     manual = np.mean([acf(rs, 6).values for rs in series], axis=0)
     np.testing.assert_array_equal(out.values, manual)
 
@@ -293,7 +293,7 @@ def test_curve_from_real_extraction_has_window_id(tmp_path):
     series = [
         ReturnSeries.from_returns(f"s{i}", rng.uniform(-0.06, 0.06, 200)) for i in range(10)
     ]
-    table = extract_table(series, FIG1A)
+    table = extract_table(Ensemble.from_series(series), FIG1A)
     curve = mfht_curve(table, bins=10, min_count=2)
     verdict = nonmonotonicity_verdict(curve)
     assert verdict["window_id"] == FIG1A.window_id
