@@ -12,6 +12,7 @@ import csv
 import itertools
 import logging
 import math
+import re
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
@@ -328,27 +329,51 @@ def write_returns_csv(ensemble: Ensemble, path: str | Path) -> None:
 _TICKER_BYTES = 16  # first guess at the ticker field width, widened when a ticker fills it
 
 
-def _load_rows(lines, width: int) -> np.ndarray:
-    dtype = [("ticker", f"S{width}"), ("day", np.int64), ("value", np.float64)]
+def _row_dtype(width: int) -> np.dtype:
+    return np.dtype([("ticker", f"S{width}"), ("day", np.int64), ("value", np.float64)])
+
+
+def _loadtxt(lines: Iterable[str], dtype) -> np.ndarray:
     with warnings.catch_warnings():
         # A header-only file is reported by the caller, not by numpy.
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        # numpy releases that read "1.5" as the integer 1 only warn, and
+        # Python hides that warning; as an error it makes numpy refuse the row.
+        warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
         return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
 
 
-def _raise_malformed(path, lines: Iterable[str]) -> None:
-    """Raise naming the first nonblank line that is not ``ticker,int,float``."""
+# Rows of the form write_returns_csv writes; numpy's parser accepts every one
+# (18 digits always fit an int64).
+_PLAIN_ROW = re.compile(r"[^,]*,[0-9]{1,18},-?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?\n?")
+
+
+def _numpy_accepts(line: str, dtype: np.dtype) -> bool:
+    try:
+        _loadtxt([line], dtype)
+    except ValueError:
+        return False
+    return True
+
+
+def _raise_malformed(path, lines: Iterable[str], dtype: np.dtype) -> None:
+    """Raise naming the first nonblank line that numpy's parser rejects.
+
+    Lines of the plain form pass at once; any other line, and then each of
+    its fields, is put to numpy alone, so the verdict is numpy's own.
+    """
     for line_no, line in enumerate(lines, start=2):
-        parts = line.strip().split(",")
-        if parts == [""]:
+        if not line.strip() or _PLAIN_ROW.fullmatch(line) or _numpy_accepts(line, dtype):
             continue
+        parts = line.rstrip("\n").split(",")
         if len(parts) != 3:
             raise ValueError(f"{path}: line {line_no}: expected 3 columns, got {len(parts)}")
-        for name, parse, text in (("day_index", int, parts[1]), ("return", float, parts[2])):
-            try:
-                parse(text)
-            except ValueError:
-                raise ValueError(f"{path}: line {line_no}: {name} is not a number: {text!r}") from None
+        for name, text, row in (
+            ("day_index", parts[1], f"t,{parts[1]},0"),
+            ("return", parts[2], f"t,0,{parts[2]}"),
+        ):
+            if not _numpy_accepts(row, dtype):
+                raise ValueError(f"{path}: line {line_no}: {name} is not a number: {text!r}")
 
 
 def _data_line(fh, body: int, row: int) -> int:
@@ -359,25 +384,20 @@ def _data_line(fh, body: int, row: int) -> int:
 
 
 def _parse_rows(path, fh, body: int) -> np.ndarray:
-    """Every data row as (ticker bytes, day, value), by numpy's C parser.
+    """Every nonblank data row as (ticker bytes, day, value), by numpy's C parser.
 
-    The parser rejects whitespace-only lines, so a file that has them is
-    parsed again through a filter once every other line is known to be
-    well formed.  The ticker field is widened until no ticker fills it, so
-    no ticker is ever cut short.
+    The ticker field is widened until no ticker fills it, so no ticker is
+    ever cut short.
     """
-    width, skip_blank = _TICKER_BYTES, False
+    width = _TICKER_BYTES
     while True:
         fh.seek(body)
         try:
-            rows = _load_rows((ln for ln in fh if ln.strip()) if skip_blank else fh, width)
+            rows = _loadtxt(filter(str.strip, fh), _row_dtype(width))
         except ValueError as exc:
-            if skip_blank:
-                raise ValueError(f"{path}: {exc}") from None
             fh.seek(body)
-            _raise_malformed(path, fh)
-            skip_blank = True
-            continue
+            _raise_malformed(path, fh, _row_dtype(width))
+            raise ValueError(f"{path}: {exc}") from None  # a row numpy refuses whole
         if rows.size == 0 or not rows.view(np.uint8).reshape(rows.size, -1)[:, width - 1].any():
             return rows  # no ticker reaches the field's last byte
         width *= 4

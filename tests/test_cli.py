@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import volstab
 from volstab.cli import (
     DEFAULT_CONFIG,
     EXIT_CONFIG,
@@ -117,6 +122,10 @@ def _rows(ticker, values):
 MALFORMED_RETURNS = [
     ("bad float", "aa,0,0.1\naa,1,x\n", 3, "'x'"),
     ("bad int", "aa,0,0.1\naa,1.5,0.2\n", 3, "'1.5'"),
+    ("int with underscore", "aa,0,0.1\naa,1_0,0.2\n", 3, "'1_0'"),
+    ("float with underscore", "aa,0,0_1\n", 2, "'0_1'"),
+    ("int64 overflow", "aa,0,0.1\naa,99999999999999999999,0.2\n", 3, "day_index"),
+    ("empty day_index", "aa,0,0.1\n \naa,,0.2\n", 4, "day_index"),
     ("inf", "aa,0,0.1\naa,1,inf\n", 3, "'aa'"),
     ("nan", "aa,0,0.1\n\naa,1,nan\n", 4, "'aa'"),
     ("2 columns", "aa,0,0.1\naa,1\n", 3, "columns"),
@@ -143,6 +152,28 @@ def test_malformed_returns_csv_is_one_line_input_error(tmp_path, capsys, sub, bo
     where = f"error: {path}: " if line is None else f"error: {path}: line {line}: "
     assert err.startswith(where) and needle in err, err
     assert not out.exists()
+
+
+def test_fractional_day_index_is_refused_with_deprecation_warnings_hidden(tmp_path):
+    """Some numpy releases read "1.5" as day 1 with only a DeprecationWarning.
+
+    The CLI runs in a fresh interpreter that ignores DeprecationWarning
+    outright, so the refusal cannot hinge on a test's warning filters.
+    """
+    path = tmp_path / "returns.csv"
+    path.write_text(RETURNS_HEADER + "aa,0,0.1\naa,1.0,0.2\naa,1.5,0.3\n")
+    src = str(Path(volstab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [
+            sys.executable, "-W", "ignore::DeprecationWarning", "-c",
+            "import sys; from volstab.cli import main; sys.exit(main(sys.argv[1:]))",
+            "acf", "--returns", str(path), "--out", str(tmp_path / "o"),
+        ],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == EXIT_INPUT, proc.stderr
+    assert proc.stderr == f"error: {path}: line 3: day_index is not a number: '1.0'\n"
 
 
 # Returns file bodies that must be accepted, and the tickers of the
