@@ -393,13 +393,10 @@ def cmd_acf(args: argparse.Namespace) -> int:
         ensemble = read_returns_csv(Path(args.returns))
     except (OSError, ValueError) as exc:
         raise InputError(str(exc)) from None
-    shortest = int(ensemble.lengths.min())
-    if shortest <= args.max_lag + 1:
-        raise InputError(f"shortest series ({shortest}) too short for max_lag={args.max_lag}")
     try:
         result = ensemble_acf(ensemble, args.max_lag, absolute=args.absolute)
-    except ValueError as exc:  # a zero-variance series
-        raise InputError(str(exc)) from None
+    except ValueError as exc:  # a series too short for max_lag, or of zero variance
+        raise InputError(f"{args.returns}: {exc}") from None
     out = _out_dir(args, None)
     name = "acf_abs.csv" if args.absolute else "acf.csv"
     write_acf_csv(result, out / name)

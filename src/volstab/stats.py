@@ -388,9 +388,18 @@ def acf(series: ReturnSeries | np.ndarray, max_lag: int, absolute: bool = False)
 
 
 def ensemble_acf(ensemble: Ensemble, max_lag: int, absolute: bool = False) -> AcfSeries:
-    """Per-lag average of the per-series autocorrelations."""
-    stack = np.stack([acf(rs, max_lag, absolute=absolute).values for rs in ensemble])
-    return AcfSeries(lags=np.arange(max_lag + 1), values=stack.mean(axis=0))
+    """Per-lag average of the per-series autocorrelations.
+
+    A series too short for ``max_lag`` or of zero variance raises
+    ValueError naming its ticker.
+    """
+    rows = []
+    for rs in ensemble:
+        try:
+            rows.append(acf(rs, max_lag, absolute=absolute).values)
+        except ValueError as exc:
+            raise ValueError(f"series {rs.ticker!r}: {exc}") from None
+    return AcfSeries(lags=np.arange(max_lag + 1), values=np.stack(rows).mean(axis=0))
 
 
 def write_curve_csv(curve: MfhtCurve, path: str | Path) -> None:

@@ -86,6 +86,8 @@ BAD_VALUES = [
     (["analyze", "--returns", "{returns}", "--min-count", "-1"], EXIT_CONFIG, "--min-count"),
     (["analyze", "--returns", "{returns}", "--sigma-bar", "0"], EXIT_CONFIG, "sigma_bar"),
     (["analyze", "--returns", "{flat}"], EXIT_INPUT, "{flat}"),
+    (["acf", "--returns", "{flat}", "--max-lag", "1"], EXIT_INPUT, "error: {flat}: series 'z0': zero-variance"),
+    (["acf", "--returns", "{returns}", "--max-lag", "400"], EXIT_INPUT, "error: {returns}: series 's0'"),
     (["simulate", "--n-series", "2", "--days", "5", "--threads", "0"], EXIT_CONFIG, "--threads"),
     (["simulate", "--n-series", "2", "--days", "5", "--threads", "-5"], EXIT_CONFIG, "--threads"),
     (["simulate", "--n-series", "3", "--days", "50", "--dt", "1"], EXIT_CONFIG, "lower dt"),

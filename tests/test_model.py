@@ -21,6 +21,7 @@ from volstab.model import (
 )
 
 DEFAULT_MP = ModelParams()
+REFLECTING_MP = ModelParams(cir=CirParams(v_start=0.05), x0=-0.99)
 
 
 def test_potential_hand_values():
@@ -153,6 +154,60 @@ def test_kernel_matches_composed_step_operations():
     v1 = np.maximum(cir_step_raw(DEFAULT_MP.cir.v_start, DEFAULT_MP.cir, 0.01, dw2), 0.0)
     assert x[0, 1] == x1
     assert v[0, 1] == v1
+
+
+def _reference_ensemble(mp, cfg):
+    """The integrator written step by step from heston_step, cir_step_raw and np.where.
+
+    Returns (x, v) as simulate_ensemble does, and the number of barrier
+    reflections.
+    """
+    steps = cfg.days * cfg.steps_per_day
+    sqdt = math.sqrt(cfg.dt)
+    rows = range(cfg.n_series)
+    dw1 = np.array([_substream(cfg.seed, i, 0).standard_normal(steps) for i in rows]) * sqdt
+    dw2 = np.array([_substream(cfg.seed, i, 1).standard_normal(steps) for i in rows]) * sqdt
+    barrier = mp.potential.barrier
+    xt = np.full(cfg.n_series, mp.x0)
+    vt = np.full(cfg.n_series, mp.cir.v_start)
+    x, v, reflections = [xt], [vt], 0
+    for s in range(steps):
+        xnext = heston_step(xt, np.maximum(vt, 0.0), mp, cfg.dt, dw1[:, s])
+        vt = cir_step_raw(vt, mp.cir, cfg.dt, dw2[:, s])
+        reflections += int((xnext < barrier).sum())
+        xt = np.where(xnext < barrier, 2.0 * barrier - xnext, xnext)
+        if (s + 1) % cfg.steps_per_day == 0:
+            x.append(xt)
+            v.append(np.maximum(vt, 0.0))
+    return np.array(x).T, np.array(v).T, reflections
+
+
+def test_reflecting_ensemble_matches_step_by_step_reference_bit_for_bit():
+    # started just inside the barrier at -1 at high variance, so the reflection branch is taken
+    mp = REFLECTING_MP
+    cfg = SimConfig(days=13, n_series=6, seed=21)
+    x_ref, v_ref, reflections = _reference_ensemble(mp, cfg)
+    assert reflections > 0
+    x, v = simulate_ensemble(mp, cfg)
+    assert np.array_equal(x, x_ref) and np.array_equal(v, v_ref)
+
+
+@pytest.mark.parametrize("chunk_days", [1, 3, 64])
+def test_noise_block_size_does_not_change_results(monkeypatch, chunk_days):
+    mp = REFLECTING_MP
+    cfg = SimConfig(days=41, steps_per_day=7, n_series=5, seed=8)
+    blowup = SimConfig(dt=0.6, steps_per_day=1, days=41, n_series=8, seed=3)
+    x, v = simulate_ensemble(mp, cfg)
+    with pytest.raises(FloatingPointError) as default_error:
+        simulate_ensemble(DEFAULT_MP, blowup)
+    monkeypatch.setattr(model, "_CHUNK_STEPS", chunk_days * cfg.steps_per_day)
+    xc, vc = simulate_ensemble(mp, cfg)
+    assert np.array_equal(xc, x) and np.array_equal(vc, v)
+    monkeypatch.setattr(model, "_CHUNK_STEPS", chunk_days * blowup.steps_per_day)
+    with pytest.raises(FloatingPointError) as error:
+        simulate_ensemble(DEFAULT_MP, blowup)
+    assert str(error.value) == str(default_error.value)
+    assert str(error.value).startswith("series 6 turned non-finite on day 14:")
 
 
 def test_variance_path_never_negative():
