@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._io import fmt, write_json
+from ._io import fmt, write_json, write_rows
 from .episodes import (
     DEFAULT_ENTRY_RULE,
     DEFAULT_VOL_SCOPE,
@@ -212,6 +212,15 @@ def write_manifest(
 # ---------------------------------------------------------------- simulate
 
 
+def write_trajectories_csv(x: np.ndarray, v: np.ndarray, path: str | Path) -> None:
+    """Write ``series,day,x,v`` rows of ``simulate_ensemble``'s state, one series at a time."""
+    heads = [f",{d}," for d in range(x.shape[1])]
+    with open(path, "w", newline="") as fh:
+        fh.write("series,day,x,v\n")
+        for i in range(x.shape[0]):
+            write_rows(fh, str(i), heads, x[i], ",", v[i])
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     mp, cfg = build_model(config)
@@ -231,12 +240,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         sigma_bar = None
 
     if args.write_trajectories or cfg.days < 1:
-        with open(out / "trajectories.csv", "w", newline="") as fh:
-            fh.write("series,day,x,v\n")
-            for i, (xs, vs) in enumerate(zip(x.tolist(), v.tolist())):
-                fh.writelines(
-                    f"{i},{d},{fmt(xv)},{fmt(vv)}\n" for d, (xv, vv) in enumerate(zip(xs, vs))
-                )
+        write_trajectories_csv(x, v, out / "trajectories.csv")
 
     inputs = [Path(args.config)] if args.config else []
     write_manifest(out, "simulate", config, inputs, extra={"sigma_bar": sigma_bar})

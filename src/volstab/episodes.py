@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._io import fmt
+from ._io import cell_error, fmt, write_rows
 from .returns import Ensemble
 
 __all__ = [
@@ -226,22 +226,17 @@ def window_family(name: str, sigma_bar: float) -> list[ThresholdWindow]:
     raise ValueError(f"unknown window family {name!r} (expected one of {WINDOW_FAMILIES})")
 
 
+_EPISODE_COLUMNS = ["ticker", "window_id", "theta_i", "theta_f", "start_index", "fht", "volatility"]
+
+
 def write_episodes_csv(tables: list[EpisodeTable], path: str | Path) -> None:
-    """Write ``ticker,window_id,theta_i,theta_f,start_index,fht,volatility`` rows."""
+    """Write ``ticker,window_id,theta_i,theta_f,start_index,fht,volatility`` rows, one table at a time."""
     with open(path, "w", newline="") as fh:
-        fh.write("ticker,window_id,theta_i,theta_f,start_index,fht,volatility\n")
+        fh.write(",".join(_EPISODE_COLUMNS) + "\n")
         for table in tables:
             w = table.window
-            head = f"{w.window_id},{fmt(w.theta_i)},{fmt(w.theta_f)}"
-            fh.writelines(
-                f"{t},{head},{s},{f},{fmt(v)}\n"
-                for t, s, f, v in zip(
-                    table.tickers,
-                    table.start_index.tolist(),
-                    table.fht.tolist(),
-                    table.volatility.tolist(),
-                )
-            )
+            head = f",{w.window_id},{fmt(w.theta_i)},{fmt(w.theta_f)},"
+            write_rows(fh, table.tickers, head, table.start_index, ",", table.fht, ",", table.volatility)
 
 
 def read_episodes_csv(path: str | Path, sigma_bar: float = 1.0) -> list[EpisodeTable]:
@@ -249,30 +244,59 @@ def read_episodes_csv(path: str | Path, sigma_bar: float = 1.0) -> list[EpisodeT
 
     The CSV stores theta multipliers, not sigma_bar, so windows are rebuilt
     against the given ``sigma_bar`` (the default leaves absolute thresholds
-    equal to the multipliers; curve building does not depend on it).
+    equal to the multipliers; curve building does not depend on it).  A row
+    with the wrong number of fields or a cell that does not parse, thetas
+    that differ from those of its window's first row, a negative
+    ``start_index`` or an ``fht`` below 1 raises ValueError naming the line.
     """
     groups: dict[str, dict] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header != ["ticker", "window_id", "theta_i", "theta_f", "start_index", "fht", "volatility"]:
+        if header != _EPISODE_COLUMNS:
             raise ValueError(f"{path}: unexpected episode CSV header {header!r}")
         for row in reader:
             if not row:
                 continue
+            if len(row) != 7:
+                raise ValueError(f"{path}: line {reader.line_num}: expected 7 fields, got {len(row)}")
             ticker, window_id, ti, tf, start, fht, vol = row
-            g = groups.setdefault(
-                window_id,
-                {"theta_i": float(ti), "theta_f": float(tf), "tickers": [], "start": [], "fht": [], "vol": []},
-            )
+            try:
+                s, f, v = int(start), int(fht), float(vol)
+                g = groups.get(window_id)
+                if g is None:
+                    g = groups[window_id] = {
+                        "line": reader.line_num, "text": (ti, tf), "thetas": (float(ti), float(tf)),
+                        "tickers": [], "start": [], "fht": [], "vol": [],
+                    }
+                # thetas are parsed again only when their text differs from the first row's
+                moved = (ti, tf) != g["text"] and (float(ti), float(tf)) != g["thetas"]
+            except ValueError:
+                raise cell_error(
+                    f"{path}: line {reader.line_num}",
+                    [("theta_i", ti, float), ("theta_f", tf, float), ("start_index", start, int),
+                     ("fht", fht, int), ("volatility", vol, float)],
+                ) from None
+            if moved:
+                raise ValueError(
+                    f"{path}: line {reader.line_num}: thetas {ti}, {tf} of window {window_id!r} "
+                    f"differ from {g['text'][0]}, {g['text'][1]} on line {g['line']}"
+                )
+            if s < 0 or f < 1:
+                what = f"start_index {s} is negative" if s < 0 else f"fht {f} is below 1"
+                raise ValueError(f"{path}: line {reader.line_num}: {what}")
             g["tickers"].append(ticker)
-            g["start"].append(int(start))
-            g["fht"].append(int(fht))
-            g["vol"].append(float(vol))
+            g["start"].append(s)
+            g["fht"].append(f)
+            g["vol"].append(v)
     out = []
-    for _window_id, g in groups.items():
-        direction = "crash" if g["theta_f"] < g["theta_i"] else "rally"
-        window = ThresholdWindow(g["theta_i"], g["theta_f"], sigma_bar, direction)
+    for window_id, g in groups.items():
+        theta_i, theta_f = g["thetas"]
+        direction = "crash" if theta_f < theta_i else "rally"
+        try:
+            window = ThresholdWindow(theta_i, theta_f, sigma_bar, direction)
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {g['line']}: window {window_id!r}: {exc}") from None
         out.append(
             EpisodeTable(
                 window=window,

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from ._io import fmt, write_json
+from ._io import write_json, write_rows
 
 __all__ = [
     "PriceSeries",
@@ -316,14 +316,13 @@ _RETURNS_HEADER = "ticker,day_index,return"
 
 
 def write_returns_csv(ensemble: Ensemble, path: str | Path) -> None:
-    """Write ``ticker,day_index,return`` rows; floats round-trip exactly."""
+    """Write ``ticker,day_index,return`` rows, one series at a time; floats round-trip exactly."""
+    heads: list[str] = []  # ",i," for every day_index written so far
     with open(path, "w", newline="") as fh:
         fh.write(_RETURNS_HEADER + "\n")
-        for rs in ensemble:
-            ticker = rs.ticker
-            fh.writelines(
-                f"{ticker},{i},{fmt(r)}\n" for i, r in enumerate(rs.returns.tolist())
-            )
+        for ticker, (a, b) in zip(ensemble.tickers, ensemble._bounds()):
+            heads.extend(f",{i}," for i in range(len(heads), b - a))
+            write_rows(fh, ticker, heads[: b - a], ensemble.values[a:b])
 
 
 _TICKER_BYTES = 16  # first guess at the ticker field width, widened when a ticker fills it

@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ._io import fmt
+from ._io import cell_error, fmt
 from .episodes import EpisodeTable, ThresholdWindow
 from .returns import Ensemble, ReturnSeries
 
@@ -427,11 +427,19 @@ def read_curve_csv(path: str | Path, min_count: int = 1) -> MfhtCurve:
                 continue
             parts = line.split(",")
             if len(parts) != 4:
-                raise ValueError(f"{path}: line {line_no}: expected 4 columns")
-            lows.append(float(parts[0]))
-            highs.append(float(parts[1]))
-            mfht.append(float(parts[2]) if parts[2] else math.nan)
-            counts.append(int(parts[3]))
+                raise ValueError(f"{path}: line {line_no}: expected 4 columns, got {len(parts)}")
+            low, high, m, count = parts
+            try:
+                lows.append(float(low))
+                highs.append(float(high))
+                mfht.append(float(m) if m else math.nan)
+                counts.append(int(count))
+            except ValueError:
+                raise cell_error(
+                    f"{path}: line {line_no}",
+                    [("bin_lo", low, float), ("bin_hi", high, float), ("mfht", m or "nan", float),
+                     ("count", count, int)],
+                ) from None
     if not lows:
         raise ValueError(f"{path}: empty curve")
     if any(h != l for h, l in zip(highs[:-1], lows[1:])):

@@ -1,8 +1,10 @@
-"""Shared test utilities, including the quadratic reference episode scanner.
+"""Shared test utilities: the quadratic reference episode scanner and the row-by-row writers.
 
 The reference scanner is deliberately independent of the package: it walks
 every candidate start day and scans forward for the first hit, with both
-directions spelled out as explicit inequalities.
+directions spelled out as explicit inequalities.  The reference writers
+build each CSV one f-string per row, with ``repr`` for every float: the
+text the column-wise writers must reproduce byte for byte.
 """
 
 from __future__ import annotations
@@ -108,3 +110,34 @@ def assert_episodes_match(table, expected, context: str = ""):
             assert math.isclose(got_vol, vol, rel_tol=1e-9, abs_tol=1e-9), (
                 f"{context}: volatility {got_vol} != {vol}"
             )
+
+
+def oracle_returns_csv(ensemble) -> str:
+    """``returns.csv`` text, one row at a time."""
+    rows = ["ticker,day_index,return\n"]
+    for rs in ensemble:
+        rows.extend(f"{rs.ticker},{i},{r!r}\n" for i, r in enumerate(rs.returns.tolist()))
+    return "".join(rows)
+
+
+def oracle_episodes_csv(tables) -> str:
+    """``episodes.csv`` text, one row at a time."""
+    rows = ["ticker,window_id,theta_i,theta_f,start_index,fht,volatility\n"]
+    for table in tables:
+        w = table.window
+        head = f"{w.window_id},{float(w.theta_i)!r},{float(w.theta_f)!r}"
+        rows.extend(
+            f"{t},{head},{s},{f},{v!r}\n"
+            for t, s, f, v in zip(
+                table.tickers, table.start_index.tolist(), table.fht.tolist(), table.volatility.tolist()
+            )
+        )
+    return "".join(rows)
+
+
+def oracle_trajectories_csv(x, v) -> str:
+    """``trajectories.csv`` text, one row at a time."""
+    rows = ["series,day,x,v\n"]
+    for i, (xs, vs) in enumerate(zip(x.tolist(), v.tolist())):
+        rows.extend(f"{i},{d},{xv!r},{vv!r}\n" for d, (xv, vv) in enumerate(zip(xs, vs)))
+    return "".join(rows)

@@ -16,6 +16,7 @@ from volstab.cli import (
     load_config_file,
     main,
 )
+from volstab.episodes import read_episodes_csv
 from volstab.returns import read_returns_csv
 from volstab.stats import read_curve_csv
 
@@ -154,6 +155,84 @@ def test_malformed_returns_csv_is_one_line_input_error(tmp_path, capsys, sub, bo
     where = f"error: {path}: " if line is None else f"error: {path}: line {line}: "
     assert err.startswith(where) and needle in err, err
     assert not out.exists()
+
+
+EPISODES_HEADER = "ticker,window_id,theta_i,theta_f,start_index,fht,volatility\n"
+FIG1A = "crash_ti-0.10_tf-1.50,-0.1,-1.5"
+FIG1A_ROW = f"aa,{FIG1A},3,4,0.02\n"
+
+# A malformed episodes file body, the file line its error names, and a
+# word the error must contain.
+MALFORMED_EPISODES = [
+    ("6 fields", FIG1A_ROW + f"aa,{FIG1A},3,4\n", 3, "expected 7 fields, got 6"),
+    ("8 fields", FIG1A_ROW + f"aa,{FIG1A},3,4,0.02,1\n", 3, "got 8"),
+    ("bad start_index", f"aa,{FIG1A},x,4,0.02\n", 2, "start_index is not an integer: 'x'"),
+    ("fractional fht", FIG1A_ROW + f"aa,{FIG1A},3,1.5,0.02\n", 3, "fht is not an integer: '1.5'"),
+    ("bad volatility", f"aa,{FIG1A},3,4,vol\n", 2, "volatility is not a number: 'vol'"),
+    ("bad theta_i", "aa,crash_ti-0.10_tf-1.50,-0.1x,-1.5,3,4,0.02\n", 2, "theta_i is not a number"),
+    (
+        "thetas differ within a window",
+        FIG1A_ROW + "bb,crash_ti-0.10_tf-1.50,-0.2,-1.5,3,4,0.02\n",
+        3,
+        "differ from -0.1, -1.5 on line 2",
+    ),
+    ("negative start_index", FIG1A_ROW + f"aa,{FIG1A},-3,0,0.02\n", 3, "start_index -3 is negative"),
+    ("zero fht", f"aa,{FIG1A},3,0,0.02\n", 2, "fht 0 is below 1"),
+    ("equal thetas", FIG1A_ROW + "aa,w,0.5,0.5,3,4,0.02\n", 3, "window 'w'"),
+]
+
+
+@pytest.mark.parametrize("sub", ["mfht", "fht-pdf"])
+@pytest.mark.parametrize(
+    "body, line, needle", [row[1:] for row in MALFORMED_EPISODES], ids=[row[0] for row in MALFORMED_EPISODES]
+)
+def test_malformed_episodes_csv_is_one_line_input_error(tmp_path, capsys, sub, body, line, needle):
+    path = tmp_path / "episodes.csv"
+    path.write_text(EPISODES_HEADER + body)
+    out = tmp_path / "o"
+    rc = run(sub, "--episodes", str(path), "--out", str(out))
+    err = capsys.readouterr().err
+    assert rc == EXIT_INPUT
+    assert err.count("\n") == 1, err
+    assert err.startswith(f"error: {path}: line {line}: ") and needle in err, err
+    assert not out.exists()
+
+
+CURVE_HEADER = "bin_lo,bin_hi,mfht,count\n"
+CURVE_ROWS = "0.001,0.002,5.0,10\n0.002,0.003,,0\n"
+
+MALFORMED_CURVES = [
+    ("3 fields", CURVE_ROWS + "0.003,0.004,5.0\n", 4, "expected 4 columns, got 3"),
+    ("bad bin_lo", "x,0.002,5.0,10\n", 2, "bin_lo is not a number: 'x'"),
+    ("bad bin_hi", "0.001,0.00.2,5.0,10\n", 2, "bin_hi is not a number: '0.00.2'"),
+    ("bad mfht", CURVE_ROWS + "0.003,0.004,x,10\n", 4, "mfht is not a number: 'x'"),
+    ("fractional count", "0.001,0.002,5.0,1.5\n", 2, "count is not an integer: '1.5'"),
+]
+
+
+@pytest.mark.parametrize(
+    "body, line, needle", [row[1:] for row in MALFORMED_CURVES], ids=[row[0] for row in MALFORMED_CURVES]
+)
+def test_malformed_curve_csv_is_one_line_input_error(tmp_path, capsys, body, line, needle):
+    good = tmp_path / "good.csv"
+    good.write_text(CURVE_HEADER + CURVE_ROWS)
+    path = tmp_path / "curve.csv"
+    path.write_text(CURVE_HEADER + body)
+    out = tmp_path / "o"
+    rc = run("compare", "--empirical", str(good), "--model", str(path), "--out", str(out))
+    err = capsys.readouterr().err
+    assert rc == EXIT_INPUT
+    assert err.count("\n") == 1, err
+    assert err.startswith(f"error: {path}: line {line}: ") and needle in err, err
+    assert not out.exists()
+
+
+def test_episode_thetas_of_equal_value_are_one_window(tmp_path):
+    path = tmp_path / "episodes.csv"
+    path.write_text(EPISODES_HEADER + FIG1A_ROW + "bb,crash_ti-0.10_tf-1.50,-0.10,-1.50,5,2,0.03\n")
+    (table,) = read_episodes_csv(path)
+    assert (table.window.theta_i, table.window.theta_f) == (-0.1, -1.5)
+    assert table.tickers == ["aa", "bb"] and table.fht.tolist() == [4, 2]
 
 
 def test_fractional_day_index_is_refused_with_deprecation_warnings_hidden(tmp_path):

@@ -241,11 +241,13 @@ def test_noise_streams_independent():
 
 
 def test_driftless_random_walk_variance_matches_b():
-    # flat potential, frozen variance: daily increments ~ Normal(-b/2, b)
+    # flat potential, frozen variance: daily increments ~ Normal(-b/2, b),
+    # independent across days and across series, so 100 x 100 pool 10,000
+    # of them; the variance does not see a flipped drift sign
     mp = ModelParams(potential=PotentialParams(m=0, n=0), cir=CirParams(c=0, v_start=0.01))
-    cfg = SimConfig(dt=0.01, steps_per_day=100, days=10_000, n_series=1, seed=5)
+    cfg = SimConfig(dt=0.01, steps_per_day=100, days=100, n_series=100, seed=5)
     x, _ = simulate_ensemble(mp, cfg)
-    r = daily_returns(x, ["sim"])[0].returns
+    r = daily_returns(x, [f"sim{i}" for i in range(100)]).values
     assert abs(r.var() - 0.01) / 0.01 < 0.05
 
 
