@@ -77,7 +77,7 @@ def read_table(path: str | Path, dtype: np.dtype) -> tuple[np.ndarray, Callable[
     with open(path, encoding="latin-1") as fh:
         got = fh.readline().strip()
         if got != header:
-            raise ValueError(f"{path}: expected header {header!r}, got {got!r}")
+            raise ValueError(f"{path}: expected header {header!r}, got {_utf8(got)!r}")
         body = fh.tell()
         while True:
             fh.seek(body)
@@ -166,4 +166,9 @@ def _raise_malformed(path, lines: Iterable[str], dtype: np.dtype) -> None:
             row[j] = cells[j]
             if not _numpy_accepts(",".join(row), dtype):
                 kind = "an integer" if dtype[name].kind == "i" else "a number"
-                raise ValueError(f"{path}: line {line_no}: {name} is not {kind}: {cells[j]!r}")
+                raise ValueError(f"{path}: line {line_no}: {name} is not {kind}: {_utf8(cells[j])!r}")
+
+
+def _utf8(text: str) -> str:
+    """Text read as latin-1, decoded as UTF-8; a byte that is not UTF-8 shows as ``\\xNN``."""
+    return text.encode("latin-1").decode("utf-8", "backslashreplace")

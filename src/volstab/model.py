@@ -14,13 +14,20 @@ continuous process can reach zero.  Each series draws from its own pair of
 PCG64 generators, seeded by SeedSequence spawn keys (series_index, 0) and
 (series_index, 1) under the master seed, which makes any single trajectory
 the same in any ensemble that contains it and for any thread count.
+
+With ``threads`` of 2 or more on a machine with at least two CPUs, a forked
+helper process draws the normals one block ahead while the calling process
+steps, so the two run on two CPUs; more than 2 threads add nothing.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import os
-from concurrent.futures import ThreadPoolExecutor
+import signal
+import warnings
+from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,9 +49,10 @@ __all__ = [
 
 # RNG draw block, in Euler steps, rounded down to whole days and at least
 # one day.  Trajectories do not depend on this value: each series consumes
-# two dedicated substreams strictly in step order.  The pair of noise
-# buffers it sizes is the largest allocation of a run, 13.7 MB at the
-# default 1071 series x 100 steps per day (8-day blocks).
+# two dedicated substreams strictly in step order.  The noise it sizes is the
+# largest allocation of a run, 13.7 MB at the default 1071 series x 100
+# steps per day: one pair of 800-step buffers, or, with the helper process,
+# two slots of 400-step pairs (8-day or 4-day blocks).
 _CHUNK_STEPS = 800
 
 
@@ -191,9 +199,13 @@ def simulate_ensemble(
     keyed (seed, i, 0) for dW1 and (seed, i, 1) for dW2 strictly in step
     order, so row ``i`` is the same in any ensemble that contains it.
 
-    ``threads`` workers, at most one per series and per CPU, share out the
-    normal draws of each block of about ``_CHUNK_STEPS`` steps; numpy
-    releases the GIL while it fills, and each row owns its generators, so
+    With ``threads`` of 2 or more and at least two CPUs, a helper process
+    forked after the generators exist draws the normals of each block of
+    about ``_CHUNK_STEPS // 2`` steps while the calling process steps
+    through the block before it; the two processes share no interpreter
+    lock, and more than 2 threads add nothing.  Otherwise, or where
+    ``os.fork`` does not exist, the calling process draws each block of
+    about ``_CHUNK_STEPS`` steps itself.  Each row owns its generators, so
     the result does not depend on the thread count.  The step loop runs on
     the calling thread over the whole ensemble, in place on preallocated
     arrays but with the floating-point operations of heston_step and
@@ -224,14 +236,18 @@ def simulate_ensemble(
     rng2 = [_substream(cfg.seed, i, 1) for i in range(n)]
     sqdt = math.sqrt(dt)
 
-    chunk = min(days, max(1, _CHUNK_STEPS // spd))
-    dw1 = np.empty((n, chunk * spd))
-    dw2 = np.empty((n, chunk * spd))
+    def fill(dw: np.ndarray, nsteps: int) -> None:
+        """Draw the next ``nsteps`` increments dW1 into dw[0] and dW2 into dw[1]."""
+        for row in range(n):
+            rng1[row].standard_normal(out=dw[0, row, :nsteps])
+            rng2[row].standard_normal(out=dw[1, row, :nsteps])
+        np.multiply(dw[:, :, :nsteps], sqdt, out=dw[:, :, :nsteps])
 
-    def fill(rows: range, nsteps: int) -> None:
-        for row in rows:
-            rng1[row].standard_normal(out=dw1[row, :nsteps])
-            rng2[row].standard_normal(out=dw2[row, :nsteps])
+    forked = min(threads, os.cpu_count() or 1) >= 2 and hasattr(os, "fork")
+    chunk = min(days, max(1, (_CHUNK_STEPS // 2 if forked else _CHUNK_STEPS) // spd))
+    starts = range(0, days, chunk)
+    sizes = [min(chunk, days - day0) * spd for day0 in starts]
+    blocks = (_forked_blocks if forked else _local_blocks)(fill, (2, n, chunk * spd), sizes)
 
     # The state and the step's work arrays, reused by every step.  The
     # scalar operands are (n,) arrays too: a ufunc given a Python float and
@@ -247,16 +263,11 @@ def simulate_ensemble(
         for k in (0.0, 0.5, 3.0 * p.m, 2.0 * p.n, cir.a, cir.b, cir.c, dt, p.barrier, 2.0 * p.barrier)
     )
 
-    workers = min(threads, n, os.cpu_count() or 1)
-    blocks = [range(n * w // workers, n * (w + 1) // workers) for w in range(workers)]
     # Overflow is caught by the finiteness check below, not by warnings.
-    with ThreadPoolExecutor(workers) as pool, np.errstate(over="ignore", invalid="ignore"):
-        for day0 in range(0, days, chunk):
+    # Closing the blocks ends the helper process on every path.
+    with closing(blocks), np.errstate(over="ignore", invalid="ignore"):
+        for day0, (dw1, dw2) in zip(starts, blocks):
             ndays = min(chunk, days - day0)
-            nsteps = ndays * spd
-            list(pool.map(fill, blocks, [nsteps] * workers))
-            np.multiply(dw1, sqdt, out=dw1)
-            np.multiply(dw2, sqdt, out=dw2)
             s = 0
             for d in range(ndays):
                 for _ in range(spd):
@@ -298,6 +309,71 @@ def simulate_ensemble(
                     f"the integration blew up; lower dt (now {dt!r})"
                 )
     return x, v
+
+
+class NoiseHelperError(OSError):
+    """The helper process that draws the normals ended before its last block."""
+
+
+def _local_blocks(fill, shape: tuple[int, ...], sizes: list[int]):
+    """Yield one noise buffer of ``shape``, filled on the calling thread for each block size."""
+    dw = np.empty(shape)
+    for nsteps in sizes:
+        fill(dw, nsteps)
+        yield dw
+
+
+def _forked_blocks(fill, shape: tuple[int, ...], sizes: list[int]):
+    """Yield the blocks of ``_local_blocks``, filled one block ahead by a forked process.
+
+    The helper fills two slots of an anonymous shared mapping in turn.
+    One-byte tokens on two pipes say that a slot is ready (helper to
+    caller) and that the caller is done with it (caller to helper).  The
+    caller must close this generator: its ``finally`` kills and reaps the
+    helper on every path.
+    """
+    slots = np.frombuffer(mmap.mmap(-1, 2 * math.prod(shape) * 8)).reshape(2, *shape)
+    fds = [*os.pipe(), *os.pipe()]
+    ready_r, ready_w, free_r, free_w = fds
+    pid = 0
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns when a process with more than one OS thread
+            # forks, and numpy's OpenBLAS starts a thread at import.  The
+            # helper is safe: it only fills RNG buffers, takes no lock that
+            # another thread may hold, and leaves by os._exit.
+            warnings.filterwarnings(
+                "ignore", r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)", DeprecationWarning
+            )
+            pid = os.fork()
+        if pid == 0:
+            try:
+                os.close(ready_r)
+                os.close(free_w)
+                for k, nsteps in enumerate(sizes):
+                    if k >= 2 and not os.read(free_r, 1):
+                        break  # the caller is gone
+                    fill(slots[k % 2], nsteps)
+                    os.write(ready_w, b"r")
+            finally:
+                # never unwind into the caller's stack or flush its stdio
+                os._exit(0)
+        # The helper then holds the only write end, so its death reads as end of file.
+        os.close(ready_w)
+        fds.remove(ready_w)
+        for k in range(len(sizes)):
+            if not os.read(ready_r, 1):
+                raise NoiseHelperError(
+                    f"the helper process that draws the normals died before block {k + 1} of {len(sizes)}"
+                )
+            yield slots[k % 2]
+            os.write(free_w, b"f")
+    finally:
+        if pid:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for fd in fds:
+            os.close(fd)
 
 
 def daily_returns(x: np.ndarray, tickers: list[str]) -> Ensemble:

@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import volstab
+from volstab import model
 from volstab.cli import (
     DEFAULT_CONFIG,
     EXIT_CONFIG,
@@ -120,6 +122,11 @@ def _rows(ticker, values):
     return "".join(f"{ticker},{d},{v!r}\n" for d, v in enumerate(values))
 
 
+def _write_csv(path, header, body):
+    """Write a header and a body given as text (written as UTF-8) or as raw bytes."""
+    path.write_bytes(header.encode() + (body if isinstance(body, bytes) else body.encode()))
+
+
 # A malformed returns file body, the file line its error names (None when
 # the fault has no line), and a word the error must contain.
 MALFORMED_RETURNS = [
@@ -136,6 +143,8 @@ MALFORMED_RETURNS = [
     ("day_index gap", "aa,0,0.1\naa,2,0.2\n", 3, "day_index"),
     ("interleaved day_index gap", "bb,0,0.1\naa,0,0.1\nbb,1,0.2\naa,2,0.2\n", 5, "'aa'"),
     ("header only", "", None, "no return rows"),
+    ("UTF-8 cell", "aa,0,0.1\naa,1,é\n", 3, "return is not a number: 'é'"),
+    ("non-UTF-8 byte", b"aa,0,0.1\naa,1,\xff\n", 3, "return is not a number: '\\\\xff'"),
 ]
 
 
@@ -146,7 +155,7 @@ MALFORMED_RETURNS = [
 )
 def test_malformed_returns_csv_is_one_line_input_error(tmp_path, capsys, sub, body, line, needle):
     path = tmp_path / "returns.csv"
-    path.write_text(RETURNS_HEADER + body)
+    _write_csv(path, RETURNS_HEADER, body)
     out = tmp_path / "o"
     rc = run(sub, "--returns", str(path), "--out", str(out))
     err = capsys.readouterr().err
@@ -184,6 +193,8 @@ MALFORMED_EPISODES = [
     ("negative volatility", FIG1A_ROW + f"aa,{FIG1A},3,4,-0.5\n", 3, "volatility -0.5 is negative"),
     ("equal thetas", FIG1A_ROW + "aa,w,0.5,0.5,3,4,0.02\n", 3, "window 'w'"),
     ("NaN thetas", FIG1A_ROW + "aa,w,nan,nan,3,4,0.02\n" * 2, 3, "window 'w': rally window needs"),
+    ("UTF-8 fht", FIG1A_ROW + f"aa,{FIG1A},3,é,0.02\n", 3, "fht is not an integer: 'é'"),
+    ("non-UTF-8 fht", f"aa,{FIG1A},3,".encode() + b"\xff,0.02\n", 2, "fht is not an integer: '\\\\xff'"),
 ]
 
 
@@ -193,7 +204,7 @@ MALFORMED_EPISODES = [
 )
 def test_malformed_episodes_csv_is_one_line_input_error(tmp_path, capsys, sub, body, line, needle):
     path = tmp_path / "episodes.csv"
-    path.write_text(EPISODES_HEADER + body)
+    _write_csv(path, EPISODES_HEADER, body)
     out = tmp_path / "o"
     rc = run(sub, "--episodes", str(path), "--out", str(out))
     err = capsys.readouterr().err
@@ -385,9 +396,56 @@ def test_simulate_threads_do_not_change_output(tmp_path):
     assert run(*base, "--threads", "1", "--out", str(out1)) == 0
     assert run(*base, "--threads", "4", "--out", str(out4)) == 0
     assert (out1 / "returns.csv").read_bytes() == (out4 / "returns.csv").read_bytes()
-    out64 = tmp_path / "t64"  # more threads than series or CPUs: the pool is capped
+    out64 = tmp_path / "t64"  # more threads than series or CPUs: still one helper process
     assert run(*base, "--threads", "64", "--out", str(out64)) == 0
     assert (out1 / "returns.csv").read_bytes() == (out64 / "returns.csv").read_bytes()
+
+
+def test_simulate_threads_fork_raises_no_warning(tmp_path):
+    """Python 3.12+ warns when a process with more than one thread forks, as
+    numpy's has; under -W error that warning would end the run."""
+    base = ["simulate", "--n-series", "6", "--days", "20", "--seed", "4"]
+    proc = _run_fresh(["-W", "error"], {}, *base, "--threads", "2", "--out", str(tmp_path / "t2"))
+    assert proc.returncode == 0, proc.stderr
+    assert run(*base, "--threads", "1", "--out", str(tmp_path / "t1")) == 0
+    assert (tmp_path / "t2" / "returns.csv").read_bytes() == (tmp_path / "t1" / "returns.csv").read_bytes()
+
+
+def test_simulate_helper_that_dies_is_one_error_line(tmp_path, capsys, monkeypatch):
+    caller = os.getpid()
+    substream = model._substream
+
+    class DiesOnSecondBlock:
+        """A generator that ends the helper process when it is asked for a second block."""
+
+        def __init__(self, *key):
+            self.gen, self.blocks = substream(*key), 0
+
+        def standard_normal(self, out):
+            self.blocks += 1
+            if self.blocks == 2 and os.getpid() != caller:
+                os._exit(7)
+            return self.gen.standard_normal(out=out)
+
+    def hang(signum, frame):
+        raise TimeoutError("simulate waited 60 s on a dead helper")
+
+    monkeypatch.setattr(model, "_substream", DiesOnSecondBlock)
+    monkeypatch.setattr(model.os, "cpu_count", lambda: 2)
+    out = tmp_path / "o"
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(60)
+    try:
+        rc = run("simulate", "--n-series", "3", "--days", "20", "--threads", "2", "--out", str(out))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    err = capsys.readouterr().err
+    assert rc != 0
+    assert err == "error: the helper process that draws the normals died before block 2 of 5\n"
+    assert not out.exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_analyze_does_not_mutate_inputs(tmp_path):

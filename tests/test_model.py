@@ -1,5 +1,6 @@
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
+import signal
 from dataclasses import replace
 
 import numpy as np
@@ -123,23 +124,41 @@ def test_simulate_ensemble_threads_do_not_change_results():
 
 
 @pytest.mark.parametrize(
-    "threads, n_series, cpus, width", [(64, 3, 8, 3), (64, 5, 2, 2), (4, 5, None, 1), (1, 5, 8, 1)]
+    "threads, cpus, has_fork, forks",
+    [(64, 8, True, 1), (64, 2, True, 1), (4, None, True, 0), (1, 8, True, 0), (2, 1, True, 0), (2, 8, False, 0)],
 )
-def test_thread_pool_is_bounded_by_series_and_cpus(monkeypatch, threads, n_series, cpus, width):
-    widths = []
-
-    class RecordingPool(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            widths.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(model, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(model.os, "cpu_count", lambda: cpus)
-    cfg = SimConfig(days=3, n_series=n_series, seed=5)
-    x, v = simulate_ensemble(DEFAULT_MP, cfg, threads=threads)
-    assert widths == [width]
+def test_helper_process_runs_when_two_threads_have_two_cpus(monkeypatch, threads, cpus, has_fork, forks):
+    cfg = SimConfig(days=11, n_series=3, seed=5)
     x1, v1 = simulate_ensemble(DEFAULT_MP, cfg, threads=1)
+    calls = []
+    if has_fork:
+        real_fork = os.fork
+        monkeypatch.setattr(model.os, "fork", lambda: calls.append(1) or real_fork())
+    else:
+        monkeypatch.delattr(model.os, "fork")
+    monkeypatch.setattr(model.os, "cpu_count", lambda: cpus)
+    x, v = simulate_ensemble(DEFAULT_MP, cfg, threads=threads)
+    assert len(calls) == forks
     assert np.array_equal(x, x1) and np.array_equal(v, v1)
+    with pytest.raises(ChildProcessError):  # the helper was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_helper_is_reaped_when_the_caller_is_interrupted(monkeypatch):
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(model.os, "cpu_count", lambda: 2)
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    signal.setitimer(signal.ITIMER_REAL, 0.2)  # the run takes several times longer
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            simulate_ensemble(DEFAULT_MP, SimConfig(days=400, n_series=200, seed=2), threads=2)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_kernel_matches_composed_step_operations():
@@ -192,22 +211,30 @@ def test_reflecting_ensemble_matches_step_by_step_reference_bit_for_bit():
     assert np.array_equal(x, x_ref) and np.array_equal(v, v_ref)
 
 
-@pytest.mark.parametrize("chunk_days", [1, 3, 64])
-def test_noise_block_size_does_not_change_results(monkeypatch, chunk_days):
+@pytest.mark.parametrize(
+    "chunk_days, threads",
+    [pytest.param(days, threads, id=f"{days}-helper" if threads > 1 else str(days))
+     for threads in (1, 2) for days in (1, 3, 64)],
+)
+def test_noise_block_size_does_not_change_results(monkeypatch, chunk_days, threads):
     mp = REFLECTING_MP
     cfg = SimConfig(days=41, steps_per_day=7, n_series=5, seed=8)
     blowup = SimConfig(dt=0.6, steps_per_day=1, days=41, n_series=8, seed=3)
     x, v = simulate_ensemble(mp, cfg)
     with pytest.raises(FloatingPointError) as default_error:
         simulate_ensemble(DEFAULT_MP, blowup)
-    monkeypatch.setattr(model, "_CHUNK_STEPS", chunk_days * cfg.steps_per_day)
-    xc, vc = simulate_ensemble(mp, cfg)
+    monkeypatch.setattr(model.os, "cpu_count", lambda: 2)  # the helper runs with threads=2 on any host
+    # a helper slot holds half a block, so 2 * chunk_days gives it chunk_days-day blocks
+    monkeypatch.setattr(model, "_CHUNK_STEPS", threads * chunk_days * cfg.steps_per_day)
+    xc, vc = simulate_ensemble(mp, cfg, threads=threads)
     assert np.array_equal(xc, x) and np.array_equal(vc, v)
-    monkeypatch.setattr(model, "_CHUNK_STEPS", chunk_days * blowup.steps_per_day)
+    monkeypatch.setattr(model, "_CHUNK_STEPS", threads * chunk_days * blowup.steps_per_day)
     with pytest.raises(FloatingPointError) as error:
-        simulate_ensemble(DEFAULT_MP, blowup)
+        simulate_ensemble(DEFAULT_MP, blowup, threads=threads)
     assert str(error.value) == str(default_error.value)
     assert str(error.value).startswith("series 6 turned non-finite on day 14:")
+    with pytest.raises(ChildProcessError):  # the helper of the blown-up run was reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_variance_path_never_negative():
