@@ -7,9 +7,11 @@ writes whole columns, the rows of a returns series, a trajectory or an
 episode table, with the same text.  JSON files are indented, key-sorted
 and newline-terminated so that equal payloads give equal bytes.
 
-``read_table`` reads a CSV back: every numeric cell is judged by numpy's
-C parser, and a line it refuses is named by its file line.  Files are
-UTF-8 in both directions.
+``read_table`` reads a CSV back: numpy's C reader is given the path and
+splits and parses the lines itself.  A file it refuses (a whitespace-only
+line, a malformed row) is parsed again from its nonblank lines, and a line
+refused then is named by its file line, so every numeric cell is judged by
+numpy's parser either way.  Files are UTF-8 in both directions.
 """
 
 from __future__ import annotations
@@ -51,9 +53,16 @@ def write_rows(fh: TextIO, *cells) -> None:
 
 
 def _column_text(column) -> list[str]:
-    if isinstance(column, np.ndarray):
-        return list(map(repr if column.dtype.kind == "f" else str, column.tolist()))
-    return column
+    if not isinstance(column, np.ndarray):
+        return column
+    if column.dtype.kind == "f":
+        return list(map(repr, column.tolist()))
+    if column.dtype.kind in "iu" and column.size:
+        lo, hi = int(column.min()), int(column.max())
+        if hi - lo < column.size:  # the span has no more texts than the column has cells
+            texts = np.array([str(i) for i in range(lo, hi + 1)], dtype=object)
+            return texts[column - lo].tolist()
+    return list(map(str, column.tolist()))
 
 
 def write_json(payload, path: str | Path) -> None:
@@ -80,13 +89,20 @@ def read_table(path: str | Path, dtype: np.dtype) -> tuple[np.ndarray, Callable[
             raise ValueError(f"{path}: expected header {header!r}, got {_utf8(got)!r}")
         body = fh.tell()
         while True:
-            fh.seek(body)
-            try:
-                rows = _loadtxt(filter(str.strip, fh), dtype)
-            except ValueError as exc:
+            try:  # numpy's C reader splits the lines itself
+                rows = _loadtxt(path, dtype, skiprows=1)
+            except Exception:
+                # numpy refuses a whitespace-only line, which the line filter
+                # skips, and a malformed line, which _raise_malformed names;
+                # it also takes a name ending in .gz, .bz2, .xz or .lzma for
+                # a compressed file, and its decompressor fails on the text.
                 fh.seek(body)
-                _raise_malformed(path, fh, dtype)
-                raise ValueError(f"{path}: {exc}") from None  # a row numpy refuses whole
+                try:
+                    rows = _loadtxt(filter(str.strip, fh), dtype)
+                except ValueError as exc:
+                    fh.seek(body)
+                    _raise_malformed(path, fh, dtype)
+                    raise ValueError(f"{path}: {exc}") from None  # a row numpy refuses whole
             full = [name for name in dtype.names if _fills(rows, name)]
             if not full:
                 break
@@ -121,14 +137,15 @@ def _fills(rows: np.ndarray, name: str) -> bool:
     return bool(rows.view(np.uint8).reshape(rows.size, -1)[:, offset + field.itemsize - 1].any())
 
 
-def _loadtxt(lines: Iterable[str], dtype) -> np.ndarray:
+def _loadtxt(source: str | Path | Iterable[str], dtype, skiprows: int = 0) -> np.ndarray:
     with warnings.catch_warnings():
         # A header-only file is reported by the caller, not by numpy.
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         # numpy releases that read "1.5" as the integer 1 only warn, and
         # Python hides that warning; as an error it makes numpy refuse the row.
         warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
-        return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        return np.loadtxt(source, dtype=dtype, delimiter=",", comments=None, ndmin=1,
+                          skiprows=skiprows, encoding="latin-1")
 
 
 # Cells of the forms the writers write, by field kind; numpy's parser

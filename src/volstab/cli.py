@@ -470,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("simulate", cmd_simulate, "generate a return ensemble from the model")
     _add_config_flags(p)
     p.add_argument("--threads", type=int, default=1,
-                   help="1: draw the normals and step in turn; 2 or more, with two CPUs: a forked "
+                   help="1: draw the normals and step in turn; 2 or more, with two usable CPUs: a forked "
                         "helper process draws them one block ahead while this one steps "
                         "(above 2 adds nothing)")
     _add_model_flags(p)

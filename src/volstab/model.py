@@ -15,9 +15,10 @@ PCG64 generators, seeded by SeedSequence spawn keys (series_index, 0) and
 (series_index, 1) under the master seed, which makes any single trajectory
 the same in any ensemble that contains it and for any thread count.
 
-With ``threads`` of 2 or more on a machine with at least two CPUs, a forked
-helper process draws the normals one block ahead while the calling process
-steps, so the two run on two CPUs; more than 2 threads add nothing.
+With ``threads`` of 2 or more and at least two CPUs that the process may
+run on, a forked helper process draws the normals one block ahead while
+the calling process steps, so the two run on two CPUs; more than 2 threads
+add nothing.
 """
 
 from __future__ import annotations
@@ -54,6 +55,13 @@ __all__ = [
 # steps per day: one pair of 800-step buffers, or, with the helper process,
 # two slots of 400-step pairs (8-day or 4-day blocks).
 _CHUNK_STEPS = 800
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _require_finite(name: str, value: float) -> None:
@@ -199,7 +207,8 @@ def simulate_ensemble(
     keyed (seed, i, 0) for dW1 and (seed, i, 1) for dW2 strictly in step
     order, so row ``i`` is the same in any ensemble that contains it.
 
-    With ``threads`` of 2 or more and at least two CPUs, a helper process
+    With ``threads`` of 2 or more and at least two usable CPUs (the
+    process's CPU affinity, not the machine's CPU count), a helper process
     forked after the generators exist draws the normals of each block of
     about ``_CHUNK_STEPS // 2`` steps while the calling process steps
     through the block before it; the two processes share no interpreter
@@ -243,7 +252,7 @@ def simulate_ensemble(
             rng2[row].standard_normal(out=dw[1, row, :nsteps])
         np.multiply(dw[:, :, :nsteps], sqdt, out=dw[:, :, :nsteps])
 
-    forked = min(threads, os.cpu_count() or 1) >= 2 and hasattr(os, "fork")
+    forked = min(threads, _usable_cpus()) >= 2 and hasattr(os, "fork")
     chunk = min(days, max(1, (_CHUNK_STEPS // 2 if forked else _CHUNK_STEPS) // spd))
     starts = range(0, days, chunk)
     sizes = [min(chunk, days - day0) * spd for day0 in starts]

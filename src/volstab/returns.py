@@ -84,6 +84,11 @@ def _check_returns(ticker: str, r: np.ndarray) -> None:
         raise ValueError(f"{ticker}: returns contain non-finite values")
 
 
+# The most values one numpy call of Ensemble's per-series reductions takes,
+# which bounds the temporaries of that call.
+_BLOCK_VALUES = 2**16
+
+
 @dataclass(eq=False)
 class Ensemble:
     """Return series stored end to end: series ``i`` is ``values[offsets[i]:offsets[i + 1]]``.
@@ -123,7 +128,10 @@ class Ensemble:
             i = int(np.searchsorted(self.offsets, bad[0], side="right")) - 1
             raise ValueError(f"{self.tickers[i]}: returns contain non-finite values")
         if self.sigmas is None:
-            self.sigmas = np.array([np.std(self.values[a:b]) for a, b in self._bounds()])
+            self.sigmas = np.empty(n)
+            for i, m, length in self._blocks():
+                a = int(self.offsets[i])
+                self.sigmas[i : i + m] = np.std(self.values[a : a + m * length].reshape(m, length), axis=1)
         self.sigmas = np.asarray(self.sigmas, dtype=float)
         if self.sigmas.shape != (n,) or not np.all(np.isfinite(self.sigmas) & (self.sigmas >= 0)):
             raise ValueError("sigmas must be finite and >= 0, one per series")
@@ -153,6 +161,23 @@ class Ensemble:
     def _bounds(self) -> Iterator[tuple[int, int]]:
         return zip(self.offsets[:-1].tolist(), self.offsets[1:].tolist())
 
+    def _blocks(self) -> Iterator[tuple[int, int, int]]:
+        """``(i, m, length)``: series ``i`` to ``i + m`` all hold ``length`` values.
+
+        The blocks cover the series in order; each is a run of consecutive
+        equal-length series, cut so that a block holds at most
+        ``_BLOCK_VALUES`` values unless one series alone holds more.  Per
+        row, numpy's axis-1 ``std`` and ``cumsum`` of a block give the bits
+        of the same call on one series.
+        """
+        lengths = np.diff(self.offsets)
+        cuts = (np.flatnonzero(lengths[1:] != lengths[:-1]) + 1).tolist()
+        for i, j in zip([0, *cuts], [*cuts, len(self)]):
+            length = int(lengths[i])
+            step = max(1, _BLOCK_VALUES // length)
+            for k in range(i, j, step):
+                yield k, min(step, j - k), length
+
     def prefix_sums(self) -> tuple[np.ndarray, np.ndarray]:
         """Running sums of each series' returns and squared returns, built once.
 
@@ -163,10 +188,13 @@ class Ensemble:
         if self._sums is None:
             s1 = np.zeros(self.values.size + len(self))
             s2 = np.zeros_like(s1)
-            for i, (a, b) in enumerate(self._bounds()):
-                y = self.values[a:b]
-                np.cumsum(y, out=s1[a + i + 1 : b + i + 1])
-                np.cumsum(y * y, out=s2[a + i + 1 : b + i + 1])
+            for i, m, length in self._blocks():
+                a = int(self.offsets[i])
+                y = self.values[a : a + m * length].reshape(m, length)
+                # a row of the sums is a series' leading 0.0 and its running sums
+                rows = slice(a + i, a + i + m * (length + 1))
+                np.cumsum(y, axis=1, out=s1[rows].reshape(m, length + 1)[:, 1:])
+                np.cumsum(y * y, axis=1, out=s2[rows].reshape(m, length + 1)[:, 1:])
             self._sums = (s1, s2)
         return self._sums
 

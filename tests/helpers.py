@@ -1,10 +1,13 @@
-"""Shared test utilities: the quadratic reference episode scanner and the row-by-row writers.
+"""Shared test utilities: the quadratic reference episode scanner, the
+per-series reductions and the row-by-row writers.
 
 The reference scanner is deliberately independent of the package: it walks
 every candidate start day and scans forward for the first hit, with both
-directions spelled out as explicit inequalities.  The reference writers
-build each CSV one f-string per row, with ``repr`` for every float: the
-text the column-wise writers must reproduce byte for byte.
+directions spelled out as explicit inequalities.  The reference reductions
+make one numpy call per series, the bits an Ensemble's blocked calls must
+give.  The reference writers build each CSV one f-string per row, with
+``repr`` for every float: the text the column-wise writers must reproduce
+byte for byte.
 """
 
 from __future__ import annotations
@@ -110,6 +113,29 @@ def assert_episodes_match(table, expected, context: str = ""):
             assert math.isclose(got_vol, vol, rel_tol=1e-9, abs_tol=1e-9), (
                 f"{context}: volatility {got_vol} != {vol}"
             )
+
+
+def oracle_sigmas_and_sums(ensemble) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each series' ``np.std``, and its ``np.cumsum`` of returns and of squared
+    returns led by a 0.0, one numpy call per series: what ``Ensemble.sigmas``
+    and ``Ensemble.prefix_sums`` hold."""
+    sigmas, s1, s2 = [], [], []
+    for a, b in zip(ensemble.offsets[:-1].tolist(), ensemble.offsets[1:].tolist()):
+        y = ensemble.values[a:b]
+        sigmas.append(np.std(y))
+        s1 += [[0.0], np.cumsum(y)]
+        s2 += [[0.0], np.cumsum(y * y)]
+    return np.array(sigmas), np.concatenate(s1), np.concatenate(s2)
+
+
+def oracle_table_rows(path, dtype) -> np.ndarray:
+    """The rows numpy parses from a CSV's nonblank lines after the header,
+    handed to it one line at a time."""
+    with open(path, encoding="latin-1") as fh:
+        lines = [line for line in list(fh)[1:] if line.strip()]
+    if not lines:
+        return np.empty(0, dtype)
+    return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1, encoding="latin-1")
 
 
 def oracle_returns_csv(ensemble) -> str:

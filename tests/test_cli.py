@@ -431,7 +431,7 @@ def test_simulate_helper_that_dies_is_one_error_line(tmp_path, capsys, monkeypat
         raise TimeoutError("simulate waited 60 s on a dead helper")
 
     monkeypatch.setattr(model, "_substream", DiesOnSecondBlock)
-    monkeypatch.setattr(model.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
     out = tmp_path / "o"
     previous = signal.signal(signal.SIGALRM, hang)
     signal.alarm(60)

@@ -1,17 +1,21 @@
-"""The column-wise writers against the row-by-row oracles in helpers.py."""
+"""The column-wise writers against the row-by-row oracles in helpers.py,
+and the table reader against a parse of the file's nonblank lines."""
 
+import io
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import oracle_episodes_csv, oracle_returns_csv, oracle_trajectories_csv
+from helpers import oracle_episodes_csv, oracle_returns_csv, oracle_table_rows, oracle_trajectories_csv
+from volstab._io import read_table, write_rows
 from volstab.cli import main, write_trajectories_csv
-from volstab.episodes import EpisodeTable, ThresholdWindow, read_episodes_csv, write_episodes_csv
+from volstab.episodes import _EPISODE_DTYPE, EpisodeTable, ThresholdWindow, read_episodes_csv, write_episodes_csv
 from volstab.model import ModelParams, SimConfig, daily_returns, simulate_ensemble
-from volstab.returns import Ensemble, read_returns_csv, write_returns_csv
+from volstab.returns import _RETURNS_DTYPE, Ensemble, read_returns_csv, write_returns_csv
 
 # Values where repr's text changes shape: signed zero, subnormals, the
 # smallest normal, integral values, and both sides of 1e-4 and 1e16, where
@@ -145,3 +149,91 @@ def test_simulate_writes_row_oracle_bytes(n_series, days, steps_per_day, seed):
         if days:
             ensemble = daily_returns(x, [f"sim{i:04d}" for i in range(n_series)])
             assert (out / "returns.csv").read_bytes() == oracle_returns_csv(ensemble).encode()
+
+
+INT64 = np.iinfo(np.int64)
+
+
+@pytest.mark.parametrize(
+    "values, dtype",
+    [
+        ([], np.int64),
+        ([0], np.int64),
+        ([0, 0, 0], np.int64),
+        ([-3, -1, -2, -3], np.int64),
+        ([-1, 0, 1, 0, -1], np.int64),
+        ([INT64.min, INT64.max], np.int64),
+        ([INT64.min, INT64.min + 1, INT64.min], np.int64),
+        ([INT64.max, INT64.max - 1, INT64.max], np.int64),
+        ([0, 10**12], np.int64),  # a span beyond the column's length
+        ([5, 3, 9], np.int64),  # a span of 7 values in 3 cells
+        ([2**64 - 1, 2**64 - 2], np.uint64),
+        ([-7, 7, 0], np.int32),
+    ],
+)
+def test_integer_columns_are_written_as_str_writes_them(values, dtype):
+    column = np.array(values, dtype=dtype)
+    fh = io.StringIO()
+    write_rows(fh, column, ",", column[::-1])
+    assert fh.getvalue() == "".join(f"{a},{b}\n" for a, b in zip(values, values[::-1]))
+
+
+@st.composite
+def reformatted(draw, text: str) -> tuple[str, list[int]]:
+    """``text``'s lines with blank and whitespace-only lines put among them,
+    one line ending throughout and maybe none after the last line; and the
+    file line of each of ``text``'s data rows."""
+    header, *rows = text.splitlines()
+    junk = st.lists(st.text(alphabet=" \t\f", max_size=3), max_size=3)
+    lines, line_of = [header], []
+    for row in rows:
+        lines += draw(junk)
+        line_of.append(len(lines) + 1)
+        lines.append(row)
+    lines += draw(junk)
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + draw(st.sampled_from([end, ""])), line_of
+
+
+def _assert_reads_like_its_nonblank_lines(path: Path, text: str, line_numbers: list[int], dtype):
+    path.write_bytes(text.encode())
+    rows, line_of = read_table(path, dtype)
+    assert rows.tobytes() == oracle_table_rows(path, rows.dtype).tobytes()
+    assert [line_of(k) for k in range(rows.size)] == line_numbers
+
+
+@settings(max_examples=100, deadline=None)
+@given(ensemble=ragged_ensembles(), data=st.data())
+def test_returns_file_with_blank_lines_and_any_line_ending_reads_as_its_rows(ensemble, data):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "returns.csv"
+        text, line_numbers = data.draw(reformatted(oracle_returns_csv(ensemble)))
+        _assert_reads_like_its_nonblank_lines(path, text, line_numbers, _RETURNS_DTYPE)
+        back = read_returns_csv(path)
+    assert back.tickers == ensemble.tickers
+    assert back.values.view(np.int64).tolist() == ensemble.values.view(np.int64).tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables=episode_tables(), data=st.data())
+def test_episodes_file_with_blank_lines_and_any_line_ending_reads_as_its_rows(tables, data):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "episodes.csv"
+        text, line_numbers = data.draw(reformatted(oracle_episodes_csv(tables)))
+        _assert_reads_like_its_nonblank_lines(path, text, line_numbers, _EPISODE_DTYPE)
+
+
+@pytest.mark.parametrize("blank", [" ", "\t", "\f", " \t\f "])
+def test_whitespace_only_lines_are_skipped(tmp_path, blank):
+    # numpy's parser refuses such a line; the reader parses the file again without it
+    path = tmp_path / "returns.csv"
+    text = f"ticker,day_index,return\naa,0,0.5\n{blank}\naa,1,-0.25\n"
+    _assert_reads_like_its_nonblank_lines(path, text, [2, 4], _RETURNS_DTYPE)
+    assert read_returns_csv(path).values.tolist() == [0.5, -0.25]
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_plain_text_file_with_a_compression_suffix_reads(tmp_path, suffix):
+    path = tmp_path / f"returns.csv{suffix}"
+    path.write_text("ticker,day_index,return\naa,0,0.5\naa,1,-0.25\n")
+    assert read_returns_csv(path).values.tolist() == [0.5, -0.25]

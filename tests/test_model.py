@@ -125,7 +125,7 @@ def test_simulate_ensemble_threads_do_not_change_results():
 
 @pytest.mark.parametrize(
     "threads, cpus, has_fork, forks",
-    [(64, 8, True, 1), (64, 2, True, 1), (4, None, True, 0), (1, 8, True, 0), (2, 1, True, 0), (2, 8, False, 0)],
+    [(64, 8, True, 1), (64, 2, True, 1), (4, 1, True, 0), (1, 8, True, 0), (2, 1, True, 0), (2, 8, False, 0)],
 )
 def test_helper_process_runs_when_two_threads_have_two_cpus(monkeypatch, threads, cpus, has_fork, forks):
     cfg = SimConfig(days=11, n_series=3, seed=5)
@@ -136,7 +136,7 @@ def test_helper_process_runs_when_two_threads_have_two_cpus(monkeypatch, threads
         monkeypatch.setattr(model.os, "fork", lambda: calls.append(1) or real_fork())
     else:
         monkeypatch.delattr(model.os, "fork")
-    monkeypatch.setattr(model.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(model, "_usable_cpus", lambda: cpus)
     x, v = simulate_ensemble(DEFAULT_MP, cfg, threads=threads)
     assert len(calls) == forks
     assert np.array_equal(x, x1) and np.array_equal(v, v1)
@@ -144,11 +144,29 @@ def test_helper_process_runs_when_two_threads_have_two_cpus(monkeypatch, threads
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_usable_cpus_follow_the_affinity_mask(monkeypatch):
+    cfg = SimConfig(days=11, n_series=3, seed=5)
+    x1, v1 = simulate_ensemble(DEFAULT_MP, cfg, threads=1)
+    calls = []
+    real_fork = os.fork
+    monkeypatch.setattr(model.os, "fork", lambda: calls.append(1) or real_fork())
+    monkeypatch.setattr(model.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(model.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert model._usable_cpus() == 1
+    x, v = simulate_ensemble(DEFAULT_MP, cfg, threads=2)  # pinned to one CPU: no helper
+    assert calls == []
+    assert np.array_equal(x, x1) and np.array_equal(v, v1)
+    monkeypatch.delattr(model.os, "sched_getaffinity")
+    assert model._usable_cpus() == 8
+    monkeypatch.setattr(model.os, "cpu_count", lambda: None)
+    assert model._usable_cpus() == 1
+
+
 def test_helper_is_reaped_when_the_caller_is_interrupted(monkeypatch):
     def interrupt(signum, frame):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(model.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
     previous = signal.signal(signal.SIGALRM, interrupt)
     signal.setitimer(signal.ITIMER_REAL, 0.2)  # the run takes several times longer
     try:
@@ -223,7 +241,7 @@ def test_noise_block_size_does_not_change_results(monkeypatch, chunk_days, threa
     x, v = simulate_ensemble(mp, cfg)
     with pytest.raises(FloatingPointError) as default_error:
         simulate_ensemble(DEFAULT_MP, blowup)
-    monkeypatch.setattr(model.os, "cpu_count", lambda: 2)  # the helper runs with threads=2 on any host
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 2)  # the helper runs with threads=2 on any host
     # a helper slot holds half a block, so 2 * chunk_days gives it chunk_days-day blocks
     monkeypatch.setattr(model, "_CHUNK_STEPS", threads * chunk_days * cfg.steps_per_day)
     xc, vc = simulate_ensemble(mp, cfg, threads=threads)

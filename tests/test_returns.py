@@ -1,9 +1,14 @@
 import logging
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import oracle_sigmas_and_sums
+from volstab import returns
 from volstab.returns import (
     Ensemble,
     MarketStats,
@@ -213,6 +218,40 @@ def test_ensemble_is_a_flat_view_of_its_series():
         assert np.array_equal(s1[lo + 1 : hi], np.cumsum(rs.returns))
         assert np.array_equal(s2[lo + 1 : hi], np.cumsum(rs.returns * rs.returns))
     assert ens.prefix_sums()[0] is s1  # built once
+
+
+# Series lengths: short ones, among them 1 and 2, and lengths about and
+# above the 2**16 values one reduction call may take, so that a run of two
+# or three such series is cut into blocks or is one series per block.
+SERIES_LENGTHS = st.one_of(
+    st.integers(1, 40), st.sampled_from([2**12, 2**15 - 1, 2**15, 2**15 + 1, 2**16, 2**16 + 1])
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    runs=st.lists(st.tuples(SERIES_LENGTHS, st.integers(1, 5)), min_size=1, max_size=6),
+    # the real block size, and small ones that runs of short series cross
+    block_values=st.sampled_from([returns._BLOCK_VALUES, 1, 2, 7, 64]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ensemble_reductions_are_bit_identical_to_per_series_calls(runs, block_values, seed):
+    lengths = [length for length, count in runs for _ in range(count)]
+    rng = np.random.default_rng(seed)
+    # magnitudes over 17 decades, so that any other summation order shows
+    values = rng.standard_normal(sum(lengths)) * np.exp(rng.uniform(-20, 20, sum(lengths)))
+    with mock.patch.object(returns, "_BLOCK_VALUES", block_values):
+        ensemble = Ensemble([f"s{i}" for i in range(len(lengths))], values, np.cumsum([0, *lengths]))
+        s1, s2 = ensemble.prefix_sums()
+        blocks = list(ensemble._blocks())
+    # the blocks cover the series in order, and one is above the cap only when it is one series
+    assert [i for i, m, _ in blocks] == np.cumsum([0] + [m for _, m, _ in blocks])[:-1].tolist()
+    assert [n for _, m, length in blocks for n in [length] * m] == lengths
+    assert all(m * length <= block_values or m == 1 for _, m, length in blocks)
+    sigmas, want1, want2 = oracle_sigmas_and_sums(ensemble)
+    assert ensemble.sigmas.tobytes() == sigmas.tobytes()
+    assert s1.tobytes() == want1.tobytes()
+    assert s2.tobytes() == want2.tobytes()
 
 
 def test_ensemble_rejects_bad_offsets_and_duplicates():
