@@ -4,8 +4,12 @@ Floats are written with ``repr``, the shortest text that parses back to the
 same double, so every CSV round-trips exactly.  ``fmt`` formats a scalar
 cell (a window's thetas, a curve's bins, ``sigma_bar``); ``write_rows``
 writes whole columns, the rows of a returns series, a trajectory or an
-episode table, with the same text.  JSON files are indented, key-sorted
-and newline-terminated so that equal payloads give equal bytes.
+episode table, with the same text.  ``float_texts`` formats each distinct
+bit pattern of a column once and takes the texts of the patterns the
+column before held, so the episodes writer formats each distinct
+volatility once per pair of neighbouring windows, with the same bytes.
+JSON files are indented, key-sorted and newline-terminated so that equal
+payloads give equal bytes.
 
 ``read_table`` reads a CSV back: numpy's C reader is given the path and
 splits and parses the lines itself.  A file it refuses (a whitespace-only
@@ -63,6 +67,30 @@ def _column_text(column) -> list[str]:
             texts = np.array([str(i) for i in range(lo, hi + 1)], dtype=object)
             return texts[column - lo].tolist()
     return list(map(str, column.tolist()))
+
+
+def float_texts(
+    column: np.ndarray, previous: tuple[np.ndarray, np.ndarray]
+) -> tuple[list[str], tuple[np.ndarray, np.ndarray]]:
+    """``fmt``'s text of each cell of a float64 column, one ``repr`` per new bit pattern.
+
+    ``previous`` is the ``(bits, texts)`` pair returned with the column
+    before, or two empty arrays.  A cell whose bits are there takes that
+    text; only the column's other distinct patterns are formatted.  Cells
+    are matched by bits, not values, so ``0.0``, ``-0.0`` and NaN each keep
+    their own text.  Returns the texts and the column's own pair: its
+    distinct bits, sorted, and their texts.
+    """
+    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    old_bits, old_texts = previous
+    texts = np.empty(bits.size, dtype=object)
+    new = np.ones(bits.size, dtype=bool)
+    if old_bits.size:
+        at = np.minimum(np.searchsorted(old_bits, bits), old_bits.size - 1)
+        new = old_bits[at] != bits
+        texts[~new] = old_texts[at[~new]]
+    texts[new] = list(map(repr, bits[new].view(np.float64).tolist()))
+    return texts[inverse].tolist(), (bits, texts)
 
 
 def write_json(payload, path: str | Path) -> None:

@@ -108,9 +108,9 @@ class EmptyResultError(Exception):
     exit_code = EXIT_EMPTY
 
 
-def _parse_config_text(path: Path) -> dict:
+def _parse_config_text(path: Path, text: str) -> dict:
     values = {}
-    for line_no, raw in enumerate(path.read_text().splitlines(), start=1):
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -127,22 +127,42 @@ def _parse_config_text(path: Path) -> dict:
     return values
 
 
+def _parse_config_json(path: Path, text: str) -> dict:
+    try:
+        payload = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also an integer too long or nesting too deep
+        raise ConfigError(f"{path}: not valid JSON: {exc}") from None
+    block = payload.get("config", payload) if isinstance(payload, dict) else payload
+    if not isinstance(block, dict):
+        raise ConfigError(f"{path}: expected a JSON object of config keys, got {type(block).__name__}")
+    unknown = set(block) - set(CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
+    values = {}
+    for key, value in block.items():
+        bad = f"{path}: bad value for {key}: {json.dumps(value)}"
+        # JSON numbers only: true is not 1, and an integer key takes no 1.5.
+        if isinstance(value, bool) or not isinstance(value, int if key in _INT_KEYS else (int, float)):
+            raise ConfigError(bad)
+        try:
+            values[key] = value if key in _INT_KEYS else float(value)
+        except OverflowError:  # an integer beyond the float range
+            raise ConfigError(bad) from None
+    return values
+
+
 def load_config_file(path: str | Path) -> dict:
     """Read a ``key = value`` config file, or the config block of a manifest."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
     if path.suffix == ".json":
-        try:
-            payload = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON: {exc}") from None
-        block = payload.get("config", payload)
-        unknown = set(block) - set(CONFIG_KEYS)
-        if unknown:
-            raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
-        return {k: (int(v) if k in _INT_KEYS else float(v)) for k, v in block.items()}
-    return _parse_config_text(path)
+        return _parse_config_json(path, text)
+    return _parse_config_text(path, text)
 
 
 def resolve_config(args: argparse.Namespace) -> dict:

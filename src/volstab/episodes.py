@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._io import decode_runs, fmt, read_table, write_rows
+from ._io import decode_runs, float_texts, fmt, read_table, write_rows
 from .returns import Ensemble
 
 __all__ = [
@@ -233,13 +233,22 @@ _EPISODE_DTYPE = np.dtype([
 
 
 def write_episodes_csv(tables: list[EpisodeTable], path: str | Path) -> None:
-    """Write ``ticker,window_id,theta_i,theta_f,start_index,fht,volatility`` rows, one table at a time."""
+    """Write ``ticker,window_id,theta_i,theta_f,start_index,fht,volatility`` rows, one table at a time.
+
+    Neighbouring windows share most of their episode volatilities, so each
+    table takes the volatility texts of the table before it.  A lone table
+    has none to share and is formatted cell by cell, without the sort.
+    """
+    seen = (np.empty(0, dtype=np.int64), np.empty(0, dtype=object))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(_EPISODE_DTYPE.names) + "\n")
         for table in tables:
             w = table.window
             head = f",{w.window_id},{fmt(w.theta_i)},{fmt(w.theta_f)},"
-            write_rows(fh, table.tickers, head, table.start_index, ",", table.fht, ",", table.volatility)
+            vol = table.volatility
+            if len(tables) > 1:
+                vol, seen = float_texts(np.asarray(vol, dtype=np.float64), seen)
+            write_rows(fh, table.tickers, head, table.start_index, ",", table.fht, ",", vol)
 
 
 def read_episodes_csv(path: str | Path) -> list[EpisodeTable]:

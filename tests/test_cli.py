@@ -44,14 +44,32 @@ def test_config_file_parsing_and_overrides(tmp_path):
     assert manifest["sigma_bar"] > 0
 
 
-def test_config_file_errors(tmp_path):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("volatility = 1\n")
-    assert run("simulate", "--config", str(bad), "--out", str(tmp_path / "o")) == EXIT_CONFIG
-    bad.write_text("m 2\n")
-    assert run("simulate", "--config", str(bad), "--out", str(tmp_path / "o")) == EXIT_CONFIG
-    bad.write_text("m = fast\n")
-    assert run("simulate", "--config", str(bad), "--out", str(tmp_path / "o")) == EXIT_CONFIG
+# Config files that are not a config, by file name, and the error each ends in.
+BAD_CONFIGS = [
+    ("bad.cfg", b"volatility = 1\n", "line 1: unknown key 'volatility'"),
+    ("bad.cfg", b"m 2\n", "line 1: expected 'key = value', got 'm 2'"),
+    ("bad.cfg", b"m = fast\n", "line 1: bad value for m: 'fast'"),
+    ("bad.cfg", b"m = \xff\n", "not UTF-8 text"),
+    ("bad.json", b"[1, 2]", "expected a JSON object of config keys, got list"),
+    ("bad.json", b'{"config": 5}', "expected a JSON object of config keys, got int"),
+    ("bad.json", b'{"config": {"dt": "abc"}}', 'bad value for dt: "abc"'),
+    ("bad.json", b'{"dt": null}', "bad value for dt: null"),
+    ("bad.json", b'{"seed": 1.5}', "bad value for seed: 1.5"),  # not seed 1
+    ("bad.json", b'{"seed": true}', "bad value for seed: true"),
+    ("bad.json", b'{"dt": 1' + b"0" * 400 + b"}", "bad value for dt: 1000"),  # beyond the float range
+    ("bad.json", b"[" * 100_000, "not valid JSON"),
+]
+
+
+def test_config_file_errors(tmp_path, capsys):
+    out = tmp_path / "o"
+    for name, body, needle in BAD_CONFIGS:
+        bad = tmp_path / name
+        bad.write_bytes(body)
+        assert run("simulate", "--config", str(bad), "--out", str(out)) == EXIT_CONFIG, body
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: {needle}") and err.count("\n") == 1, err
+        assert not out.exists()
     assert run("simulate", "--config", str(tmp_path / "nope.cfg")) == EXIT_CONFIG
 
 

@@ -229,6 +229,22 @@ def test_reflecting_ensemble_matches_step_by_step_reference_bit_for_bit():
     assert np.array_equal(x, x_ref) and np.array_equal(v, v_ref)
 
 
+@pytest.mark.parametrize("x0", [0.0, -0.0])
+def test_signed_zeros_at_a_barrier_of_minus_zero_match_the_reference(x0):
+    # U = 2 x^3 puts the barrier at -2 * 0 / 6 = -0.0, and with no variance
+    # every state is a signed zero.  A reflection that looks equivalent,
+    # np.maximum(xn, 2b - xn), gives other signs here.
+    mp = ModelParams(potential=PotentialParams(m=2.0, n=0.0), cir=CirParams(b=0.0, c=0.0, v_start=0.0), x0=x0)
+    assert math.copysign(1.0, mp.potential.barrier) == -1.0
+    cfg = SimConfig(days=6, steps_per_day=3, n_series=4, seed=5)
+    x_ref, v_ref, _ = _reference_ensemble(mp, cfg)
+    x, v = simulate_ensemble(mp, cfg)
+    assert not x.any() and not v.any()
+    assert np.signbit(x_ref).any() == np.signbit(x0)
+    assert np.array_equal(np.signbit(x), np.signbit(x_ref)) and np.array_equal(np.signbit(v), np.signbit(v_ref))
+    assert x.tobytes() == x_ref.tobytes() and v.tobytes() == v_ref.tobytes()
+
+
 @pytest.mark.parametrize(
     "chunk_days, threads",
     [pytest.param(days, threads, id=f"{days}-helper" if threads > 1 else str(days))
