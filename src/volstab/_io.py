@@ -4,9 +4,9 @@ Floats are written with ``repr``, the shortest text that parses back to the
 same double, so every CSV round-trips exactly.  ``fmt`` formats a scalar
 cell (a window's thetas, a curve's bins, ``sigma_bar``); ``write_rows``
 writes whole columns, the rows of a returns series, a trajectory or an
-episode table, with the same text.  ``float_texts`` formats each distinct
-bit pattern of a column once and takes the texts of the patterns the
-column before held, so the episodes writer formats each distinct
+episode table, with the same text.  ``float_texts`` takes a cell's text
+from the column before when that column held the same bit pattern and
+formats only the other cells, so the episodes writer formats each
 volatility once per pair of neighbouring windows, with the same bytes.
 JSON files are indented, key-sorted and newline-terminated so that equal
 payloads give equal bytes.
@@ -72,25 +72,28 @@ def _column_text(column) -> list[str]:
 def float_texts(
     column: np.ndarray, previous: tuple[np.ndarray, np.ndarray]
 ) -> tuple[list[str], tuple[np.ndarray, np.ndarray]]:
-    """``fmt``'s text of each cell of a float64 column, one ``repr`` per new bit pattern.
+    """``fmt``'s text of each cell of a float64 column, reusing the column before's texts.
 
     ``previous`` is the ``(bits, texts)`` pair returned with the column
     before, or two empty arrays.  A cell whose bits are there takes that
-    text; only the column's other distinct patterns are formatted.  Cells
-    are matched by bits, not values, so ``0.0``, ``-0.0`` and NaN each keep
-    their own text.  Returns the texts and the column's own pair: its
-    distinct bits, sorted, and their texts.
+    text; only the other cells are formatted, in row order, so the texts
+    lie in memory in the order the rows are joined.  Cells are matched by
+    bits, not values, so ``0.0``, ``-0.0`` and NaN each keep their own
+    text.  Returns the texts and the column's own pair: its bits and their
+    texts, as an object array.
     """
-    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    bits = column.view(np.int64)
     old_bits, old_texts = previous
     texts = np.empty(bits.size, dtype=object)
     new = np.ones(bits.size, dtype=bool)
-    if old_bits.size:
-        at = np.minimum(np.searchsorted(old_bits, bits), old_bits.size - 1)
-        new = old_bits[at] != bits
-        texts[~new] = old_texts[at[~new]]
-    texts[new] = list(map(repr, bits[new].view(np.float64).tolist()))
-    return texts[inverse].tolist(), (bits, texts)
+    if old_bits.size:  # sort both columns' bits, so the search walks them in step
+        old_order, order = np.argsort(old_bits), np.argsort(bits)
+        at = old_order[np.minimum(np.searchsorted(old_bits[old_order], bits[order]), old_bits.size - 1)]
+        hit = old_bits[at] == bits[order]
+        new[order[hit]] = False
+        texts[order[hit]] = old_texts[at[hit]]
+    texts[new] = list(map(repr, column[new].tolist()))
+    return texts.tolist(), (bits, texts)
 
 
 def write_json(payload, path: str | Path) -> None:

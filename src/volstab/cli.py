@@ -116,14 +116,14 @@ def _parse_config_text(path: Path, text: str) -> dict:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}: line {line_no}: expected 'key = value', got {raw!r}")
-        key, _, text = line.partition("=")
-        key, text = key.strip(), text.strip()
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
         if key not in CONFIG_KEYS:
             raise ConfigError(f"{path}: line {line_no}: unknown key {key!r}")
         try:
-            values[key] = int(text) if key in _INT_KEYS else float(text)
+            values[key] = int(value) if key in _INT_KEYS else float(value)
         except ValueError:
-            raise ConfigError(f"{path}: line {line_no}: bad value for {key}: {text!r}") from None
+            raise ConfigError(f"{path}: line {line_no}: bad value for {key}: {value!r}") from None
     return values
 
 

@@ -236,8 +236,7 @@ def write_episodes_csv(tables: list[EpisodeTable], path: str | Path) -> None:
     """Write ``ticker,window_id,theta_i,theta_f,start_index,fht,volatility`` rows, one table at a time.
 
     Neighbouring windows share most of their episode volatilities, so each
-    table takes the volatility texts of the table before it.  A lone table
-    has none to share and is formatted cell by cell, without the sort.
+    table takes the volatility texts of the table before it.
     """
     seen = (np.empty(0, dtype=np.int64), np.empty(0, dtype=object))
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -245,9 +244,7 @@ def write_episodes_csv(tables: list[EpisodeTable], path: str | Path) -> None:
         for table in tables:
             w = table.window
             head = f",{w.window_id},{fmt(w.theta_i)},{fmt(w.theta_f)},"
-            vol = table.volatility
-            if len(tables) > 1:
-                vol, seen = float_texts(np.asarray(vol, dtype=np.float64), seen)
+            vol, seen = float_texts(np.asarray(table.volatility, dtype=np.float64), seen)
             write_rows(fh, table.tickers, head, table.start_index, ",", table.fht, ",", vol)
 
 
