@@ -27,7 +27,6 @@ from .model import (
 from .returns import (
     Ensemble,
     MarketStats,
-    PriceSeries,
     ReturnSeries,
     load_prices,
     market_stats,
@@ -50,8 +49,6 @@ from .stats import (
     locate_maximum,
     mfht_curve,
     nonmonotonicity_verdict,
-    return_pdf,
-    vol_pdf,
 )
 
 __version__ = "0.1.0"

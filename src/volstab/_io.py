@@ -102,16 +102,20 @@ def write_json(payload, path: str | Path) -> None:
         fh.write("\n")
 
 
-def read_table(path: str | Path, dtype: np.dtype) -> tuple[np.ndarray, Callable[[int], int]]:
+def read_table(
+    path: str | Path, dtype: np.dtype, header: str | None = None
+) -> tuple[np.ndarray, Callable[[int], int]]:
     """Every nonblank data row of a CSV whose header names ``dtype``'s fields.
 
     ``dtype`` has one field per column.  A text column (``S<n>``) keeps its
     cells' UTF-8 bytes; ``n`` is a first guess at its width, widened until
-    no cell fills it, so no cell is ever cut short.  Returns the rows and
-    ``line_of``, the file line of a data row.  A wrong header or a line that
-    numpy's parser refuses raises ValueError naming the file and the line.
+    no cell fills it, so no cell is ever cut short.  A caller that has read
+    and checked the header line itself passes it, stripped and read as
+    latin-1, as ``header``.  Returns the rows and ``line_of``, the file line
+    of a data row.  A wrong header or a line that numpy's parser refuses
+    raises ValueError naming the file and the line.
     """
-    header = ",".join(dtype.names)
+    header = ",".join(dtype.names) if header is None else header
     # latin-1 maps every byte to one character, so text cells pass the
     # parser as their bytes.
     with open(path, encoding="latin-1") as fh:

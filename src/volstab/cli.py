@@ -280,11 +280,11 @@ def _load_input_series(args: argparse.Namespace) -> tuple[Ensemble, list[Path]]:
             path = Path(args.returns)
             return read_returns_csv(path), [path]
         path = Path(args.prices)
-        prices = load_prices(path, layout=args.layout)
-        if not prices:
+        tickers, prices, offsets = load_prices(path, layout=args.layout)
+        if not tickers:
             raise InputError(f"{path}: no series with at least two valid prices")
         files = sorted(path.glob("*.csv")) if path.is_dir() else [path]
-        return Ensemble.from_series(to_returns(p) for p in prices), files
+        return to_returns(tickers, prices, offsets), files
     except (OSError, ValueError) as exc:
         raise InputError(str(exc)) from None
 
@@ -300,20 +300,24 @@ def _resolve_windows(args: argparse.Namespace, sigma_bar: float) -> list[Thresho
         raise ConfigError(str(exc)) from None
 
 
-def _curves_and_verdicts(
-    out: Path, tables: list[EpisodeTable], bins: int, min_count: int
-) -> list[dict]:
-    verdicts = []
+def _curves_and_verdicts(tables: list[EpisodeTable], bins: int, min_count: int) -> tuple[list, list[dict]]:
+    """Each table's curve (None when no episode can be binned) and verdict."""
+    curves, verdicts = [], []
     for table in tables:
-        window_id = table.window.window_id
         try:
             curve = mfht_curve(table, bins=bins, min_count=min_count)
         except ValueError:  # no episodes, or none with binnable volatility
-            verdicts.append(nonmonotonicity_verdict(None, window_id=window_id))
-            continue
-        write_curve_csv(curve, out / f"curve_{window_id}.csv")
-        verdicts.append(nonmonotonicity_verdict(curve, window_id=window_id))
-    return verdicts
+            curve = None
+        curves.append(curve)
+        verdicts.append(nonmonotonicity_verdict(curve, window_id=table.window.window_id))
+    return curves, verdicts
+
+
+def _write_curves(out: Path, curves: list, verdicts: list[dict]) -> None:
+    for curve in curves:
+        if curve is not None:
+            write_curve_csv(curve, out / f"curve_{curve.window.window_id}.csv")
+    write_json(verdicts, out / "verdicts.json")
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -329,17 +333,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 "so sigma_bar is 0 and no threshold can be set from it"
             )
     windows = _resolve_windows(args, sigma_bar)
-    out = _out_dir(args, config["seed"])
-
     tables = [
         extract_table(ensemble, w, entry_rule=args.entry_rule, vol_scope=args.vol_scope)
         for w in windows
     ]
     n_series = len(ensemble)
     del ensemble  # its arrays and prefix sums outweigh the tables; free them before writing
+    # bin the curves first, so that a size too large to bin leaves no output directory
+    curves, verdicts = _curves_and_verdicts(tables, args.bins, args.min_count)
+    out = _out_dir(args, config["seed"])
     write_episodes_csv(tables, out / "episodes.csv")
-    verdicts = _curves_and_verdicts(out, tables, args.bins, args.min_count)
-    write_json(verdicts, out / "verdicts.json")
+    _write_curves(out, curves, verdicts)
     write_manifest(
         out,
         "analyze",
@@ -378,9 +382,9 @@ def _load_episode_tables(path_text: str) -> list[EpisodeTable]:
 
 def cmd_mfht(args: argparse.Namespace) -> int:
     tables = _load_episode_tables(args.episodes)
+    curves, verdicts = _curves_and_verdicts(tables, args.bins, args.min_count)
     out = _out_dir(args, None)
-    verdicts = _curves_and_verdicts(out, tables, args.bins, args.min_count)
-    write_json(verdicts, out / "verdicts.json")
+    _write_curves(out, curves, verdicts)
     write_manifest(
         out,
         "mfht",
@@ -393,9 +397,9 @@ def cmd_mfht(args: argparse.Namespace) -> int:
 
 def cmd_fht_pdf(args: argparse.Namespace) -> int:
     tables = _load_episode_tables(args.episodes)
+    hists = [fht_pdf(table, bins=args.bins) for table in tables]
     out = _out_dir(args, None)
-    for table in tables:
-        hist = fht_pdf(table, bins=args.bins)
+    for table, hist in zip(tables, hists):
         write_histogram_csv(hist, out / f"fht_pdf_{table.window.window_id}.csv")
     write_manifest(out, "fht-pdf", {"bins": args.bins}, [Path(args.episodes)])
     print(f"fht-pdf: {len(tables)} window(s) -> {out}")
@@ -537,6 +541,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError as exc:  # a size too large for this machine
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

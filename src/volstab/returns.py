@@ -8,7 +8,6 @@ flat array of returns cut into series by offsets.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from collections import Counter
@@ -21,7 +20,6 @@ import numpy as np
 from ._io import decode_runs, read_table, write_json, write_rows
 
 __all__ = [
-    "PriceSeries",
     "ReturnSeries",
     "Ensemble",
     "MarketStats",
@@ -34,23 +32,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True, eq=False)
-class PriceSeries:
-    """Daily closing prices for one ticker; strictly positive, dates ascending."""
-
-    ticker: str
-    dates: tuple[str, ...]
-    prices: np.ndarray
-
-    def __post_init__(self) -> None:
-        if len(self.dates) != self.prices.size or self.prices.size < 2:
-            raise ValueError(f"{self.ticker}: need >= 2 aligned dates and prices")
-        if not np.all(np.isfinite(self.prices)) or np.any(self.prices <= 0):
-            raise ValueError(f"{self.ticker}: prices must be finite and positive")
-        if any(a >= b for a, b in zip(self.dates, self.dates[1:])):
-            raise ValueError(f"{self.ticker}: dates must be strictly increasing")
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,12 +189,15 @@ class MarketStats:
     per_series_sigma: dict[str, float]
 
 
-def to_returns(p: PriceSeries) -> ReturnSeries:
-    """r(t) = (p(t) - p(t-1)) / p(t-1) for consecutive valid prices."""
-    if p.prices.size < 2:
-        raise ValueError(f"{p.ticker}: need at least two prices")
-    r = np.diff(p.prices) / p.prices[:-1]
-    return ReturnSeries.from_returns(p.ticker, r)
+def to_returns(tickers: list[str], prices: np.ndarray, offsets: np.ndarray) -> Ensemble:
+    """Returns r(t) = (p(t) - p(t-1)) / p(t-1) of each series of ``load_prices``' result."""
+    prices = np.asarray(prices, dtype=float)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    if not np.all((prices > 0) & (prices < np.inf)):
+        raise ValueError("prices must be finite and positive")
+    r = np.diff(prices) / prices[:-1]
+    # the entry from one series' last price to the next one's first is no return
+    return Ensemble(tickers, np.delete(r, offsets[1:-1] - 1), offsets - np.arange(offsets.size))
 
 
 def market_stats(ensemble: Ensemble) -> MarketStats:
@@ -223,114 +207,90 @@ def market_stats(ensemble: Ensemble) -> MarketStats:
     return MarketStats(n_series=len(per), sigma_bar=sigma_bar, per_series_sigma=per)
 
 
-def _parse_price(raw: str, path: str, line_no: int, column: str) -> float | None:
-    """None for a missing value; raises for garbage that is not a number."""
-    text = raw.strip()
-    if not text:
-        return None
-    try:
-        value = float(text)
-    except ValueError:
-        raise ValueError(f"{path}: line {line_no}, column {column!r}: not a number: {raw!r}") from None
-    if not math.isfinite(value):
-        return None
-    return value
+def load_prices(path: str | Path, layout: str = "per-stock") -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Closing prices from CSV: ``(tickers, prices, offsets)``, ``to_returns``' input.
 
-
-def _series_from_pairs(ticker: str, pairs: list[tuple[str, float]], dropped: int) -> PriceSeries | None:
-    if dropped:
-        logger.warning("%s: dropped %d rows with missing or non-positive prices", ticker, dropped)
-    if len(pairs) < 2:
-        logger.warning("%s: skipped, fewer than 2 valid prices", ticker)
-        return None
-    dates = tuple(d for d, _ in pairs)
-    prices = np.array([p for _, p in pairs], dtype=float)
-    return PriceSeries(ticker=ticker, dates=dates, prices=prices)
-
-
-def _load_per_stock_file(path: Path) -> PriceSeries | None:
-    ticker = path.stem
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ValueError(f"{path}: empty file")
-    header = [h.strip().lower() for h in rows[0]]
-    if header[:2] != ["date", "close"]:
-        raise ValueError(f"{path}: expected header 'date,close', got {rows[0]!r}")
-    pairs: list[tuple[str, float]] = []
-    dropped = 0
-    for line_no, row in enumerate(rows[1:], start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) < 2:
-            raise ValueError(f"{path}: line {line_no}: expected 2 columns, got {len(row)}")
-        value = _parse_price(row[1], str(path), line_no, "close")
-        if value is None or value <= 0:
-            dropped += 1
-            continue
-        pairs.append((row[0].strip(), value))
-    return _series_from_pairs(ticker, pairs, dropped)
-
-
-def _load_wide_file(path: Path) -> list[PriceSeries]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ValueError(f"{path}: empty file")
-    header = [h.strip() for h in rows[0]]
-    if not header or header[0].lower() != "date" or len(header) < 2:
-        raise ValueError(f"{path}: expected header 'date,<ticker>,...', got {rows[0]!r}")
-    tickers = header[1:]
-    if len(set(tickers)) != len(tickers):
-        raise ValueError(f"{path}: duplicate ticker columns")
-    pairs: dict[str, list[tuple[str, float]]] = {t: [] for t in tickers}
-    dropped = dict.fromkeys(tickers, 0)
-    for line_no, row in enumerate(rows[1:], start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        date = row[0].strip()
-        for col, ticker in enumerate(tickers, start=1):
-            raw = row[col] if col < len(row) else ""
-            value = _parse_price(raw, str(path), line_no, ticker)
-            if value is None or value <= 0:
-                dropped[ticker] += 1
-                continue
-            pairs[ticker].append((date, value))
-    out = []
-    for ticker in tickers:
-        series = _series_from_pairs(ticker, pairs[ticker], dropped[ticker])
-        if series is not None:
-            out.append(series)
-    return out
-
-
-def load_prices(path: str | Path, layout: str = "per-stock") -> list[PriceSeries]:
-    """Load closing prices from CSV.
-
-    ``per-stock`` expects files with header ``date,close`` (a directory is
-    scanned for ``*.csv``, ticker = file stem); ``wide`` expects one file
-    with header ``date,<ticker1>,<ticker2>,...``.  Rows with missing or
-    non-positive prices are dropped with a per-ticker warning; a series
-    left with fewer than two valid prices is skipped.
+    Series ``i`` is ``prices[offsets[i]:offsets[i + 1]]``.  A ``per-stock``
+    file's header starts ``date,close`` in any case (a directory is scanned
+    for ``*.csv``, ticker = file stem); a ``wide`` file's header is
+    ``date,<ticker1>,<ticker2>,...``.  A blank, ``nan``, ``inf`` or
+    non-positive price is dropped with a per-ticker warning, and a series
+    left with fewer than two prices is skipped.  README lists the accepted
+    forms; any other cell, or a date not after the one above it, raises
+    ValueError naming the line.
     """
     path = Path(path)
     if not path.exists():
         raise ValueError(f"{path}: no such file or directory")
-    if layout == "per-stock":
-        files = sorted(path.glob("*.csv")) if path.is_dir() else [path]
-        if not files:
-            raise ValueError(f"{path}: no CSV files found")
-        out = []
-        for f in files:
-            series = _load_per_stock_file(f)
-            if series is not None:
-                out.append(series)
-        return out
-    if layout == "wide":
-        if path.is_dir():
-            raise ValueError(f"{path}: wide layout expects a single CSV file")
-        return _load_wide_file(path)
-    raise ValueError(f"unknown layout {layout!r} (expected 'per-stock' or 'wide')")
+    if layout not in ("per-stock", "wide"):
+        raise ValueError(f"unknown layout {layout!r} (expected 'per-stock' or 'wide')")
+    if layout == "wide" and path.is_dir():
+        raise ValueError(f"{path}: wide layout expects a single CSV file")
+    files = sorted(path.glob("*.csv")) if path.is_dir() else [path]
+    if not files:
+        raise ValueError(f"{path}: no CSV files found")
+    tickers, series = [], []
+    for f in files:
+        for ticker, prices, dropped in _price_columns(f, layout):
+            if dropped:
+                logger.warning("%s: dropped %d rows with missing or non-positive prices", ticker, dropped)
+            if prices.size < 2:
+                logger.warning("%s: skipped, fewer than 2 valid prices", ticker)
+                continue
+            tickers.append(ticker)
+            series.append(prices)
+    offsets = np.cumsum([0, *(p.size for p in series)], dtype=np.int64)
+    return tickers, np.concatenate([np.empty(0), *series]), offsets
+
+
+def _price_columns(path: Path, layout: str) -> Iterator[tuple[str, np.ndarray, int]]:
+    """Each ticker of one price file, its valid prices, and the number of its rows dropped."""
+    with open(path, encoding="latin-1") as fh:  # as read_table reads it: one character per byte
+        line = fh.readline().encode("latin-1")
+    names = [name.strip() for name in line.split(b",")]
+    if names[0].lower() != b"date" or len(names) < 2 or (layout != "wide" and names[1].lower() != b"close"):
+        expected = "date,close" if layout == "per-stock" else "date,<ticker>,..."
+        raise ValueError(f"{path}: expected header {expected!r}, got {_text(line.strip())!r}")
+    try:
+        tickers = [path.stem] if layout == "per-stock" else [name.decode().strip() for name in names[1:]]
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: line 1: a ticker is not UTF-8: {_text(line.strip())!r}") from None
+    if len(set(tickers)) != len(tickers):
+        raise ValueError(f"{path}: duplicate ticker columns")
+    # Every cell is read as text: the date, the prices and any further column.
+    dtype = np.dtype([("date", "S16"), *((f"c{j}", "S32") for j in range(1, len(names)))])
+    rows, line_of = read_table(path, dtype, header=line.decode("latin-1").strip())
+    dates = np.char.strip(rows["date"])
+    cells = np.stack([np.char.strip(rows[f"c{j + 1}"]) for j in range(len(tickers))], axis=-1)
+    blank = cells == b""
+    kept = np.flatnonzero((dates != b"") | ~blank.all(axis=1))  # a line of blank cells is skipped
+    prices = np.full(cells.shape, np.nan)  # a blank cell is a missing price
+    try:
+        prices[~blank] = cells[~blank].astype(np.float64)
+    except ValueError:  # numpy's cast is Python's float of each cell's bytes; find the first it refuses
+        for k in np.flatnonzero(~blank).tolist():
+            try:
+                float(cells.flat[k])
+            except ValueError:
+                row, j = divmod(k, len(tickers))
+                column = "close" if layout == "per-stock" else tickers[j]
+                raw = _text(rows[f"c{j + 1}"][row])
+                raise ValueError(
+                    f"{path}: line {line_of(row)}, column {column!r}: not a number: {raw!r}"
+                ) from None
+        raise
+    late = np.flatnonzero(dates[kept[1:]] <= dates[kept[:-1]])
+    if late.size:
+        before, row = kept[late[0] : late[0] + 2]
+        raise ValueError(f"{path}: line {line_of(row)}: dates must be strictly increasing, "
+                         f"got {_text(dates[row])!r} after {_text(dates[before])!r}")
+    valid = (prices > 0) & (prices < np.inf)  # NaN is neither
+    for j, ticker in enumerate(tickers):
+        yield ticker, prices[valid[:, j], j], kept.size - int(np.count_nonzero(valid[:, j]))
+
+
+def _text(raw: bytes) -> str:
+    return raw.decode("utf-8", "backslashreplace")
 
 
 # The ticker width is a first guess, widened by the reader when a ticker fills it.

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
 
@@ -31,8 +31,6 @@ __all__ = [
     "compare_curves",
     "histogram",
     "fht_pdf",
-    "return_pdf",
-    "vol_pdf",
     "acf",
     "ensemble_acf",
     "write_curve_csv",
@@ -107,24 +105,18 @@ class AcfSeries:
     values: np.ndarray
 
 
-def _log_edges(values: np.ndarray, bins: int) -> np.ndarray:
-    """Log-spaced edges spanning the positive values, endpoints exact."""
+def _edges(values: np.ndarray, bins: int, log: bool) -> np.ndarray:
+    """Edges of ``bins`` equal bins, log-spaced when ``log``, spanning the values; endpoints exact."""
     vmin = float(values.min())
     vmax = float(values.max())
     if vmin == vmax:
+        if not log:
+            return np.array([vmin - 0.5, vmax + 0.5])
         return np.array([0.5 * vmin, 1.5 * vmin]) if vmin > 0 else np.array([-0.5, 0.5])
-    edges = np.exp(np.linspace(math.log(vmin), math.log(vmax), bins + 1))
-    edges[0] = vmin
-    edges[-1] = vmax
-    return edges
-
-
-def _linear_edges(values: np.ndarray, bins: int) -> np.ndarray:
-    vmin = float(values.min())
-    vmax = float(values.max())
-    if vmin == vmax:
-        return np.array([vmin - 0.5, vmax + 0.5])
-    edges = np.linspace(vmin, vmax, bins + 1)
+    if log:
+        edges = np.exp(np.linspace(math.log(vmin), math.log(vmax), bins + 1))
+    else:
+        edges = np.linspace(vmin, vmax, bins + 1)
     edges[0] = vmin
     edges[-1] = vmax
     return edges
@@ -161,7 +153,7 @@ def mfht_curve(
         usable = volatility[np.isfinite(volatility) & (volatility > 0)]
         if usable.size == 0:
             raise ValueError("no episodes with positive volatility to bin")
-        edges = _log_edges(usable, int(bins))
+        edges = _edges(usable, int(bins), log=True)
     else:
         edges = np.asarray(bins, dtype=float)
         if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
@@ -309,16 +301,18 @@ def compare_curves(empirical: MfhtCurve, model: MfhtCurve) -> CurveComparison:
     )
 
 
-def histogram(values: Iterable[float], bins: int | np.ndarray = DEFAULT_BINS, log: bool = False) -> Histogram:
+def histogram(
+    values: Sequence[float] | np.ndarray, bins: int | np.ndarray = DEFAULT_BINS, log: bool = False
+) -> Histogram:
     """Normalized histogram; density integrates to 1 over the in-range values."""
-    values = np.asarray(list(values) if not isinstance(values, np.ndarray) else values, dtype=float)
+    values = np.asarray(values, dtype=float)
     values = values[np.isfinite(values)]
     if log:
         values = values[values > 0]
     if values.size == 0:
         raise ValueError("no finite values to bin")
     if isinstance(bins, (int, np.integer)):
-        edges = _log_edges(values, int(bins)) if log else _linear_edges(values, int(bins))
+        edges = _edges(values, int(bins), log)
     else:
         edges = np.asarray(bins, dtype=float)
     idx = _bin_index(values, edges)
@@ -336,18 +330,6 @@ def fht_pdf(table: EpisodeTable, bins: int | np.ndarray = DEFAULT_BINS) -> Histo
     if len(table) == 0:
         raise ValueError("no episodes")
     return histogram(table.fht, bins=bins, log=True)
-
-
-def return_pdf(ensemble: Ensemble, bins: int | np.ndarray = DEFAULT_BINS) -> Histogram:
-    """Distribution of pooled daily returns, linear bins."""
-    return histogram(ensemble.values, bins=bins, log=False)
-
-
-def vol_pdf(table: EpisodeTable, bins: int | np.ndarray = DEFAULT_BINS) -> Histogram:
-    """Distribution of episode volatilities, log-spaced bins by default."""
-    if len(table) == 0:
-        raise ValueError("no episodes")
-    return histogram(table.volatility, bins=bins, log=True)
 
 
 def acf(series: ReturnSeries | np.ndarray, max_lag: int, absolute: bool = False) -> AcfSeries:

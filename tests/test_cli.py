@@ -112,6 +112,11 @@ BAD_VALUES = [
     (["simulate", "--n-series", "2", "--days", "5", "--threads", "0"], EXIT_CONFIG, "--threads"),
     (["simulate", "--n-series", "2", "--days", "5", "--threads", "-5"], EXIT_CONFIG, "--threads"),
     (["simulate", "--n-series", "3", "--days", "50", "--dt", "1"], EXIT_CONFIG, "lower dt"),
+    # sizes no machine can allocate: numpy refuses them at once, before any memory is used
+    (["simulate", "--days", "1000000000000"], EXIT_CONFIG, "error: out of memory: "),
+    (["analyze", "--returns", "{returns}", "--bins", "1000000000000000"], EXIT_CONFIG, "error: out of memory: "),
+    (["mfht", "--episodes", "{episodes}", "--bins", "1000000000000000"], EXIT_CONFIG, "error: out of memory: "),
+    (["fht-pdf", "--episodes", "{episodes}", "--bins", "1000000000000000"], EXIT_CONFIG, "error: out of memory: "),
 ]
 
 

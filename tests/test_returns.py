@@ -12,7 +12,6 @@ from volstab import returns
 from volstab.returns import (
     Ensemble,
     MarketStats,
-    PriceSeries,
     ReturnSeries,
     load_prices,
     market_stats,
@@ -23,37 +22,47 @@ from volstab.returns import (
 )
 
 
-def _prices(ticker, values, start=1):
-    dates = tuple(f"2020-01-{d:02d}" for d in range(start, start + len(values)))
-    return PriceSeries(ticker=ticker, dates=dates, prices=np.array(values, dtype=float))
+def _returns(ticker, prices):
+    """The one series ``to_returns`` makes of ``prices``."""
+    (rs,) = to_returns([ticker], prices, [0, len(prices)])
+    return rs
 
 
 def test_to_returns_hand_values():
-    rs = to_returns(_prices("a", [100, 102]))
+    rs = _returns("a", [100, 102])
     assert rs.returns.tolist() == pytest.approx([0.02])
-    rs = to_returns(_prices("b", [100, 50, 100]))
+    rs = _returns("b", [100, 50, 100])
     assert rs.returns.tolist() == pytest.approx([-0.5, 1.0])
 
 
+def test_to_returns_makes_no_return_across_series():
+    ens = to_returns(["a", "b", "c"], [100, 102, 100, 50, 100, 7, 14], [0, 2, 5, 7])
+    assert ens.tickers == ["a", "b", "c"]
+    assert ens.offsets.tolist() == [0, 1, 3, 4]
+    assert ens.values.tolist() == pytest.approx([0.02, -0.5, 1.0, 1.0])
+    for rs, prices in zip(ens, ([100, 102], [100, 50, 100], [7, 14])):
+        assert rs.sigma == _returns(rs.ticker, prices).sigma
+
+
 def test_to_returns_constant_prices():
-    rs = to_returns(_prices("c", [70, 70, 70, 70]))
+    rs = _returns("c", [70, 70, 70, 70])
     assert np.all(rs.returns == 0.0)
     assert rs.sigma == 0.0
 
 
 def test_sigma_is_population_std_and_recomputable():
-    rs = to_returns(_prices("d", [100, 103, 99, 101, 104]))
+    rs = _returns("d", [100, 103, 99, 101, 104])
     expected = float(np.std(rs.returns))  # ddof=0
     assert math.isclose(rs.sigma, expected, rel_tol=1e-12)
 
 
 def test_scale_invariance_of_returns():
-    base = to_returns(_prices("e", [100, 105, 95, 102]))
+    base = _returns("e", [100, 105, 95, 102])
     for k in (2.0, 0.5, 2.0**10):  # exact binary scalings: bit-identical
-        scaled = to_returns(_prices("e", [k * p for p in (100, 105, 95, 102)]))
+        scaled = _returns("e", [k * p for p in (100, 105, 95, 102)])
         assert np.array_equal(scaled.returns, base.returns)
         assert scaled.sigma == base.sigma
-    inexact = to_returns(_prices("e", [1.1 * p for p in (100, 105, 95, 102)]))
+    inexact = _returns("e", [1.1 * p for p in (100, 105, 95, 102)])
     np.testing.assert_allclose(inexact.returns, base.returns, rtol=1e-12)
 
 
@@ -84,30 +93,32 @@ def test_market_stats_rejects_empty_and_duplicates():
         market_stats(Ensemble.from_series([rs, rs]))
 
 
-def test_price_series_validation():
+def test_price_series_validation(tmp_path):
     with pytest.raises(ValueError):
-        _prices("p", [100])  # too short
+        _returns("p", [100])  # too short
     with pytest.raises(ValueError):
-        _prices("p", [100, -3])
+        _returns("p", [100, -3])
+    f = tmp_path / "p.csv"
+    f.write_text("date,close\n2020-01-02,1.0\n2020-01-01,2.0\n")
     with pytest.raises(ValueError):
-        PriceSeries("p", ("2020-01-02", "2020-01-01"), np.array([1.0, 2.0]))
+        load_prices(f)
 
 
 def test_load_prices_per_stock_file(tmp_path):
     f = tmp_path / "abc.csv"
     f.write_text("date,close\n2020-01-01,100\n2020-01-02,102\n")
-    series = load_prices(f)
-    assert len(series) == 1
-    assert series[0].ticker == "abc"
-    assert series[0].prices.tolist() == [100.0, 102.0]
+    tickers, prices, offsets = load_prices(f)
+    assert tickers == ["abc"]
+    assert prices.tolist() == [100.0, 102.0]
+    assert offsets.tolist() == [0, 2]
 
 
 def test_load_prices_directory_and_skip_short(tmp_path, caplog):
     (tmp_path / "aa.csv").write_text("date,close\n2020-01-01,10\n2020-01-02,11\n2020-01-03,12\n")
     (tmp_path / "bb.csv").write_text("date,close\n2020-01-01,5\n")
     with caplog.at_level(logging.WARNING):
-        series = load_prices(tmp_path)
-    assert [s.ticker for s in series] == ["aa"]
+        tickers, _, _ = load_prices(tmp_path)
+    assert tickers == ["aa"]
     assert any("bb" in rec.message and "skipped" in rec.message for rec in caplog.records)
 
 
@@ -115,8 +126,8 @@ def test_load_prices_drops_bad_rows_with_warning(tmp_path, caplog):
     f = tmp_path / "cc.csv"
     f.write_text("date,close\n2020-01-01,10\n2020-01-02,\n2020-01-03,-4\n2020-01-04,11\n")
     with caplog.at_level(logging.WARNING):
-        series = load_prices(f)
-    assert series[0].prices.tolist() == [10.0, 11.0]
+        _, prices, _ = load_prices(f)
+    assert prices.tolist() == [10.0, 11.0]
     assert any("dropped 2" in rec.message for rec in caplog.records)
 
 
@@ -130,7 +141,7 @@ def test_load_prices_non_numeric_cell_is_an_error(tmp_path):
 def test_load_prices_empty_file_and_missing_path(tmp_path):
     f = tmp_path / "ee.csv"
     f.write_text("")
-    with pytest.raises(ValueError, match="empty"):
+    with pytest.raises(ValueError, match="expected header 'date,close', got ''"):
         load_prices(f)
     with pytest.raises(ValueError):
         load_prices(tmp_path / "nope.csv")
@@ -146,19 +157,75 @@ def test_load_prices_wide_matrix(tmp_path):
         "2020-01-04,13,23,33\n"
         "2020-01-05,14,24,34\n"
     )
-    series = load_prices(f, layout="wide")
-    assert [s.ticker for s in series] == ["aa", "bb", "cc"]
-    assert all(s.prices.size == 5 for s in series)
+    tickers, prices, offsets = load_prices(f, layout="wide")
+    assert tickers == ["aa", "bb", "cc"]
+    assert np.diff(offsets).tolist() == [5, 5, 5]
+    assert prices[offsets[1] : offsets[2]].tolist() == [20.0, 21.0, 22.0, 23.0, 24.0]
 
 
 def test_load_prices_wide_gap_closed_across_missing_day(tmp_path):
     f = tmp_path / "wide.csv"
     f.write_text("date,aa,bb\n2020-01-01,10,20\n2020-01-02,,21\n2020-01-03,12,22\n")
-    series = load_prices(f, layout="wide")
-    aa = next(s for s in series if s.ticker == "aa")
+    tickers, prices, offsets = load_prices(f, layout="wide")
     # the missing day is dropped; the return spans the gap
-    assert aa.prices.tolist() == [10.0, 12.0]
-    assert to_returns(aa).returns.tolist() == pytest.approx([0.2])
+    assert prices[: offsets[1]].tolist() == [10.0, 12.0]
+    assert to_returns(tickers, prices, offsets)[0].returns.tolist() == pytest.approx([0.2])
+
+
+# Price files in forms beyond the plain one: a name, the layout, the file's
+# bytes, and either the (tickers, prices, rows dropped per ticker) it loads
+# as or the error it raises.  Every price is read as Python's float() reads bytes.
+PRICE_FORMS = [
+    ("header with another case and column", "per-stock",
+     b"Date,Close,Volume\n2020-01-01,10,500\n2020-01-02,11,600\n", (["f"], [10.0, 11.0], {})),
+    ("nan and inf are missing", "per-stock",
+     b"date,close\n2020-01-01,10\n2020-01-02,nan\n2020-01-03,inf\n2020-01-04,-inf\n2020-01-05,1e400\n2020-01-06,11\n",
+     (["f"], [10.0, 11.0], {"f": 4})),
+    ("digits with _ and blanks around", "per-stock", b"date,close\n2020-01-01,1_0\n2020-01-02, 4 \n",
+     (["f"], [10.0, 4.0], {})),
+    ("whitespace-only cells and lines", "per-stock",
+     b"date,close\n2020-01-01,10\n2020-01-02,  \n   \n \t, \n2020-01-03,11\n", (["f"], [10.0, 11.0], {"f": 1})),
+    ("CRLF line ends", "per-stock", b"date,close\r\n2020-01-01,10\r\n2020-01-02,11\r\n", (["f"], [10.0, 11.0], {})),
+    ("CR line ends", "wide", b"date,aa,bb\r2020-01-01,10,\r2020-01-02,11,3\r2020-01-03,12,4\r",
+     (["aa", "bb"], [10.0, 11.0, 12.0, 3.0, 4.0], {"bb": 1})),
+    ("non-ASCII tickers", "wide", "date,é,日本, xà\n2020-01-01,1,2,3\n2020-01-02,2,3,4\n".encode(),
+     (["é", "日本", "xà"], [1.0, 2.0, 2.0, 3.0, 3.0, 4.0], {})),
+    ("wide row shorter than the header", "wide", b"date,aa,bb\n2020-01-01,1,2\n2020-01-02,3\n",
+     "line 3: expected 3 columns, got 2"),
+    ("row longer than the header", "per-stock", b"date,close\n2020-01-01,1,\n2020-01-02,2\n",
+     "line 2: expected 2 columns, got 3"),
+    ("decreasing dates", "per-stock", b"date,close\n2020-01-02,1\n2020-01-01,2\n",
+     "line 3: dates must be strictly increasing, got '2020-01-01' after '2020-01-02'"),
+    ("date out of order on a row without a price", "per-stock",
+     b"date,close\n2020-01-02,1\n2020-01-01,\n2020-01-03,2\n", "line 3: dates must be strictly increasing"),
+    ("non-UTF-8 ticker", "wide", b"date,a\xff\n2020-01-01,1\n2020-01-02,2\n",
+     "line 1: a ticker is not UTF-8: 'date,a\\\\xff'"),
+    ("quoted price", "per-stock", b'date,close\n2020-01-01,"10"\n2020-01-02,11\n',
+     "line 2, column 'close': not a number: '\"10\"'"),
+    ("quoted header", "per-stock", b'"date","close"\n2020-01-01,10\n', "expected header 'date,close'"),
+    ("no-break space around a price", "per-stock", "date,close\n2020-01-01,\u00a010\n".encode(),
+     "line 2, column 'close': not a number: '\\xa010'"),
+    ("bad cell of a wide file", "wide", b"date,aa,bb\n2020-01-01,10,1\n2020-01-02,11,x y\n",
+     "line 3, column 'bb': not a number: 'x y'"),
+]
+
+
+@pytest.mark.filterwarnings("error")  # no numpy warning on the way
+@pytest.mark.parametrize("layout, body, want", [row[1:] for row in PRICE_FORMS], ids=[row[0] for row in PRICE_FORMS])
+def test_price_forms(tmp_path, caplog, layout, body, want):
+    f = tmp_path / "f.csv"
+    f.write_bytes(body)
+    if isinstance(want, str):
+        with pytest.raises(ValueError) as exc:
+            load_prices(f, layout)
+        assert str(exc.value).startswith(f"{f}: {want}"), str(exc.value)
+        return
+    with caplog.at_level(logging.WARNING):
+        tickers, prices, offsets = load_prices(f, layout)
+    assert (tickers, prices.tolist()) == tuple(want[:2])
+    assert [rec.getMessage() for rec in caplog.records] == [
+        f"{ticker}: dropped {n} rows with missing or non-positive prices" for ticker, n in want[2].items()
+    ]
 
 
 def test_returns_csv_round_trip(tmp_path):

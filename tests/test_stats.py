@@ -15,8 +15,6 @@ from volstab.stats import (
     mfht_curve,
     nonmonotonicity_verdict,
     read_curve_csv,
-    return_pdf,
-    vol_pdf,
     write_curve_csv,
 )
 
@@ -195,7 +193,7 @@ def test_fht_pdf_matches_geometric_oracle():
 def test_return_pdf_symmetry_and_tails():
     rng = np.random.default_rng(11)
     series = [ReturnSeries.from_returns(f"s{i}", rng.normal(0, 0.02, 4000)) for i in range(4)]
-    hist = return_pdf(Ensemble.from_series(series), bins=41)
+    hist = histogram(Ensemble.from_series(series).values, bins=41)  # the pooled returns, linear bins
     mids = 0.5 * (hist.bin_edges[:-1] + hist.bin_edges[1:])
     weights = hist.density * np.diff(hist.bin_edges)
     mean = float(mids @ weights)
@@ -205,7 +203,7 @@ def test_return_pdf_symmetry_and_tails():
 
 
 def test_vol_pdf_bins_episode_volatilities():
-    h = vol_pdf(_table([3, 5, 5], [0.01, 0.02, 0.04]), bins=4)
+    h = histogram(_table([3, 5, 5], [0.01, 0.02, 0.04]).volatility, bins=4, log=True)
     assert np.array_equal(h.counts, histogram([0.01, 0.02, 0.04], bins=4, log=True).counts)
     assert h.counts.sum() == 3
 
