@@ -16,9 +16,9 @@ PCG64 generators, seeded by SeedSequence spawn keys (series_index, 0) and
 the same in any ensemble that contains it and for any thread count.
 
 With ``threads`` of 2 or more and at least two CPUs that the process may
-run on, a forked helper process draws the normals one block ahead while
-the calling process steps, so the two run on two CPUs; more than 2 threads
-add nothing.
+run on, a forked helper process draws the raw normals one block ahead
+while the calling process scales them and steps, so the two run on two
+CPUs; more than 2 threads add nothing.
 """
 
 from __future__ import annotations
@@ -50,11 +50,14 @@ __all__ = [
 
 # RNG draw block, in Euler steps, rounded down to whole days and at least
 # one day.  Trajectories do not depend on this value: each series consumes
-# two dedicated substreams strictly in step order.  The noise it sizes is the
-# largest allocation of a run, 13.7 MB at the default 1071 series x 100
-# steps per day: one pair of 800-step buffers, or, with the helper process,
-# two slots of 400-step pairs (8-day or 4-day blocks).
+# two dedicated substreams strictly in step order.  The raw normals it sizes
+# are the largest allocation of a run, 13.7 MB at the default 1071 series x
+# 100 steps per day: one pair of 800-step buffers, or, with the helper
+# process, two slots of 400-step pairs (8-day or 4-day blocks).  The step
+# loop reads them through two step-major tiles of _TILE steps, 0.55 MB at
+# 1071 series, which also carry the sqrt(dt) scaling.
 _CHUNK_STEPS = 800
+_TILE = 32
 
 
 def _usable_cpus() -> int:
@@ -209,24 +212,27 @@ def simulate_ensemble(
 
     With ``threads`` of 2 or more and at least two usable CPUs (the
     process's CPU affinity, not the machine's CPU count), a helper process
-    forked after the generators exist draws the normals of each block of
-    about ``_CHUNK_STEPS // 2`` steps while the calling process steps
+    forked after the generators exist draws the raw normals of each block
+    of about ``_CHUNK_STEPS // 2`` steps while the calling process steps
     through the block before it; the two processes share no interpreter
     lock, and more than 2 threads add nothing.  Otherwise, or where
     ``os.fork`` does not exist, the calling process draws each block of
     about ``_CHUNK_STEPS`` steps itself.  Each row owns its generators, so
-    the result does not depend on the thread count.  The step loop runs on
-    the calling thread over the whole ensemble, in place on preallocated
-    arrays but with the floating-point operations of heston_step and
-    cir_step_raw in their order, so its result is bit-identical to
-    composing those two functions.
+    the result does not depend on the thread count.  The one step loop
+    runs on the calling thread over the whole ensemble.  It copies each
+    block into step-major tiles of ``_TILE`` steps, scaling by sqrt(dt) in
+    the copy, so every step reads contiguous rows of increments.  It works
+    in place on preallocated arrays but with the floating-point operations
+    of heston_step and cir_step_raw in their order, so its result is
+    bit-identical to composing those two functions.
 
     The cubic well is unbounded beyond its barrier top, so a state that
     steps past the barrier is reflected back across it; without this the
     rare deep excursion runs away to -inf in finite time and poisons the
-    whole series.  Reflection touches only those excursions: on the
-    default 1071 x 3000 run, 20 series (about one in fifty) cross the
-    barrier, 348 times in all, and without reflection 12 of them blow up.
+    whole series.  Reflection touches only those excursions, and runs only
+    on a step where some series crossed: on the default 1071 x 3000 run,
+    20 series (about one in fifty) cross the barrier, 348 times in all,
+    and without reflection 12 of them blow up.
 
     The state is checked for finiteness once per block; a step too coarse
     for the parameters raises FloatingPointError naming the first series
@@ -243,20 +249,33 @@ def simulate_ensemble(
 
     rng1 = [_substream(cfg.seed, i, 0) for i in range(n)]
     rng2 = [_substream(cfg.seed, i, 1) for i in range(n)]
-    sqdt = math.sqrt(dt)
 
     def fill(dw: np.ndarray, nsteps: int) -> None:
-        """Draw the next ``nsteps`` increments dW1 into dw[0] and dW2 into dw[1]."""
+        """Draw the next ``nsteps`` raw normals for dW1 into dw[0] and for dW2 into dw[1]."""
         for row in range(n):
             rng1[row].standard_normal(out=dw[0, row, :nsteps])
             rng2[row].standard_normal(out=dw[1, row, :nsteps])
-        np.multiply(dw[:, :, :nsteps], sqdt, out=dw[:, :, :nsteps])
 
     forked = min(threads, _usable_cpus()) >= 2 and hasattr(os, "fork")
     chunk = min(days, max(1, (_CHUNK_STEPS // 2 if forked else _CHUNK_STEPS) // spd))
     starts = range(0, days, chunk)
     sizes = [min(chunk, days - day0) * spd for day0 in starts]
     blocks = (_forked_blocks if forked else _local_blocks)(fill, (2, n, chunk * spd), sizes)
+
+    sqdt = math.sqrt(dt)
+    tile = min(_TILE, chunk * spd)
+    tile1, tile2 = np.empty((tile, n)), np.empty((tile, n))
+
+    def increments(dw1: np.ndarray, dw2: np.ndarray, nsteps: int):
+        """Yield the block's contiguous (dW1, dW2) rows in step order, scaled in step-major tiles.
+
+        A row is valid until the next tile is made, after the step that reads it.
+        """
+        for s0 in range(0, nsteps, tile):
+            k = min(tile, nsteps - s0)
+            np.multiply(dw1[:, s0 : s0 + k].T, sqdt, out=tile1[:k])
+            np.multiply(dw2[:, s0 : s0 + k].T, sqdt, out=tile2[:k])
+            yield from zip(tile1[:k], tile2[:k])
 
     # The state and the step's work arrays, reused by every step.  The
     # scalar operands are (n,) arrays too: a ufunc given a Python float and
@@ -271,44 +290,52 @@ def simulate_ensemble(
         np.full(n, float(k))
         for k in (0.0, 0.5, 3.0 * p.m, 2.0 * p.n, cir.a, cir.b, cir.c, dt, p.barrier, 2.0 * p.barrier)
     )
+    # Local names and positional outputs cost less per call than np. lookups
+    # and in-place operators.
+    maximum, sqrt, square, add, subtract, multiply, less = (
+        np.maximum, np.sqrt, np.square, np.add, np.subtract, np.multiply, np.less
+    )
+    count_nonzero, copyto = np.count_nonzero, np.copyto
 
     # Overflow is caught by the finiteness check below, not by warnings.
     # Closing the blocks ends the helper process on every path.
     with closing(blocks), np.errstate(over="ignore", invalid="ignore"):
         for day0, (dw1, dw2) in zip(starts, blocks):
             ndays = min(chunk, days - day0)
-            s = 0
+            noise = increments(dw1, dw2, ndays * spd)
             for d in range(ndays):
-                for _ in range(spd):
+                # zip asks range first, so it takes no row past the day's last step
+                for _, (w1, w2) in zip(range(spd), noise):
                     # heston_step and cir_step_raw, one ufunc per operation in
                     # their evaluation order; both read max(v, 0) and its root.
-                    np.maximum(vt, zero, out=vplus)
-                    np.sqrt(vplus, root)
-                    np.square(xt, xn)
-                    xn *= m3
-                    np.multiply(xt, n2, tmp)
-                    xn += tmp
-                    np.multiply(vplus, half, tmp)
-                    xn += tmp
-                    xn *= step
-                    np.subtract(xt, xn, xn)
-                    np.multiply(root, dw1[:, s], tmp)
-                    xn += tmp
-                    np.subtract(b, vplus, tmp)
-                    tmp *= a
-                    tmp *= step
-                    vt += tmp
-                    np.multiply(root, c, tmp)
-                    tmp *= dw2[:, s]
-                    vt += tmp
-                    # np.where's reflection, without its allocations
-                    np.less(xn, barrier, below)
-                    np.subtract(barrier2, xn, refl)
-                    np.copyto(xn, refl, where=below)
+                    maximum(vt, zero, out=vplus)
+                    sqrt(vplus, root)
+                    square(xt, xn)
+                    multiply(xn, m3, xn)
+                    multiply(xt, n2, tmp)
+                    add(xn, tmp, xn)
+                    multiply(vplus, half, tmp)
+                    add(xn, tmp, xn)
+                    multiply(xn, step, xn)
+                    subtract(xt, xn, xn)
+                    multiply(root, w1, tmp)
+                    add(xn, tmp, xn)
+                    subtract(b, vplus, tmp)
+                    multiply(tmp, a, tmp)
+                    multiply(tmp, step, tmp)
+                    add(vt, tmp, vt)
+                    multiply(root, c, tmp)
+                    multiply(tmp, w2, tmp)
+                    add(vt, tmp, vt)
+                    # np.where's reflection, without its allocations, on the
+                    # rare step where some series crossed the barrier
+                    less(xn, barrier, below)
+                    if count_nonzero(below):
+                        subtract(barrier2, xn, refl)
+                        copyto(xn, refl, where=below)
                     xt, xn = xn, xt
-                    s += 1
                 x[:, day0 + d + 1] = xt
-                np.maximum(vt, zero, out=v[:, day0 + d + 1])
+                maximum(vt, zero, out=v[:, day0 + d + 1])
             block = slice(day0 + 1, day0 + ndays + 1)
             bad = ~(np.isfinite(x[:, block]) & np.isfinite(v[:, block]))
             if bad.any():

@@ -283,7 +283,8 @@ def _price_columns(path: Path, layout: str) -> Iterator[tuple[str, np.ndarray, i
     if late.size:
         before, row = kept[late[0] : late[0] + 2]
         raise ValueError(f"{path}: line {line_of(row)}: dates must be strictly increasing, "
-                         f"got {_text(dates[row])!r} after {_text(dates[before])!r}")
+                         f"got {_text(dates[row])!r} after {_text(dates[before])!r}; dates are "
+                         "compared as text and must be zero-padded ISO dates (YYYY-MM-DD)")
     valid = (prices > 0) & (prices < np.inf)  # NaN is neither
     for j, ticker in enumerate(tickers):
         yield ticker, prices[valid[:, j], j], kept.size - int(np.count_nonzero(valid[:, j]))

@@ -106,7 +106,12 @@ class AcfSeries:
 
 
 def _edges(values: np.ndarray, bins: int, log: bool) -> np.ndarray:
-    """Edges of ``bins`` equal bins, log-spaced when ``log``, spanning the values; endpoints exact."""
+    """Edges of ``bins`` equal bins, log-spaced when ``log``, spanning the values; endpoints exact.
+
+    The inner log-spaced edges come from ``np.exp``, whose last bits depend
+    on the SIMD loops numpy picks for the CPU, so curve files written on
+    another kind of CPU may differ in those bits.
+    """
     vmin = float(values.min())
     vmax = float(values.max())
     if vmin == vmax:

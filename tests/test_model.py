@@ -196,8 +196,9 @@ def test_kernel_matches_composed_step_operations():
 def _reference_ensemble(mp, cfg):
     """The integrator written step by step from heston_step, cir_step_raw and np.where.
 
-    Returns (x, v) as simulate_ensemble does, and the number of barrier
-    reflections.
+    Returns (x, v) as simulate_ensemble does, the number of barrier
+    reflections and the number of steps on which some, but not all, series
+    were reflected.
     """
     steps = cfg.days * cfg.steps_per_day
     sqdt = math.sqrt(cfg.dt)
@@ -207,24 +208,27 @@ def _reference_ensemble(mp, cfg):
     barrier = mp.potential.barrier
     xt = np.full(cfg.n_series, mp.x0)
     vt = np.full(cfg.n_series, mp.cir.v_start)
-    x, v, reflections = [xt], [vt], 0
+    x, v, reflections, mixed = [xt], [vt], 0, 0
     for s in range(steps):
         xnext = heston_step(xt, np.maximum(vt, 0.0), mp, cfg.dt, dw1[:, s])
         vt = cir_step_raw(vt, mp.cir, cfg.dt, dw2[:, s])
-        reflections += int((xnext < barrier).sum())
+        crossed = int((xnext < barrier).sum())
+        reflections += crossed
+        mixed += 0 < crossed < cfg.n_series
         xt = np.where(xnext < barrier, 2.0 * barrier - xnext, xnext)
         if (s + 1) % cfg.steps_per_day == 0:
             x.append(xt)
             v.append(np.maximum(vt, 0.0))
-    return np.array(x).T, np.array(v).T, reflections
+    return np.array(x).T, np.array(v).T, reflections, mixed
 
 
 def test_reflecting_ensemble_matches_step_by_step_reference_bit_for_bit():
     # started just inside the barrier at -1 at high variance, so the reflection branch is taken
     mp = REFLECTING_MP
     cfg = SimConfig(days=13, n_series=6, seed=21)
-    x_ref, v_ref, reflections = _reference_ensemble(mp, cfg)
+    x_ref, v_ref, reflections, mixed = _reference_ensemble(mp, cfg)
     assert reflections > 0
+    assert mixed > 0  # the reflection runs on steps where only some series crossed
     x, v = simulate_ensemble(mp, cfg)
     assert np.array_equal(x, x_ref) and np.array_equal(v, v_ref)
 
@@ -237,12 +241,34 @@ def test_signed_zeros_at_a_barrier_of_minus_zero_match_the_reference(x0):
     mp = ModelParams(potential=PotentialParams(m=2.0, n=0.0), cir=CirParams(b=0.0, c=0.0, v_start=0.0), x0=x0)
     assert math.copysign(1.0, mp.potential.barrier) == -1.0
     cfg = SimConfig(days=6, steps_per_day=3, n_series=4, seed=5)
-    x_ref, v_ref, _ = _reference_ensemble(mp, cfg)
+    x_ref, v_ref, _, _ = _reference_ensemble(mp, cfg)
     x, v = simulate_ensemble(mp, cfg)
     assert not x.any() and not v.any()
     assert np.signbit(x_ref).any() == np.signbit(x0)
     assert np.array_equal(np.signbit(x), np.signbit(x_ref)) and np.array_equal(np.signbit(v), np.signbit(v_ref))
     assert x.tobytes() == x_ref.tobytes() and v.tobytes() == v_ref.tobytes()
+
+
+def _assert_unchanged_by(monkeypatch, threads, patch):
+    """``patch(cfg)`` before each run leaves its bits and its blow-up error as they are by default."""
+    mp = REFLECTING_MP
+    # by default 41 days of 7 steps make one 287-step block, and the blow-up one 41-step block
+    cfg = SimConfig(days=41, steps_per_day=7, n_series=5, seed=8)
+    blowup = SimConfig(dt=0.6, steps_per_day=1, days=41, n_series=8, seed=3)
+    x, v = simulate_ensemble(mp, cfg)
+    with pytest.raises(FloatingPointError) as default_error:
+        simulate_ensemble(DEFAULT_MP, blowup)
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 2)  # the helper runs with threads=2 on any host
+    patch(cfg)
+    xc, vc = simulate_ensemble(mp, cfg, threads=threads)
+    assert np.array_equal(xc, x) and np.array_equal(vc, v)
+    patch(blowup)
+    with pytest.raises(FloatingPointError) as error:
+        simulate_ensemble(DEFAULT_MP, blowup, threads=threads)
+    assert str(error.value) == str(default_error.value)
+    assert str(error.value).startswith("series 6 turned non-finite on day 14:")
+    with pytest.raises(ChildProcessError):  # the helper of the blown-up run was reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize(
@@ -251,24 +277,21 @@ def test_signed_zeros_at_a_barrier_of_minus_zero_match_the_reference(x0):
      for threads in (1, 2) for days in (1, 3, 64)],
 )
 def test_noise_block_size_does_not_change_results(monkeypatch, chunk_days, threads):
-    mp = REFLECTING_MP
-    cfg = SimConfig(days=41, steps_per_day=7, n_series=5, seed=8)
-    blowup = SimConfig(dt=0.6, steps_per_day=1, days=41, n_series=8, seed=3)
-    x, v = simulate_ensemble(mp, cfg)
-    with pytest.raises(FloatingPointError) as default_error:
-        simulate_ensemble(DEFAULT_MP, blowup)
-    monkeypatch.setattr(model, "_usable_cpus", lambda: 2)  # the helper runs with threads=2 on any host
     # a helper slot holds half a block, so 2 * chunk_days gives it chunk_days-day blocks
-    monkeypatch.setattr(model, "_CHUNK_STEPS", threads * chunk_days * cfg.steps_per_day)
-    xc, vc = simulate_ensemble(mp, cfg, threads=threads)
-    assert np.array_equal(xc, x) and np.array_equal(vc, v)
-    monkeypatch.setattr(model, "_CHUNK_STEPS", threads * chunk_days * blowup.steps_per_day)
-    with pytest.raises(FloatingPointError) as error:
-        simulate_ensemble(DEFAULT_MP, blowup, threads=threads)
-    assert str(error.value) == str(default_error.value)
-    assert str(error.value).startswith("series 6 turned non-finite on day 14:")
-    with pytest.raises(ChildProcessError):  # the helper of the blown-up run was reaped
-        os.waitpid(-1, os.WNOHANG)
+    _assert_unchanged_by(
+        monkeypatch, threads,
+        lambda cfg: monkeypatch.setattr(model, "_CHUNK_STEPS", threads * chunk_days * cfg.steps_per_day),
+    )
+
+
+@pytest.mark.parametrize(
+    "tile, threads",
+    [pytest.param(tile, threads, id=f"{tile}-helper" if threads > 1 else str(tile))
+     for threads in (1, 2) for tile in (1, 5, 10_000)],
+)
+def test_tile_size_does_not_change_results(monkeypatch, tile, threads):
+    # both blocks end mid-tile at 5 steps, and 10_000 is larger than either
+    _assert_unchanged_by(monkeypatch, threads, lambda cfg: monkeypatch.setattr(model, "_TILE", tile))
 
 
 def test_variance_path_never_negative():

@@ -196,6 +196,9 @@ PRICE_FORMS = [
      "line 2: expected 2 columns, got 3"),
     ("decreasing dates", "per-stock", b"date,close\n2020-01-02,1\n2020-01-01,2\n",
      "line 3: dates must be strictly increasing, got '2020-01-01' after '2020-01-02'"),
+    ("dates that are not ISO dates", "per-stock", b"date,close\n1/9/2020,1\n1/10/2020,2\n",
+     "line 3: dates must be strictly increasing, got '1/10/2020' after '1/9/2020'; dates are compared as "
+     "text and must be zero-padded ISO dates (YYYY-MM-DD)"),
     ("date out of order on a row without a price", "per-stock",
      b"date,close\n2020-01-02,1\n2020-01-01,\n2020-01-03,2\n", "line 3: dates must be strictly increasing"),
     ("non-UTF-8 ticker", "wide", b"date,a\xff\n2020-01-01,1\n2020-01-02,2\n",
