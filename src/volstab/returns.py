@@ -13,7 +13,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -36,33 +36,15 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True, eq=False)
 class ReturnSeries:
-    """Daily simple returns for one ticker with their standard deviation.
+    """One series of an Ensemble, as its iteration and indexing yield it.
 
-    ``sigma`` is the population standard deviation (divide by the number of
-    returns) of the full series.
+    ``returns`` is a view of the ensemble's values, and ``sigma`` its
+    population standard deviation (divide by the number of returns).
     """
 
     ticker: str
     returns: np.ndarray
     sigma: float
-
-    def __post_init__(self) -> None:
-        _check_returns(self.ticker, self.returns)
-        if not (math.isfinite(self.sigma) and self.sigma >= 0):
-            raise ValueError(f"{self.ticker}: sigma must be finite and >= 0")
-
-    @classmethod
-    def from_returns(cls, ticker: str, returns: np.ndarray) -> "ReturnSeries":
-        r = np.asarray(returns, dtype=float)
-        _check_returns(ticker, r)  # before np.std, which warns on non-finite input
-        return cls(ticker=ticker, returns=r, sigma=float(np.std(r)))
-
-
-def _check_returns(ticker: str, r: np.ndarray) -> None:
-    if r.ndim != 1 or r.size < 1:
-        raise ValueError(f"{ticker}: returns must be a nonempty 1-d array")
-    if not np.all(np.isfinite(r)):
-        raise ValueError(f"{ticker}: returns contain non-finite values")
 
 
 # The most values one numpy call of Ensemble's per-series reductions takes,
@@ -75,15 +57,15 @@ class Ensemble:
     """Return series stored end to end: series ``i`` is ``values[offsets[i]:offsets[i + 1]]``.
 
     ``sigmas`` holds each series' population standard deviation, computed
-    from ``values`` when not given.  ``len`` counts the series, and
-    iterating or indexing yields one ``ReturnSeries`` (a view) per series.
+    from ``values``.  ``len`` counts the series, and iterating or indexing
+    yields one ``ReturnSeries`` (a view) per series.
     The arrays are not to be changed once built: ``prefix_sums`` are kept.
     """
 
     tickers: list[str]
     values: np.ndarray
     offsets: np.ndarray
-    sigmas: np.ndarray | None = None
+    sigmas: np.ndarray = field(init=False)
     _sums: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -108,25 +90,14 @@ class Ensemble:
         if bad.size:  # checked before np.std, which warns on non-finite input
             i = int(np.searchsorted(self.offsets, bad[0], side="right")) - 1
             raise ValueError(f"{self.tickers[i]}: returns contain non-finite values")
-        if self.sigmas is None:
-            self.sigmas = np.empty(n)
+        self.sigmas = np.empty(n)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
             for i, m, length in self._blocks():
                 a = int(self.offsets[i])
                 self.sigmas[i : i + m] = np.std(self.values[a : a + m * length].reshape(m, length), axis=1)
-        self.sigmas = np.asarray(self.sigmas, dtype=float)
-        if self.sigmas.shape != (n,) or not np.all(np.isfinite(self.sigmas) & (self.sigmas >= 0)):
-            raise ValueError("sigmas must be finite and >= 0, one per series")
-
-    @classmethod
-    def from_series(cls, series: Iterable[ReturnSeries]) -> "Ensemble":
-        series = list(series)
-        lengths = [rs.returns.size for rs in series]
-        return cls(
-            tickers=[rs.ticker for rs in series],
-            values=np.concatenate([rs.returns for rs in series]) if series else np.empty(0),
-            offsets=np.concatenate(([0], np.cumsum(lengths, dtype=np.int64))),
-            sigmas=np.array([rs.sigma for rs in series]),
-        )
+        bad = np.flatnonzero(~np.isfinite(self.sigmas))
+        if bad.size:
+            raise ValueError(f"{self.tickers[bad[0]]}: returns too large, their standard deviation overflows")
 
     def __len__(self) -> int:
         return len(self.tickers)
@@ -195,7 +166,8 @@ def to_returns(tickers: list[str], prices: np.ndarray, offsets: np.ndarray) -> E
     offsets = np.asarray(offsets, dtype=np.int64)
     if not np.all((prices > 0) & (prices < np.inf)):
         raise ValueError("prices must be finite and positive")
-    r = np.diff(prices) / prices[:-1]
+    with np.errstate(over="ignore"):  # Ensemble reports an overflowed return as non-finite
+        r = np.diff(prices) / prices[:-1]
     # the entry from one series' last price to the next one's first is no return
     return Ensemble(tickers, np.delete(r, offsets[1:-1] - 1), offsets - np.arange(offsets.size))
 
@@ -314,7 +286,8 @@ def read_returns_csv(path: str | Path) -> Ensemble:
     A ticker's rows need not be adjacent: tickers keep the order of their
     first rows, and each ticker's day_index must count 0, 1, 2, ... in file
     order.  Blank lines are skipped.  A malformed row, a non-finite return
-    or a day_index out of order raises ValueError naming the file line.
+    or a day_index out of order raises ValueError naming the file line, and
+    a standard deviation that overflows one naming the file and ticker.
     """
     rows, line_of = read_table(path, _RETURNS_DTYPE)
     if rows.size == 0:
@@ -369,7 +342,10 @@ def read_returns_csv(path: str | Path) -> Ensemble:
         values[:] = rows["return"]
     else:
         np.take(rows["return"], order, out=values)
-    return Ensemble(tickers, values, offsets)
+    try:
+        return Ensemble(tickers, values, offsets)
+    except ValueError as exc:  # a standard deviation that overflows
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_stats_json(stats: MarketStats, path: str | Path) -> None:

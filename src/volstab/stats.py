@@ -17,7 +17,7 @@ import numpy as np
 
 from ._io import _loadtxt, read_table, write_rows
 from .episodes import EpisodeTable, ThresholdWindow
-from .returns import Ensemble, ReturnSeries
+from .returns import Ensemble
 
 __all__ = [
     "MfhtCurve",
@@ -244,16 +244,12 @@ def _populated_span(curve: MfhtCurve) -> tuple[float, float]:
 
 def _rebin(curve: MfhtCurve, edges: np.ndarray) -> np.ndarray:
     """Count-weighted means of populated source bins onto the common grid."""
-    mids = np.sqrt(curve.bin_edges[:-1] * curve.bin_edges[1:])
-    sums = np.zeros(edges.size - 1)
-    counts = np.zeros(edges.size - 1)
-    for i in np.flatnonzero(curve.populated):
-        j = int(np.searchsorted(edges, mids[i], side="right")) - 1
-        if mids[i] == edges[-1]:
-            j = edges.size - 2
-        if 0 <= j < edges.size - 1:
-            sums[j] += curve.mfht[i] * curve.counts[i]
-            counts[j] += curve.counts[i]
+    pop = curve.populated
+    idx = _bin_index(np.sqrt(curve.bin_edges[:-1] * curve.bin_edges[1:])[pop], edges)
+    inside = idx >= 0
+    idx, n = idx[inside], curve.counts[pop][inside]
+    sums = np.bincount(idx, weights=curve.mfht[pop][inside] * n, minlength=edges.size - 1)
+    counts = np.bincount(idx, weights=n, minlength=edges.size - 1)
     with np.errstate(invalid="ignore"):
         return sums / counts
 
@@ -337,9 +333,9 @@ def fht_pdf(table: EpisodeTable, bins: int | np.ndarray = DEFAULT_BINS) -> Histo
     return histogram(table.fht, bins=bins, log=True)
 
 
-def acf(series: ReturnSeries | np.ndarray, max_lag: int, absolute: bool = False) -> AcfSeries:
-    """Sample autocorrelation at lags 0..max_lag (of |r| when ``absolute``)."""
-    r = series.returns if isinstance(series, ReturnSeries) else np.asarray(series, dtype=float)
+def acf(r: np.ndarray, max_lag: int, absolute: bool = False) -> AcfSeries:
+    """Sample autocorrelation of the returns ``r`` at lags 0..max_lag (of |r| when ``absolute``)."""
+    r = np.asarray(r, dtype=float)
     if r.size <= max_lag + 1:
         raise ValueError(f"series of length {r.size} too short for max_lag={max_lag}")
     if absolute:
@@ -362,11 +358,11 @@ def ensemble_acf(ensemble: Ensemble, max_lag: int, absolute: bool = False) -> Ac
     ValueError naming its ticker.
     """
     rows = []
-    for rs in ensemble:
+    for ticker, (a, b) in zip(ensemble.tickers, ensemble._bounds()):
         try:
-            rows.append(acf(rs, max_lag, absolute=absolute).values)
+            rows.append(acf(ensemble.values[a:b], max_lag, absolute=absolute).values)
         except ValueError as exc:
-            raise ValueError(f"series {rs.ticker!r}: {exc}") from None
+            raise ValueError(f"series {ticker!r}: {exc}") from None
     return AcfSeries(lags=np.arange(max_lag + 1), values=np.stack(rows).mean(axis=0))
 
 

@@ -1,5 +1,6 @@
-"""Shared test utilities: the quadratic reference episode scanner, the
-per-series reductions and the row-by-row writers.
+"""Shared test utilities: an Ensemble built from ``(ticker, values)`` pairs,
+the quadratic reference episode scanner, the per-series reductions and the
+row-by-row writers.
 
 The reference scanner is deliberately independent of the package: it walks
 every candidate start day and scans forward for the first hit, with both
@@ -15,6 +16,15 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+
+def make_ensemble(series):
+    """The Ensemble of ``(ticker, values)`` pairs, in their order."""
+    from volstab.returns import Ensemble
+
+    values = [np.asarray(v, dtype=float) for _, v in series]
+    offsets = np.cumsum([0, *map(len, values)])
+    return Ensemble([t for t, _ in series], np.concatenate([np.empty(0), *values]), offsets)
 
 
 def oracle_episodes(

@@ -12,11 +12,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helpers import assert_episodes_match, oracle_episodes, random_windows
+from helpers import assert_episodes_match, make_ensemble, oracle_episodes, random_windows
 from volstab.cli import main as cli_main
 from volstab.episodes import extract_table, window_family
 from volstab.model import ModelParams, SimConfig, simulate_ensemble
-from volstab.returns import Ensemble, ReturnSeries, read_returns_csv
+from volstab.returns import read_returns_csv
 from volstab.stats import ensemble_acf, fht_pdf, mfht_curve, nonmonotonicity_verdict
 
 SIGMA_BAR_TARGET = 0.02383  # calibration target for the simulated ensemble
@@ -114,9 +114,9 @@ def test_a5_fht_engine_oracle():
     checked = 0
     for case in range(100):
         r = rng.uniform(-3 * sigma_bar, 3 * sigma_bar, size=rng.integers(2, 51))
-        rs = ReturnSeries.from_returns(f"case{case}", r)
+        one = make_ensemble([(f"case{case}", r)])
         for w in windows:
-            got = extract_table(Ensemble.from_series([rs]), w)
+            got = extract_table(one, w)
             want = oracle_episodes(r, w.theta_i_abs, w.theta_f_abs, w.direction)
             assert_episodes_match(got, want, f"A5 case={case} {w.window_id}")
             checked += len(want)

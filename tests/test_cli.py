@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import make_ensemble
 import volstab
 from volstab import model
 from volstab.cli import (
@@ -168,6 +169,7 @@ MALFORMED_RETURNS = [
     ("header only", "", None, "no return rows"),
     ("UTF-8 cell", "aa,0,0.1\naa,1,é\n", 3, "return is not a number: 'é'"),
     ("non-UTF-8 byte", b"aa,0,0.1\naa,1,\xff\n", 3, "return is not a number: '\\\\xff'"),
+    ("squares overflow", "aa,0,1e200\naa,1,-1e200\n", None, "aa: returns too large"),
 ]
 
 
@@ -508,15 +510,10 @@ def test_manifest_replay_reproduces_bytes(tmp_path):
 
 
 def _write_returns(tmp_path, series, name="returns.csv"):
-    from volstab.returns import Ensemble, ReturnSeries, write_returns_csv
+    from volstab.returns import write_returns_csv
 
     path = tmp_path / name
-    write_returns_csv(
-        Ensemble.from_series(
-            ReturnSeries.from_returns(t, np.asarray(v, dtype=float)) for t, v in series
-        ),
-        path,
-    )
+    write_returns_csv(make_ensemble(series), path)
     return path
 
 

@@ -3,18 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_episodes_match, oracle_episodes, random_windows
+from helpers import assert_episodes_match, make_ensemble, oracle_episodes, random_windows
 from volstab.episodes import ENTRY_RULES, VOL_SCOPES, ThresholdWindow, extract_table, window_family
-from volstab.returns import Ensemble, ReturnSeries
 
 
 def _series(values, ticker="t"):
-    return ReturnSeries.from_returns(ticker, np.asarray(values, dtype=float))
+    return ticker, np.asarray(values, dtype=float)
 
 
-def _scan(rs, window, **kwargs):
-    """Episodes of one series, as a one-series table."""
-    return extract_table(Ensemble.from_series([rs]), window, **kwargs)
+def _scan(series, window, **kwargs):
+    """Episodes of one ``(ticker, values)`` series, as a one-series table."""
+    return extract_table(make_ensemble([series]), window, **kwargs)
 
 
 def _pairs(table):
@@ -168,10 +167,10 @@ def test_interior_scope_single_day_episode_has_nan_volatility():
 def test_extract_table_concatenates_per_series():
     rng = np.random.default_rng(31)
     series = [_series(rng.uniform(-0.06, 0.06, 50), ticker=f"s{i}") for i in range(7)]
-    table = extract_table(Ensemble.from_series(series), FIG1A)
+    table = extract_table(make_ensemble(series), FIG1A)
     parts = [_scan(rs, FIG1A) for rs in series]
     assert sum(len(p) for p in parts) == len(table) > 0
-    assert table.tickers == [rs.ticker for rs, p in zip(series, parts) for _ in range(len(p))]
+    assert table.tickers == [ticker for (ticker, _), p in zip(series, parts) for _ in range(len(p))]
     assert table.start_index.tolist() == [s for p in parts for s in p.start_index.tolist()]
     assert table.fht.tolist() == [f for p in parts for f in p.fht.tolist()]
     np.testing.assert_array_equal(table.volatility, np.concatenate([p.volatility for p in parts]))
@@ -180,11 +179,11 @@ def test_extract_table_concatenates_per_series():
 def _oracle_table(series, window, entry_rule="crossing", vol_scope="window"):
     """(tickers, oracle tuples) of every series in turn, as the flat scan must order them."""
     tickers, episodes = [], []
-    for rs in series:
+    for ticker, r in series:
         found = oracle_episodes(
-            rs.returns, window.theta_i_abs, window.theta_f_abs, window.direction, entry_rule, vol_scope
+            r, window.theta_i_abs, window.theta_f_abs, window.direction, entry_rule, vol_scope
         )
-        tickers += [rs.ticker] * len(found)
+        tickers += [ticker] * len(found)
         episodes += found
     return tickers, episodes
 
@@ -211,7 +210,7 @@ def ragged_ensembles(draw):
 @given(ragged_ensembles())
 def test_flat_scan_matches_oracle_on_ragged_ensembles(case):
     window, series = case
-    ensemble = Ensemble.from_series(series)
+    ensemble = make_ensemble(series)
     for entry_rule in ENTRY_RULES:
         for scope in VOL_SCOPES:
             got = extract_table(ensemble, window, entry_rule=entry_rule, vol_scope=scope)
@@ -222,7 +221,7 @@ def test_flat_scan_matches_oracle_on_ragged_ensembles(case):
 
 
 def test_entry_on_last_day_and_hit_on_next_first_day_opens_no_episode():
-    ensemble = Ensemble.from_series([_series([0.001, -0.003], "a"), _series([-0.035, 0.001], "b")])
+    ensemble = make_ensemble([_series([0.001, -0.003], "a"), _series([-0.035, 0.001], "b")])
     for entry_rule in ENTRY_RULES:
         assert len(extract_table(ensemble, FIG1A, entry_rule=entry_rule)) == 0
     # the same returns as one series do make an episode
@@ -232,14 +231,14 @@ def test_entry_on_last_day_and_hit_on_next_first_day_opens_no_episode():
 def test_episode_open_at_series_end_is_censored():
     a = _series([0.001, -0.003, -0.010], "a")  # entered, never hit
     b = _series([0.001, -0.035, 0.001, -0.003, -0.035], "b")
-    table = extract_table(Ensemble.from_series([a, b]), FIG1A)
+    table = extract_table(make_ensemble([a, b]), FIG1A)
     assert table.tickers == ["b"] and _pairs(table) == [(3, 1)]
 
 
 def test_stretch_span_begins_at_series_boundary():
     a = _series([0.001, -0.003, -0.035, 0.002], "a")
     b = _series([0.004, -0.003, -0.035], "b")
-    table = extract_table(Ensemble.from_series([a, b]), FIG1A, vol_scope="stretch")
+    table = extract_table(make_ensemble([a, b]), FIG1A, vol_scope="stretch")
     assert table.tickers == ["a", "b"] and _pairs(table) == [(1, 1), (1, 1)]
     assert table.volatility[1] == pytest.approx(np.std([0.004, -0.003, -0.035]), rel=1e-12)
     _, want = _oracle_table([a, b], FIG1A, vol_scope="stretch")

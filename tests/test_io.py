@@ -10,12 +10,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import oracle_episodes_csv, oracle_returns_csv, oracle_table_rows, oracle_trajectories_csv
+from helpers import (
+    make_ensemble,
+    oracle_episodes_csv,
+    oracle_returns_csv,
+    oracle_table_rows,
+    oracle_trajectories_csv,
+)
 from volstab._io import read_table, write_rows
 from volstab.cli import main, write_trajectories_csv
 from volstab.episodes import _EPISODE_DTYPE, EpisodeTable, ThresholdWindow, read_episodes_csv, write_episodes_csv
 from volstab.model import ModelParams, SimConfig, daily_returns, simulate_ensemble
-from volstab.returns import _RETURNS_DTYPE, Ensemble, read_returns_csv, write_returns_csv
+from volstab.returns import _RETURNS_DTYPE, read_returns_csv, write_returns_csv
 
 # Values where repr's text changes shape: signed zero, subnormals, the
 # smallest normal, integral values, and both sides of 1e-4 and 1e16, where
@@ -45,8 +51,7 @@ LONG_TICKERS = st.one_of(TICKERS, st.text(alphabet="abcXYZ09_.-é€", min_size=
 def ragged_ensembles(draw):
     series = draw(st.lists(st.lists(FLOATS, min_size=1, max_size=25), min_size=1, max_size=6))
     tickers = draw(st.lists(TICKERS, min_size=len(series), max_size=len(series), unique=True))
-    lengths = [len(s) for s in series]
-    return Ensemble(tickers, np.array([x for s in series for x in s]), np.cumsum([0] + lengths))
+    return make_ensemble(list(zip(tickers, series)))
 
 
 @settings(max_examples=200, deadline=None)

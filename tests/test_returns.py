@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import oracle_sigmas_and_sums
+from helpers import make_ensemble, oracle_sigmas_and_sums
 from volstab import returns
 from volstab.returns import (
     Ensemble,
     MarketStats,
-    ReturnSeries,
     load_prices,
     market_stats,
     read_returns_csv,
@@ -67,30 +66,28 @@ def test_scale_invariance_of_returns():
 
 
 def test_market_stats_mean_and_permutation_invariance():
-    series = [
-        ReturnSeries("a", np.array([0.01, -0.01]), 0.01),
-        ReturnSeries("b", np.array([0.03, -0.03]), 0.03),
-    ]
-    stats = market_stats(Ensemble.from_series(series))
+    # the population std of [s, -s] is s exactly
+    series = [("a", [0.01, -0.01]), ("b", [0.03, -0.03])]
+    stats = market_stats(make_ensemble(series))
     assert stats.sigma_bar == pytest.approx(0.02)
     assert stats.n_series == 2
-    single = market_stats(Ensemble.from_series(series[:1]))
-    assert single.sigma_bar == series[0].sigma
+    single = market_stats(make_ensemble(series[:1]))
+    assert single.sigma_bar == 0.01
 
     rng = np.random.default_rng(8)
-    many = [ReturnSeries(f"t{i}", np.array([0.0, 0.1]), float(s)) for i, s in enumerate(rng.uniform(0.001, 0.1, 50))]
-    forward = market_stats(Ensemble.from_series(many)).sigma_bar
+    many = [(f"t{i}", [s, -s]) for i, s in enumerate(rng.uniform(0.001, 0.1, 50))]
+    forward = market_stats(make_ensemble(many))
+    assert forward.sigma_bar == math.fsum(s for _, (s, _) in many) / 50
     shuffled = list(many)
     rng.shuffle(shuffled)
-    assert market_stats(Ensemble.from_series(shuffled)).sigma_bar == forward  # exact summation
+    assert market_stats(make_ensemble(shuffled)).sigma_bar == forward.sigma_bar  # exact summation
 
 
 def test_market_stats_rejects_empty_and_duplicates():
     with pytest.raises(ValueError, match="no return series"):
-        market_stats(Ensemble.from_series([]))
-    rs = ReturnSeries("x", np.array([0.1]), 0.0)
+        market_stats(make_ensemble([]))
     with pytest.raises(ValueError, match="duplicate ticker 'x'"):
-        market_stats(Ensemble.from_series([rs, rs]))
+        market_stats(make_ensemble([("x", [0.1]), ("x", [0.1])]))
 
 
 def test_price_series_validation(tmp_path):
@@ -233,15 +230,12 @@ def test_price_forms(tmp_path, caplog, layout, body, want):
 
 def test_returns_csv_round_trip(tmp_path):
     rng = np.random.default_rng(3)
-    series = [
-        ReturnSeries.from_returns("aa", rng.normal(0, 0.02, 37)),
-        ReturnSeries.from_returns("bb", rng.normal(0, 0.05, 11)),
-    ]
+    ens = make_ensemble([("aa", rng.normal(0, 0.02, 37)), ("bb", rng.normal(0, 0.05, 11))])
     path = tmp_path / "returns.csv"
-    write_returns_csv(Ensemble.from_series(series), path)
+    write_returns_csv(ens, path)
     back = read_returns_csv(path)
     assert [rs.ticker for rs in back] == ["aa", "bb"]
-    for orig, rs in zip(series, back):
+    for orig, rs in zip(ens, back):
         assert np.array_equal(orig.returns, rs.returns)  # repr round-trip is exact
         assert rs.sigma == orig.sigma
 
@@ -265,28 +259,43 @@ def test_read_returns_csv_groups_rows_and_keeps_long_tickers(tmp_path):
 def test_non_finite_returns_raise_before_any_numpy_warning():
     for bad in ([0.1, np.inf], [np.nan, 0.2], [-np.inf]):
         with pytest.raises(ValueError, match="x: returns contain non-finite values"):
-            ReturnSeries.from_returns("x", np.array(bad))
+            Ensemble(["x"], bad, [0, len(bad)])
         with pytest.raises(ValueError, match="y: returns contain non-finite values"):
             Ensemble(["w", "y"], [0.0, *bad], [0, 1, 1 + len(bad)])
 
 
+@pytest.mark.filterwarnings("error")  # np.std warns when a square or a sum overflows
+def test_returns_whose_standard_deviation_overflows_raise_without_a_numpy_warning():
+    # the squares overflow; the sum overflows; numpy's pairwise sum of eight adds inf to -inf
+    for bad in ([1e200, -1e200], [1.5e308, 1.5e308, -1e308], [1e308, 1e308, -1e308, -1e308, 0, 0, 0, 0]):
+        with pytest.raises(ValueError, match="^y: returns too large, their standard deviation overflows$"):
+            Ensemble(["w", "y", "z"], [0.0, *bad, 0.0], [0, 1, 1 + len(bad), 2 + len(bad)])
+
+
+@pytest.mark.filterwarnings("error")  # a quotient that overflows would warn
+def test_to_returns_reports_an_overflowed_return_without_a_numpy_warning():
+    with pytest.raises(ValueError, match="^p: returns contain non-finite values$"):
+        to_returns(["p"], [1e-300, 1e300, 5], [0, 3])
+
+
 def test_ensemble_is_a_flat_view_of_its_series():
     rng = np.random.default_rng(11)
-    series = [ReturnSeries.from_returns(f"s{i}", rng.normal(0, 0.02, n)) for i, n in enumerate((1, 7, 30))]
-    ens = Ensemble.from_series(series)
+    series = [(f"s{i}", rng.normal(0, 0.02, n)) for i, n in enumerate((1, 7, 30))]
+    ens = make_ensemble(series)
     assert len(ens) == 3 and np.diff(ens.offsets).tolist() == [1, 7, 30]
-    rebuilt = Ensemble(ens.tickers, ens.values, ens.offsets)  # sigmas from the flat values
-    for rs, a, b in zip(series, ens, rebuilt):
-        assert a.ticker == b.ticker == rs.ticker
-        assert np.array_equal(a.returns, rs.returns)
-        assert a.sigma == b.sigma == rs.sigma
+    for (ticker, r), rs in zip(series, ens):
+        assert rs.ticker == ticker
+        assert np.array_equal(rs.returns, r)
+        assert rs.sigma == np.std(r)  # sigmas come from the values
     assert ens[-1].ticker == "s2"
+    with pytest.raises(TypeError):
+        Ensemble(ens.tickers, ens.values, ens.offsets, sigmas=ens.sigmas)
     s1, s2 = ens.prefix_sums()
-    for i, rs in enumerate(series):
+    for i, (_, r) in enumerate(series):
         lo, hi = ens.offsets[i] + i, ens.offsets[i + 1] + i + 1
         assert s1[lo] == s2[lo] == 0.0
-        assert np.array_equal(s1[lo + 1 : hi], np.cumsum(rs.returns))
-        assert np.array_equal(s2[lo + 1 : hi], np.cumsum(rs.returns * rs.returns))
+        assert np.array_equal(s1[lo + 1 : hi], np.cumsum(r))
+        assert np.array_equal(s2[lo + 1 : hi], np.cumsum(r * r))
     assert ens.prefix_sums()[0] is s1  # built once
 
 

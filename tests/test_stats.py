@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from helpers import make_ensemble
 from volstab.episodes import EpisodeTable, ThresholdWindow, extract_table
-from volstab.returns import Ensemble, ReturnSeries
 from volstab.stats import (
     MfhtCurve,
     acf,
@@ -192,8 +192,8 @@ def test_fht_pdf_matches_geometric_oracle():
 
 def test_return_pdf_symmetry_and_tails():
     rng = np.random.default_rng(11)
-    series = [ReturnSeries.from_returns(f"s{i}", rng.normal(0, 0.02, 4000)) for i in range(4)]
-    hist = histogram(Ensemble.from_series(series).values, bins=41)  # the pooled returns, linear bins
+    series = [(f"s{i}", rng.normal(0, 0.02, 4000)) for i in range(4)]
+    hist = histogram(make_ensemble(series).values, bins=41)  # the pooled returns, linear bins
     mids = 0.5 * (hist.bin_edges[:-1] + hist.bin_edges[1:])
     weights = hist.density * np.diff(hist.bin_edges)
     mean = float(mids @ weights)
@@ -225,8 +225,7 @@ def test_pooled_simulated_returns_have_excess_kurtosis():
 
 def test_acf_lag0_is_one_and_bounds():
     rng = np.random.default_rng(12)
-    rs = ReturnSeries.from_returns("w", rng.normal(0, 1, 3000))
-    out = acf(rs, 30)
+    out = acf(rng.normal(0, 1, 3000), 30)
     assert out.values[0] == 1.0
     assert np.all(np.abs(out.values) <= 1.0 + 1e-12)
 
@@ -264,9 +263,9 @@ def test_acf_errors():
 
 def test_ensemble_acf_is_mean_of_series_acfs():
     rng = np.random.default_rng(15)
-    series = [ReturnSeries.from_returns(f"s{i}", rng.normal(0, 1, 500)) for i in range(5)]
-    out = ensemble_acf(Ensemble.from_series(series), 6)
-    manual = np.mean([acf(rs, 6).values for rs in series], axis=0)
+    series = [(f"s{i}", rng.normal(0, 1, 500)) for i in range(5)]
+    out = ensemble_acf(make_ensemble(series), 6)
+    manual = np.mean([acf(r, 6).values for _, r in series], axis=0)
     np.testing.assert_array_equal(out.values, manual)
 
 
@@ -287,10 +286,8 @@ def test_curve_csv_round_trip(tmp_path):
 
 def test_curve_from_real_extraction_has_window_id(tmp_path):
     rng = np.random.default_rng(18)
-    series = [
-        ReturnSeries.from_returns(f"s{i}", rng.uniform(-0.06, 0.06, 200)) for i in range(10)
-    ]
-    table = extract_table(Ensemble.from_series(series), FIG1A)
+    series = [(f"s{i}", rng.uniform(-0.06, 0.06, 200)) for i in range(10)]
+    table = extract_table(make_ensemble(series), FIG1A)
     curve = mfht_curve(table, bins=10, min_count=2)
     verdict = nonmonotonicity_verdict(curve)
     assert verdict["window_id"] == FIG1A.window_id
