@@ -13,9 +13,7 @@ from .episodes import (
     window_family,
 )
 from .model import (
-    CirParams,
     ModelParams,
-    PotentialParams,
     SimConfig,
     cir_step_raw,
     daily_returns,

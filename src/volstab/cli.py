@@ -16,7 +16,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import fields, is_dataclass
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -67,26 +67,8 @@ EXIT_INPUT = 3
 EXIT_EMPTY = 4
 
 
-def _leaf_fields(params) -> dict:
-    """Leaf fields of a (nested) parameter dataclass, in declaration order."""
-    out = {}
-    for f in fields(params):
-        value = getattr(params, f.name)
-        out.update(_leaf_fields(value) if is_dataclass(value) else {f.name: value})
-    return out
-
-
-def _from_leaf_fields(template, config: dict):
-    """A parameter dataclass shaped like ``template`` with its leaves taken from ``config``."""
-    values = {}
-    for f in fields(template):
-        value = getattr(template, f.name)
-        values[f.name] = _from_leaf_fields(value, config) if is_dataclass(value) else config[f.name]
-    return type(template)(**values)
-
-
 # The model's dataclass defaults are the only statement of the defaults.
-DEFAULT_CONFIG = {**_leaf_fields(ModelParams()), **_leaf_fields(SimConfig())}
+DEFAULT_CONFIG = {**asdict(ModelParams()), **asdict(SimConfig())}
 _INT_KEYS = tuple(k for k, v in DEFAULT_CONFIG.items() if isinstance(v, int))
 _FLOAT_KEYS = tuple(k for k, v in DEFAULT_CONFIG.items() if isinstance(v, float))
 CONFIG_KEYS = _FLOAT_KEYS + _INT_KEYS
@@ -179,7 +161,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
 
 def build_model(config: dict) -> tuple[ModelParams, SimConfig]:
     try:
-        return _from_leaf_fields(ModelParams(), config), _from_leaf_fields(SimConfig(), config)
+        return tuple(cls(**{f.name: config[f.name] for f in fields(cls)}) for cls in (ModelParams, SimConfig))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -281,12 +263,15 @@ def _load_input_series(args: argparse.Namespace) -> tuple[Ensemble, list[Path]]:
             return read_returns_csv(path), [path]
         path = Path(args.prices)
         tickers, prices, offsets = load_prices(path, layout=args.layout)
-        if not tickers:
-            raise InputError(f"{path}: no series with at least two valid prices")
-        files = sorted(path.glob("*.csv")) if path.is_dir() else [path]
-        return to_returns(tickers, prices, offsets), files
     except (OSError, ValueError) as exc:
         raise InputError(str(exc)) from None
+    if not tickers:
+        raise InputError(f"{path}: no series with at least two valid prices")
+    files = sorted(path.glob("*.csv")) if path.is_dir() else [path]
+    try:
+        return to_returns(tickers, prices, offsets), files
+    except ValueError as exc:  # names a ticker, not the input it came from
+        raise InputError(f"{path}: {exc}") from None
 
 
 def _resolve_windows(args: argparse.Namespace, sigma_bar: float) -> list[ThresholdWindow]:

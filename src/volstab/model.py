@@ -29,15 +29,13 @@ import os
 import signal
 import warnings
 from contextlib import closing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .returns import Ensemble
 
 __all__ = [
-    "PotentialParams",
-    "CirParams",
     "ModelParams",
     "SimConfig",
     "potential",
@@ -73,41 +71,27 @@ def _require_finite(name: str, value: float) -> None:
 
 
 @dataclass(frozen=True)
-class PotentialParams:
-    """Coefficients of the cubic well U(x) = m x^3 + n x^2.
+class ModelParams:
+    """The cubic well U(x) = m x^3 + n x^2, the variance process
+    dv = a(b - v)dt + c sqrt(v) dW, and the starting state (x0, v_start).
 
-    With both coefficients positive the well has a local minimum at x = 0
-    and a barrier at x = -2n/(3m).  Zero is accepted so the drift-free
-    sanity configuration (m = n = 0) stays representable.
+    With m and n positive the well has a local minimum at x = 0 and a
+    barrier at x = -2n/(3m); m = n = 0, the drift-free sanity case, is valid.
     """
 
     m: float = 2.0
     n: float = 3.0
+    a: float = 2.0
+    b: float = 0.01
+    c: float = 0.83
+    v_start: float = 8.62e-5
+    x0: float = 0.0
 
     def __post_init__(self) -> None:
         _require_finite("m", self.m)
         _require_finite("n", self.n)
         if self.m < 0 or self.n < 0:
             raise ValueError(f"potential coefficients must be >= 0, got m={self.m}, n={self.n}")
-
-    @property
-    def barrier(self) -> float:
-        """Position of the barrier top separating the well from the runaway branch."""
-        if self.m == 0.0:
-            return -math.inf
-        return -2.0 * self.n / (3.0 * self.m)
-
-
-@dataclass(frozen=True)
-class CirParams:
-    """Square-root variance process dv = a(b - v)dt + c sqrt(v) dW."""
-
-    a: float = 2.0
-    b: float = 0.01
-    c: float = 0.83
-    v_start: float = 8.62e-5
-
-    def __post_init__(self) -> None:
         for name in ("a", "b", "c", "v_start"):
             _require_finite(name, getattr(self, name))
         if self.a <= 0:
@@ -116,6 +100,14 @@ class CirParams:
             raise ValueError(
                 f"b, c and v_start must be >= 0, got b={self.b}, c={self.c}, v_start={self.v_start}"
             )
+        _require_finite("x0", self.x0)
+
+    @property
+    def barrier(self) -> float:
+        """Position of the barrier top separating the well from the runaway branch."""
+        if self.m == 0.0:
+            return -math.inf
+        return -2.0 * self.n / (3.0 * self.m)
 
     @property
     def feller_ratio(self) -> float:
@@ -123,16 +115,6 @@ class CirParams:
         if self.c == 0.0:
             return math.inf
         return 2.0 * self.a * self.b / (self.c * self.c)
-
-
-@dataclass(frozen=True)
-class ModelParams:
-    potential: PotentialParams = field(default_factory=PotentialParams)
-    cir: CirParams = field(default_factory=CirParams)
-    x0: float = 0.0
-
-    def __post_init__(self) -> None:
-        _require_finite("x0", self.x0)
 
 
 @dataclass(frozen=True)
@@ -167,17 +149,17 @@ class SimConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
-def potential(x, p: PotentialParams):
+def potential(x, p: ModelParams):
     """U(x) = m x^3 + n x^2; accepts scalars or arrays."""
     return p.m * x**3 + p.n * x**2
 
 
-def potential_gradient(x, p: PotentialParams):
+def potential_gradient(x, p: ModelParams):
     """U'(x) = 3m x^2 + 2n x; accepts scalars or arrays."""
     return 3.0 * p.m * x**2 + 2.0 * p.n * x
 
 
-def cir_step_raw(v, p: CirParams, dt: float, dw):
+def cir_step_raw(v, p: ModelParams, dt: float, dw):
     """One full-truncation Euler update, without flooring the new state.
 
     ``dw`` is a Normal(0, dt) increment.  Only the truncated value
@@ -193,7 +175,7 @@ def cir_step_raw(v, p: CirParams, dt: float, dw):
 
 def heston_step(x, v, mp: ModelParams, dt: float, dw1):
     """One Euler update of the return state at current variance v >= 0."""
-    return x - (potential_gradient(x, mp.potential) + 0.5 * v) * dt + np.sqrt(v) * dw1
+    return x - (potential_gradient(x, mp) + 0.5 * v) * dt + np.sqrt(v) * dw1
 
 
 def _substream(seed: int, series_index: int, which: int) -> np.random.Generator:
@@ -243,7 +225,7 @@ def simulate_ensemble(
     x = np.empty((n, days + 1))
     v = np.empty((n, days + 1))
     x[:, 0] = mp.x0
-    v[:, 0] = mp.cir.v_start
+    v[:, 0] = mp.v_start
     if days == 0:
         return x, v
 
@@ -282,13 +264,12 @@ def simulate_ensemble(
     # an output array takes a slower path, and an array of the same float64
     # gives the same bits.
     xt = np.full(n, float(mp.x0))
-    vt = np.full(n, float(mp.cir.v_start))
+    vt = np.full(n, float(mp.v_start))
     xn, vplus, root, tmp, refl = (np.empty(n) for _ in range(5))
     below = np.empty(n, dtype=bool)
-    p, cir = mp.potential, mp.cir
     zero, half, m3, n2, a, b, c, step, barrier, barrier2 = (
         np.full(n, float(k))
-        for k in (0.0, 0.5, 3.0 * p.m, 2.0 * p.n, cir.a, cir.b, cir.c, dt, p.barrier, 2.0 * p.barrier)
+        for k in (0.0, 0.5, 3.0 * mp.m, 2.0 * mp.n, mp.a, mp.b, mp.c, dt, mp.barrier, 2.0 * mp.barrier)
     )
     # Local names and positional outputs cost less per call than np. lookups
     # and in-place operators.

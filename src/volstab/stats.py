@@ -105,13 +105,20 @@ class AcfSeries:
     values: np.ndarray
 
 
-def _edges(values: np.ndarray, bins: int, log: bool) -> np.ndarray:
+def _edges(values: np.ndarray, bins: int | np.ndarray, log: bool) -> np.ndarray:
     """Edges of ``bins`` equal bins, log-spaced when ``log``, spanning the values; endpoints exact.
 
-    The inner log-spaced edges come from ``np.exp``, whose last bits depend
-    on the SIMD loops numpy picks for the CPU, so curve files written on
-    another kind of CPU may differ in those bits.
+    Explicit edges passed as ``bins`` are checked and returned.  The inner
+    log-spaced edges come from ``np.exp``, whose last bits depend on the
+    SIMD loops numpy picks for the CPU, so curve files written on another
+    kind of CPU may differ in those bits.
     """
+    if not isinstance(bins, (int, np.integer)):
+        edges = np.asarray(bins, dtype=float)
+        # np.all, not any(<= 0): a NaN difference is neither
+        if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0):
+            raise ValueError("explicit bin edges must be 1-d and strictly increasing")
+        return edges
     vmin = float(values.min())
     vmax = float(values.max())
     if vmin == vmax:
@@ -154,15 +161,10 @@ def mfht_curve(
     volatility = np.asarray(table.volatility, dtype=float)
     if fht.size == 0:
         raise ValueError("no episodes to bin")
-    if isinstance(bins, (int, np.integer)):
-        usable = volatility[np.isfinite(volatility) & (volatility > 0)]
-        if usable.size == 0:
-            raise ValueError("no episodes with positive volatility to bin")
-        edges = _edges(usable, int(bins), log=True)
-    else:
-        edges = np.asarray(bins, dtype=float)
-        if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
-            raise ValueError("explicit bin edges must be 1-d and strictly increasing")
+    usable = volatility[np.isfinite(volatility) & (volatility > 0)]
+    if usable.size == 0 and isinstance(bins, (int, np.integer)):
+        raise ValueError("no episodes with positive volatility to bin")
+    edges = _edges(usable, bins, log=True)
     nbins = edges.size - 1
     idx = _bin_index(volatility, edges)
     inside = idx >= 0
@@ -260,8 +262,8 @@ def compare_curves(empirical: MfhtCurve, model: MfhtCurve) -> CurveComparison:
     Curves with identical edges are compared bin by bin.  Otherwise both are
     rebinned, count-weighted, onto a common log grid of at least 8 bins over
     the overlap of their populated volatility ranges.  Raises ValueError
-    when a curve is empty, the ranges do not overlap, or no bin is populated
-    in both.
+    when a curve is empty, the ranges do not overlap, curves on different
+    grids have an edge that is not positive, or no bin is populated in both.
     """
     lo_e, hi_e = _populated_span(empirical)
     lo_m, hi_m = _populated_span(model)
@@ -274,6 +276,8 @@ def compare_curves(empirical: MfhtCurve, model: MfhtCurve) -> CurveComparison:
         mfht_e = empirical.mfht.copy()
         mfht_m = model.mfht.copy()
     else:
+        if not (np.all(empirical.bin_edges > 0) and np.all(model.bin_edges > 0)):
+            raise ValueError("curves on different grids need positive bin edges to share a log grid")
         nbins = max(8, min(empirical.n_bins, model.n_bins))
         edges = np.exp(np.linspace(np.log(lo), np.log(hi), nbins + 1))
         edges[0], edges[-1] = lo, hi
@@ -312,10 +316,7 @@ def histogram(
         values = values[values > 0]
     if values.size == 0:
         raise ValueError("no finite values to bin")
-    if isinstance(bins, (int, np.integer)):
-        edges = _edges(values, int(bins), log)
-    else:
-        edges = np.asarray(bins, dtype=float)
+    edges = _edges(values, bins, log)
     idx = _bin_index(values, edges)
     counts = np.bincount(idx[idx >= 0], minlength=edges.size - 1)
     total = counts.sum()
@@ -387,7 +388,8 @@ def write_curve_csv(curve: MfhtCurve, path: str | Path) -> None:
 def read_curve_csv(path: str | Path) -> MfhtCurve:
     """Read a curve ``write_curve_csv`` wrote; an empty mfht cell is NaN.
 
-    A malformed row or bins that are not contiguous raise ValueError.
+    A malformed row, a bin whose ``bin_lo`` is not below its ``bin_hi``, or
+    bins that are not contiguous raise ValueError.
     """
     rows, line_of = read_table(path, _CURVE_DTYPE)
     if rows.size == 0:
@@ -400,10 +402,15 @@ def read_curve_csv(path: str | Path) -> MfhtCurve:
                 mfht[row] = _loadtxt([text], np.float64)[0]
             except ValueError:
                 raise ValueError(f"{path}: line {line_of(row)}: mfht is not a number: {text!r}") from None
-    if np.any(rows["bin_hi"][:-1] != rows["bin_lo"][1:]):
+    lo, hi = rows["bin_lo"], rows["bin_hi"]
+    unordered = np.flatnonzero(~(lo < hi))  # a NaN edge is not below anything
+    if unordered.size:
+        row = unordered[0]
+        raise ValueError(f"{path}: line {line_of(row)}: bin_lo {lo[row]} is not below bin_hi {hi[row]}")
+    if np.any(hi[:-1] != lo[1:]):
         raise ValueError(f"{path}: bins are not contiguous")
     return MfhtCurve(
-        bin_edges=np.append(rows["bin_lo"], rows["bin_hi"][-1]),
+        bin_edges=np.append(lo, hi[-1]),
         mfht=mfht,
         counts=np.array(rows["count"]),
         min_count=1,

@@ -146,7 +146,7 @@ def test_a7_cir_positivity_and_mean_reversion():
     samples = v[:, 1:]
     n_samples = samples.size
     vbar = float(samples.mean())
-    off = abs(vbar - DEFAULT_MP.cir.b) / DEFAULT_MP.cir.b
+    off = abs(vbar - DEFAULT_MP.b) / DEFAULT_MP.b
     ok = n_samples >= 10_000_000 and (samples >= 0).all() and off < 0.05
     _report(
         "A7",

@@ -16,9 +16,11 @@ from volstab.cli import (
     EXIT_CONFIG,
     EXIT_EMPTY,
     EXIT_INPUT,
+    build_model,
     load_config_file,
     main,
 )
+from volstab.model import ModelParams, SimConfig
 from volstab.episodes import read_episodes_csv
 from volstab.returns import read_returns_csv
 from volstab.stats import read_curve_csv
@@ -43,6 +45,14 @@ def test_config_file_parsing_and_overrides(tmp_path):
     assert manifest["config"]["a"] == DEFAULT_CONFIG["a"]  # default
     assert manifest["subcommand"] == "simulate"
     assert manifest["sigma_bar"] > 0
+
+
+def test_default_config_keys_types_and_model():
+    # the key order is the --help flag order and the manifest's config order
+    assert list(DEFAULT_CONFIG) == ["m", "n", "a", "b", "c", "v_start", "x0", "dt", "steps_per_day", "days",
+                                    "n_series", "seed"]
+    assert [type(v) for v in DEFAULT_CONFIG.values()] == [float] * 8 + [int] * 4
+    assert build_model(DEFAULT_CONFIG) == (ModelParams(), SimConfig())
 
 
 # Config files that are not a config, by file name, and the error each ends in.
@@ -249,6 +259,8 @@ MALFORMED_CURVES = [
     ("bad mfht", CURVE_ROWS + "0.003,0.004,x,10\n", 4, "mfht is not a number: 'x'"),
     ("fractional count", "0.001,0.002,5.0,1.5\n", 2, "count is not an integer: '1.5'"),
     ("count with underscore", CURVE_ROWS + "0.003,0.004,5.0,1_0\n", 4, "count is not an integer: '1_0'"),
+    ("decreasing bins", "3,2,5.0,10\n2,1,6.0,10\n1,0.5,7.0,10\n", 2, "bin_lo 3.0 is not below bin_hi 2.0"),
+    ("nan bin_hi", CURVE_ROWS + "0.003,nan,5.0,10\n", 4, "bin_lo 0.003 is not below bin_hi nan"),
 ]
 
 
@@ -267,6 +279,22 @@ def test_malformed_curve_csv_is_one_line_input_error(tmp_path, capsys, body, lin
     assert err.count("\n") == 1, err
     assert err.startswith(f"error: {path}: line {line}: ") and needle in err, err
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")  # no numpy warning on the way
+def test_compare_on_different_grids_with_non_positive_edges_is_one_line_input_error(tmp_path, capsys):
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    a.write_text(CURVE_HEADER + "-2,-1,5.0,10\n-1,1,6.0,10\n1,3,7.0,10\n")
+    b.write_text(CURVE_HEADER + "-1,0.5,5.0,10\n0.5,2,6.0,10\n2,4,7.0,10\n")
+    out = tmp_path / "o"
+    rc = run("compare", "--empirical", str(a), "--model", str(b), "--out", str(out))
+    err = capsys.readouterr().err
+    assert rc == EXIT_INPUT
+    assert err == "error: curves on different grids need positive bin edges to share a log grid\n"
+    assert not out.exists()
+    # on one grid the curves are compared bin by bin, with no logs taken
+    assert run("compare", "--empirical", str(a), "--model", str(a), "--out", str(out)) == 0
 
 
 def test_window_without_binnable_episodes_gets_the_empty_verdict(tmp_path):
@@ -629,6 +657,26 @@ def test_analyze_prices_without_a_usable_series_is_input_error(tmp_path, capsys)
     out = tmp_path / "an"
     assert run("analyze", "--prices", str(d), "--out", str(out)) == EXIT_INPUT
     assert capsys.readouterr().err.endswith(f"error: {d}: no series with at least two valid prices\n")
+    assert not out.exists()
+
+
+# Prices whose returns overflow, in each layout: the layout, the --prices
+# path, the file in it and the ticker that file names.
+OVERFLOWING_PRICES = [
+    ("per-stock", "prices", "prices/p.csv", "p"),
+    ("wide", "wide.csv", "wide.csv", "AA"),
+]
+
+
+@pytest.mark.parametrize("layout, name, file, ticker", OVERFLOWING_PRICES, ids=[row[0] for row in OVERFLOWING_PRICES])
+def test_analyze_price_errors_name_the_input(tmp_path, capsys, layout, name, file, ticker):
+    path = tmp_path / name
+    (tmp_path / file).parent.mkdir(exist_ok=True)
+    column = "close" if layout == "per-stock" else ticker
+    (tmp_path / file).write_text(f"date,{column}\n2020-01-01,1e-300\n2020-01-02,1e300\n2020-01-03,5\n")
+    out = tmp_path / "an"
+    assert run("analyze", "--prices", str(path), "--layout", layout, "--out", str(out)) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {path}: {ticker}: returns contain non-finite values\n"
     assert not out.exists()
 
 

@@ -8,9 +8,7 @@ import pytest
 
 from volstab import model
 from volstab.model import (
-    CirParams,
     ModelParams,
-    PotentialParams,
     SimConfig,
     _substream,
     cir_step_raw,
@@ -22,18 +20,18 @@ from volstab.model import (
 )
 
 DEFAULT_MP = ModelParams()
-REFLECTING_MP = ModelParams(cir=CirParams(v_start=0.05), x0=-0.99)
+REFLECTING_MP = ModelParams(v_start=0.05, x0=-0.99)
 
 
 def test_potential_hand_values():
-    p = PotentialParams(m=2, n=3)
+    p = ModelParams(m=2, n=3)
     assert potential(0.0, p) == 0.0
     assert potential(-1.0, p) == pytest.approx(1.0)  # barrier top
     assert potential(1.0, p) == pytest.approx(5.0)
 
 
 def test_potential_gradient_hand_values():
-    p = PotentialParams(m=2, n=3)
+    p = ModelParams(m=2, n=3)
     assert potential_gradient(0.0, p) == 0.0
     assert potential_gradient(-1.0, p) == pytest.approx(0.0)  # root at -2n/(3m)
     assert potential_gradient(1.0, p) == pytest.approx(12.0)
@@ -41,7 +39,7 @@ def test_potential_gradient_hand_values():
 
 
 def test_potential_gradient_matches_finite_differences():
-    p = PotentialParams(m=2, n=3)
+    p = ModelParams(m=2, n=3)
     for x in np.linspace(-2.0, 2.0, 81):
         h = 1e-6 * max(1.0, abs(x))
         fd = (potential(x + h, p) - potential(x - h, p)) / (2 * h)
@@ -54,11 +52,11 @@ def test_potential_gradient_matches_finite_differences():
 
 def test_param_validation():
     with pytest.raises(ValueError):
-        PotentialParams(m=-1, n=3)
+        ModelParams(m=-1, n=3)
     with pytest.raises(ValueError):
-        CirParams(a=0)
+        ModelParams(a=0)
     with pytest.raises(ValueError):
-        CirParams(v_start=-1e-9)
+        ModelParams(v_start=-1e-9)
     with pytest.raises(ValueError):
         ModelParams(x0=math.inf)
     with pytest.raises(ValueError):
@@ -70,20 +68,20 @@ def test_param_validation():
 
 
 def test_feller_ratio_reported_not_enforced():
-    cir = CirParams()  # a=2, b=0.01, c=0.83
-    assert cir.feller_ratio == pytest.approx(2 * 2.0 * 0.01 / 0.83**2)
-    assert cir.feller_ratio < 1  # zero boundary attainable; params still accepted
-    assert CirParams(c=0).feller_ratio == math.inf
+    mp = ModelParams()  # a=2, b=0.01, c=0.83
+    assert mp.feller_ratio == pytest.approx(2 * 2.0 * 0.01 / 0.83**2)
+    assert mp.feller_ratio < 1  # zero boundary attainable; params still accepted
+    assert ModelParams(c=0).feller_ratio == math.inf
 
 
 def test_cir_step_fixed_point_and_drift():
-    p = CirParams(a=2.0, b=0.01, c=0.0)
+    p = ModelParams(a=2.0, b=0.01, c=0.0)
     assert np.maximum(cir_step_raw(p.b, p, dt=0.37, dw=123.0), 0.0) == pytest.approx(p.b)
     assert np.maximum(cir_step_raw(0.0, p, dt=0.01, dw=0.0), 0.0) == pytest.approx(2e-4)
 
 
 def test_cir_step_truncation_floor():
-    p = CirParams()
+    p = ModelParams()
     assert np.maximum(cir_step_raw(1e-6, p, dt=0.01, dw=-5.0), 0.0) == 0.0
     assert cir_step_raw(1e-6, p, dt=0.01, dw=-5.0) < 0.0
 
@@ -101,7 +99,7 @@ def test_simulate_days_zero_returns_initial_state_only():
     x, v = simulate_ensemble(DEFAULT_MP, cfg)
     assert x.shape == v.shape == (1, 1)
     assert x[0, 0] == DEFAULT_MP.x0
-    assert v[0, 0] == DEFAULT_MP.cir.v_start
+    assert v[0, 0] == DEFAULT_MP.v_start
     with pytest.raises(ValueError):
         daily_returns(x, ["sim"])
 
@@ -187,8 +185,8 @@ def test_kernel_matches_composed_step_operations():
     rng2 = _substream(9, 0, 1)
     dw1 = rng1.standard_normal(1)[0] * math.sqrt(0.01)
     dw2 = rng2.standard_normal(1)[0] * math.sqrt(0.01)
-    x1 = heston_step(DEFAULT_MP.x0, DEFAULT_MP.cir.v_start, DEFAULT_MP, 0.01, dw1)
-    v1 = np.maximum(cir_step_raw(DEFAULT_MP.cir.v_start, DEFAULT_MP.cir, 0.01, dw2), 0.0)
+    x1 = heston_step(DEFAULT_MP.x0, DEFAULT_MP.v_start, DEFAULT_MP, 0.01, dw1)
+    v1 = np.maximum(cir_step_raw(DEFAULT_MP.v_start, DEFAULT_MP, 0.01, dw2), 0.0)
     assert x[0, 1] == x1
     assert v[0, 1] == v1
 
@@ -205,13 +203,13 @@ def _reference_ensemble(mp, cfg):
     rows = range(cfg.n_series)
     dw1 = np.array([_substream(cfg.seed, i, 0).standard_normal(steps) for i in rows]) * sqdt
     dw2 = np.array([_substream(cfg.seed, i, 1).standard_normal(steps) for i in rows]) * sqdt
-    barrier = mp.potential.barrier
+    barrier = mp.barrier
     xt = np.full(cfg.n_series, mp.x0)
-    vt = np.full(cfg.n_series, mp.cir.v_start)
+    vt = np.full(cfg.n_series, mp.v_start)
     x, v, reflections, mixed = [xt], [vt], 0, 0
     for s in range(steps):
         xnext = heston_step(xt, np.maximum(vt, 0.0), mp, cfg.dt, dw1[:, s])
-        vt = cir_step_raw(vt, mp.cir, cfg.dt, dw2[:, s])
+        vt = cir_step_raw(vt, mp, cfg.dt, dw2[:, s])
         crossed = int((xnext < barrier).sum())
         reflections += crossed
         mixed += 0 < crossed < cfg.n_series
@@ -238,8 +236,8 @@ def test_signed_zeros_at_a_barrier_of_minus_zero_match_the_reference(x0):
     # U = 2 x^3 puts the barrier at -2 * 0 / 6 = -0.0, and with no variance
     # every state is a signed zero.  A reflection that looks equivalent,
     # np.maximum(xn, 2b - xn), gives other signs here.
-    mp = ModelParams(potential=PotentialParams(m=2.0, n=0.0), cir=CirParams(b=0.0, c=0.0, v_start=0.0), x0=x0)
-    assert math.copysign(1.0, mp.potential.barrier) == -1.0
+    mp = ModelParams(m=2.0, n=0.0, b=0.0, c=0.0, v_start=0.0, x0=x0)
+    assert math.copysign(1.0, mp.barrier) == -1.0
     cfg = SimConfig(days=6, steps_per_day=3, n_series=4, seed=5)
     x_ref, v_ref, _, _ = _reference_ensemble(mp, cfg)
     x, v = simulate_ensemble(mp, cfg)
@@ -313,7 +311,7 @@ def test_cir_long_run_average_near_b():
     cfg = SimConfig(dt=0.01, steps_per_day=1, days=100_000, n_series=100, seed=4242)
     _, v = simulate_ensemble(DEFAULT_MP, cfg)
     vbar = v[:, 1:].mean()
-    assert abs(vbar - DEFAULT_MP.cir.b) / DEFAULT_MP.cir.b < 0.05
+    assert abs(vbar - DEFAULT_MP.b) / DEFAULT_MP.b < 0.05
 
 
 def test_noise_streams_independent():
@@ -328,7 +326,7 @@ def test_driftless_random_walk_variance_matches_b():
     # flat potential, frozen variance: daily increments ~ Normal(-b/2, b),
     # independent across days and across series, so 100 x 100 pool 10,000
     # of them; the variance does not see a flipped drift sign
-    mp = ModelParams(potential=PotentialParams(m=0, n=0), cir=CirParams(c=0, v_start=0.01))
+    mp = ModelParams(m=0, n=0, c=0, v_start=0.01)
     cfg = SimConfig(dt=0.01, steps_per_day=100, days=100, n_series=100, seed=5)
     x, _ = simulate_ensemble(mp, cfg)
     r = daily_returns(x, [f"sim{i}" for i in range(100)]).values
@@ -337,11 +335,11 @@ def test_driftless_random_walk_variance_matches_b():
 
 def test_gradient_flow_with_noise_off():
     # b = c = v_start = 0 freezes the variance at zero; x follows -U'(x)
-    quiet = CirParams(a=2.0, b=0.0, c=0.0, v_start=0.0)
+    quiet = ModelParams(a=2.0, b=0.0, c=0.0, v_start=0.0)
     cfg = SimConfig(dt=0.01, steps_per_day=100, days=30, n_series=1, seed=1)
-    at_rest, _ = simulate_ensemble(ModelParams(cir=quiet, x0=0.0), cfg)
+    at_rest, _ = simulate_ensemble(replace(quiet, x0=0.0), cfg)
     assert np.all(at_rest == 0.0)
-    in_well, _ = simulate_ensemble(ModelParams(cir=quiet, x0=-0.9), cfg)
+    in_well, _ = simulate_ensemble(replace(quiet, x0=-0.9), cfg)
     assert np.all(np.diff(in_well[0]) >= 0)  # monotone climb back to the minimum
     assert abs(in_well[0, -1]) < 1e-6
 

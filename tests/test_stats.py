@@ -111,6 +111,20 @@ def test_curve_empty_errors():
         mfht_curve(_table([3], [float("nan")]))
 
 
+@pytest.mark.parametrize(
+    "edges", [[0.05, float("nan"), 0.5], [0.5, 0.1, 0.05], [0.05, 0.05, 0.5], [[0.05, 0.5]]],
+    ids=["nan", "decreasing", "repeated", "2-d"],
+)
+@pytest.mark.parametrize(
+    "bin_with", [lambda t, e: mfht_curve(t, bins=e, min_count=1), lambda t, e: histogram(t.volatility, bins=e)],
+    ids=["mfht_curve", "histogram"],
+)
+def test_explicit_edges_must_be_strictly_increasing(bin_with, edges):
+    table = _table([3, 5, 7], [0.06, 0.1, 0.3])
+    with pytest.raises(ValueError, match="explicit bin edges must be 1-d and strictly increasing"):
+        bin_with(table, np.array(edges))
+
+
 def test_locate_maximum_basic_and_interior_flag():
     peak = locate_maximum(_curve([2, 9, 3]))
     assert (peak.bin_index, peak.mfht, peak.interior) == (1, 9.0, True)
