@@ -1,13 +1,15 @@
 """The text format of every file volstab writes and reads back.
 
 Floats are written with ``repr``, the shortest text that parses back to the
-same double, so every CSV round-trips exactly.  ``fmt`` formats a scalar
-cell (a window's thetas, a curve's bins, ``sigma_bar``); ``write_rows``
-writes whole columns, the rows of a returns series, a trajectory or an
-episode table, with the same text.  ``float_texts`` takes a cell's text
-from the column before when that column held the same bit pattern and
-formats only the other cells, so the episodes writer formats each
-volatility once per pair of neighbouring windows, with the same bytes.
+same double, so every CSV round-trips exactly.  ``write_csv`` is the one
+CSV writer: it opens the file, writes the header and hands each group of
+rows (a returns series, a trajectory, an episode table, a whole curve) to
+``write_rows``, which writes whole columns.  ``fmt`` formats a scalar cell
+(a window's thetas, a curve's bins, ``sigma_bar``) with the same text.
+``float_texts`` takes a cell's text from the column before when that
+column held the same bit pattern and formats only the other cells, so the
+episodes writer formats each volatility once per pair of neighbouring
+windows, with the same bytes.
 JSON files are indented, key-sorted and newline-terminated so that equal
 payloads give equal bytes.
 
@@ -33,6 +35,14 @@ import numpy as np
 def fmt(x: float) -> str:
     """Shortest round-tripping text of ``x`` (also for numpy scalars)."""
     return repr(float(x))
+
+
+def write_csv(path: str | Path, header: str, rows: Iterable[tuple]) -> None:
+    """Write a UTF-8 CSV: the ``header`` line, then ``write_rows(fh, *cells)`` per ``cells`` in ``rows``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for cells in rows:
+            write_rows(fh, *cells)
 
 
 def write_rows(fh: TextIO, *cells) -> None:

@@ -2,9 +2,9 @@
 
 Every subcommand resolves its configuration from built-in defaults, an
 optional ``key = value`` config file, and explicit flags (in that order of
-precedence), writes the result files into one output directory, and records
-a manifest there; re-running with the same manifest reproduces the output
-bytes exactly.
+precedence) and computes its results; only then does ``main`` make one
+output directory, write the result files and record a manifest there.
+Re-running with the same manifest reproduces the output bytes exactly.
 
 Exit codes: 0 success, 2 configuration error, 3 input error, 4 empty result.
 """
@@ -13,16 +13,18 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import sys
 import time
-from dataclasses import asdict, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
-from ._io import fmt, write_json, write_rows
+from ._io import fmt, write_csv, write_json
 from .episodes import (
     DEFAULT_ENTRY_RULE,
     DEFAULT_VOL_SCOPE,
@@ -181,33 +183,51 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _out_dir(args: argparse.Namespace, seed: int | None) -> Path:
-    if args.out:
-        out = Path(args.out)
-    else:
-        stamp = time.strftime("%Y%m%d-%H%M%S")
-        out = Path("runs") / (f"{stamp}-seed{seed}" if seed is not None else stamp)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _out_dir(out: str | None, seed: int | None) -> Path:
+    """``--out``, or the first free name of ``runs/<timestamp>[-seed<seed>]``, ``-2``, ``-3``, ..."""
+    if out:
+        Path(out).mkdir(parents=True, exist_ok=True)
+        return Path(out)
+    stamp = time.strftime("%Y%m%d-%H%M%S")
+    name = f"{stamp}-seed{seed}" if seed is not None else stamp
+    for n in itertools.count(1):
+        path = Path("runs") / (name if n == 1 else f"{name}-{n}")
+        try:
+            path.mkdir(parents=True)
+            return path
+        except FileExistsError:
+            continue
 
 
-def write_manifest(
-    out: Path,
-    subcommand: str,
-    config: dict,
-    inputs: list[Path],
-    extra: dict | None = None,
-) -> None:
+def write_manifest(out: Path, subcommand: str, config: dict, inputs: list[Path], extra: dict) -> None:
     manifest = {
         "subcommand": subcommand,
         "tool_version": __version__,
         "seed": config.get("seed"),
         "config": config,
         "inputs": {str(p): _sha256(p) for p in inputs},
+        **extra,
     }
-    if extra:
-        manifest.update(extra)
     write_json(manifest, out / "manifest.json")
+
+
+@dataclass
+class Outcome:
+    """What a subcommand computed, for ``main`` to write into the output directory.
+
+    ``files`` holds ``(name, writer, args)`` in writing order; ``main``
+    calls ``writer(*args, out / name)``.  ``config``, ``inputs`` and
+    ``extra`` go into the manifest; ``config``'s seed names a default
+    output directory.  ``summary(out)`` is printed; an ``empty`` message
+    marks an empty result, printed to stderr with exit code 4.
+    """
+
+    config: dict
+    inputs: list[Path]
+    files: list[tuple[str, Callable, tuple]]
+    summary: Callable[[Path], str]
+    extra: dict = field(default_factory=dict)
+    empty: str | None = None
 
 
 # ---------------------------------------------------------------- simulate
@@ -216,39 +236,30 @@ def write_manifest(
 def write_trajectories_csv(x: np.ndarray, v: np.ndarray, path: str | Path) -> None:
     """Write ``series,day,x,v`` rows of ``simulate_ensemble``'s state, one series at a time."""
     heads = [f",{d}," for d in range(x.shape[1])]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("series,day,x,v\n")
-        for i in range(x.shape[0]):
-            write_rows(fh, str(i), heads, x[i], ",", v[i])
+    write_csv(path, "series,day,x,v", ((str(i), heads, x[i], ",", v[i]) for i in range(x.shape[0])))
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(args: argparse.Namespace) -> Outcome:
     config = resolve_config(args)
     mp, cfg = build_model(config)
     try:
         x, v = simulate_ensemble(mp, cfg, threads=args.threads)
     except FloatingPointError as exc:  # the integration blew up: a configuration fault
         raise ConfigError(str(exc)) from None
-    out = _out_dir(args, cfg.seed)
-
+    files, sigma_bar, tail = [], None, ""
     if cfg.days >= 1:
         ensemble = daily_returns(x, [f"sim{i:04d}" for i in range(cfg.n_series)])
-        write_returns_csv(ensemble, out / "returns.csv")
         stats = market_stats(ensemble)
-        write_stats_json(stats, out / "stats.json")
+        files += [("returns.csv", write_returns_csv, (ensemble,)), ("stats.json", write_stats_json, (stats,))]
         sigma_bar = stats.sigma_bar
-    else:
-        sigma_bar = None
-
+        tail = f"\nsigma_bar = {fmt(sigma_bar)}"
     if args.write_trajectories or cfg.days < 1:
-        write_trajectories_csv(x, v, out / "trajectories.csv")
-
-    inputs = [Path(args.config)] if args.config else []
-    write_manifest(out, "simulate", config, inputs, extra={"sigma_bar": sigma_bar})
-    print(f"simulate: {cfg.n_series} series x {cfg.days} days -> {out}")
-    if sigma_bar is not None:
-        print(f"sigma_bar = {fmt(sigma_bar)}")
-    return EXIT_OK
+        files.append(("trajectories.csv", write_trajectories_csv, (x, v)))
+    return Outcome(
+        config, [Path(args.config)] if args.config else [], files,
+        lambda out: f"simulate: {cfg.n_series} series x {cfg.days} days -> {out}{tail}",
+        extra={"sigma_bar": sigma_bar},
+    )
 
 
 # ----------------------------------------------------------------- analyze
@@ -285,27 +296,21 @@ def _resolve_windows(args: argparse.Namespace, sigma_bar: float) -> list[Thresho
         raise ConfigError(str(exc)) from None
 
 
-def _curves_and_verdicts(tables: list[EpisodeTable], bins: int, min_count: int) -> tuple[list, list[dict]]:
-    """Each table's curve (None when no episode can be binned) and verdict."""
-    curves, verdicts = [], []
+def _curve_files(tables: list[EpisodeTable], bins: int, min_count: int) -> list[tuple]:
+    """Each table's curve file (none when no episode can be binned), then ``verdicts.json``."""
+    files, verdicts = [], []
     for table in tables:
+        window_id = table.window.window_id
         try:
             curve = mfht_curve(table, bins=bins, min_count=min_count)
+            files.append((f"curve_{window_id}.csv", write_curve_csv, (curve,)))
         except ValueError:  # no episodes, or none with binnable volatility
             curve = None
-        curves.append(curve)
-        verdicts.append(nonmonotonicity_verdict(curve, window_id=table.window.window_id))
-    return curves, verdicts
+        verdicts.append(nonmonotonicity_verdict(curve, window_id=window_id))
+    return files + [("verdicts.json", write_json, (verdicts,))]
 
 
-def _write_curves(out: Path, curves: list, verdicts: list[dict]) -> None:
-    for curve in curves:
-        if curve is not None:
-            write_curve_csv(curve, out / f"curve_{curve.window.window_id}.csv")
-    write_json(verdicts, out / "verdicts.json")
-
-
-def cmd_analyze(args: argparse.Namespace) -> int:
+def cmd_analyze(args: argparse.Namespace) -> Outcome:
     config = resolve_config(args)
     build_model(config)  # reject an invalid configuration before it is recorded
     ensemble, inputs = _load_input_series(args)
@@ -324,31 +329,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     ]
     n_series = len(ensemble)
     del ensemble  # its arrays and prefix sums outweigh the tables; free them before writing
-    # bin the curves first, so that a size too large to bin leaves no output directory
-    curves, verdicts = _curves_and_verdicts(tables, args.bins, args.min_count)
-    out = _out_dir(args, config["seed"])
-    write_episodes_csv(tables, out / "episodes.csv")
-    _write_curves(out, curves, verdicts)
-    write_manifest(
-        out,
-        "analyze",
-        config,
-        inputs,
-        extra={
-            "sigma_bar": sigma_bar,
-            "window": args.window,
-            "entry_rule": args.entry_rule,
-            "vol_scope": args.vol_scope,
-            "bins": args.bins,
-            "min_count": args.min_count,
-        },
-    )
+    files = [("episodes.csv", write_episodes_csv, (tables,))]
+    files += _curve_files(tables, args.bins, args.min_count)
     total = sum(len(t) for t in tables)
-    print(f"analyze: {n_series} series, {len(windows)} window(s), {total} episodes -> {out}")
-    if total == 0:
-        print("no episodes extracted", file=sys.stderr)
-        return EXIT_EMPTY
-    return EXIT_OK
+    flags = ("window", "entry_rule", "vol_scope", "bins", "min_count")
+    extra = {"sigma_bar": sigma_bar, **{name: getattr(args, name) for name in flags}}
+    return Outcome(
+        config, inputs, files,
+        lambda out: f"analyze: {n_series} series, {len(windows)} window(s), {total} episodes -> {out}",
+        extra, empty=None if total else "no episodes extracted",
+    )
 
 
 # ------------------------------------------------------- mfht / fht-pdf / acf
@@ -365,33 +355,28 @@ def _load_episode_tables(path_text: str) -> list[EpisodeTable]:
     return tables
 
 
-def cmd_mfht(args: argparse.Namespace) -> int:
+def cmd_mfht(args: argparse.Namespace) -> Outcome:
     tables = _load_episode_tables(args.episodes)
-    curves, verdicts = _curves_and_verdicts(tables, args.bins, args.min_count)
-    out = _out_dir(args, None)
-    _write_curves(out, curves, verdicts)
-    write_manifest(
-        out,
-        "mfht",
-        {"bins": args.bins, "min_count": args.min_count},
-        [Path(args.episodes)],
+    return Outcome(
+        {"bins": args.bins, "min_count": args.min_count}, [Path(args.episodes)],
+        _curve_files(tables, args.bins, args.min_count),
+        lambda out: f"mfht: {len(tables)} window(s) -> {out}",
     )
-    print(f"mfht: {len(tables)} window(s) -> {out}")
-    return EXIT_OK
 
 
-def cmd_fht_pdf(args: argparse.Namespace) -> int:
+def cmd_fht_pdf(args: argparse.Namespace) -> Outcome:
     tables = _load_episode_tables(args.episodes)
-    hists = [fht_pdf(table, bins=args.bins) for table in tables]
-    out = _out_dir(args, None)
-    for table, hist in zip(tables, hists):
-        write_histogram_csv(hist, out / f"fht_pdf_{table.window.window_id}.csv")
-    write_manifest(out, "fht-pdf", {"bins": args.bins}, [Path(args.episodes)])
-    print(f"fht-pdf: {len(tables)} window(s) -> {out}")
-    return EXIT_OK
+    files = [
+        (f"fht_pdf_{table.window.window_id}.csv", write_histogram_csv, (fht_pdf(table, bins=args.bins),))
+        for table in tables
+    ]
+    return Outcome(
+        {"bins": args.bins}, [Path(args.episodes)], files,
+        lambda out: f"fht-pdf: {len(tables)} window(s) -> {out}",
+    )
 
 
-def cmd_acf(args: argparse.Namespace) -> int:
+def cmd_acf(args: argparse.Namespace) -> Outcome:
     try:
         ensemble = read_returns_csv(Path(args.returns))
     except (OSError, ValueError) as exc:
@@ -400,20 +385,18 @@ def cmd_acf(args: argparse.Namespace) -> int:
         result = ensemble_acf(ensemble, args.max_lag, absolute=args.absolute)
     except ValueError as exc:  # a series too short for max_lag, or of zero variance
         raise InputError(f"{args.returns}: {exc}") from None
-    out = _out_dir(args, None)
     name = "acf_abs.csv" if args.absolute else "acf.csv"
-    write_acf_csv(result, out / name)
-    write_manifest(
-        out, "acf", {"max_lag": args.max_lag, "absolute": args.absolute}, [Path(args.returns)]
+    return Outcome(
+        {"max_lag": args.max_lag, "absolute": args.absolute}, [Path(args.returns)],
+        [(name, write_acf_csv, (result,))],
+        lambda out: f"acf: {len(ensemble)} series, lags 0..{args.max_lag} -> {out / name}",
     )
-    print(f"acf: {len(ensemble)} series, lags 0..{args.max_lag} -> {out / name}")
-    return EXIT_OK
 
 
 # ----------------------------------------------------------------- compare
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
+def cmd_compare(args: argparse.Namespace) -> Outcome:
     try:
         empirical = read_curve_csv(Path(args.empirical))
         model = read_curve_csv(Path(args.model))
@@ -421,15 +404,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         raise InputError(str(exc)) from None
     report = comparison.report
-    out = _out_dir(args, None)
-    write_comparison_csv(comparison, out / "compare.csv")
-    write_json(report, out / "compare.json")
-    write_manifest(out, "compare", {}, [Path(args.empirical), Path(args.model)])
-    print(
-        f"compare: {report['bins_compared']} common bins, "
-        f"peak offset {report['peak_offset_bins']} -> {out}"
+    files = [("compare.csv", write_comparison_csv, (comparison,)), ("compare.json", write_json, (report,))]
+    bins, offset = report["bins_compared"], report["peak_offset_bins"]
+    return Outcome(
+        {}, [Path(args.empirical), Path(args.model)], files,
+        lambda out: f"compare: {bins} common bins, peak offset {offset} -> {out}",
     )
-    return EXIT_OK
 
 
 # ------------------------------------------------------------------ parser
@@ -449,7 +429,36 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
             p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=int, default=None)
 
 
-def _add_analysis_flags(p: argparse.ArgumentParser) -> None:
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="volstab",
+        description="Hitting-time stability analysis of daily returns, simulated or empirical.",
+        allow_abbrev=False,
+    )
+    parser.add_argument("--version", action="version", version=f"volstab {__version__}")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+
+    def add(name: str, func, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)  # flag names must be exact
+        p.add_argument("--out", help="output directory (default: runs/<timestamp>[-seed<seed>])")
+        p.set_defaults(func=func)
+        return p
+
+    p = add("simulate", cmd_simulate, "generate a return ensemble from the model")
+    _add_config_flags(p)
+    p.add_argument("--threads", type=int, default=2,
+                   help="2 (default) or more, with two usable CPUs: a forked helper process draws the "
+                        "normals one block ahead while this one steps (above 2 adds nothing); 1: draw "
+                        "them and step in turn")
+    _add_model_flags(p)
+    p.add_argument("--write-trajectories", action="store_true",
+                   help="also export series,day,x,v rows")
+
+    p = add("analyze", cmd_analyze, "extract episodes and build hitting-time curves")
+    _add_config_flags(p)
+    p.add_argument("--returns", help="returns CSV (ticker,day_index,return)")
+    p.add_argument("--prices", help="price CSV file or directory")
+    p.add_argument("--layout", choices=("per-stock", "wide"), default="per-stock")
     p.add_argument("--window", choices=WINDOW_FAMILIES + ("manual",), default="fig1a")
     p.add_argument("--theta-i", dest="theta_i", type=float, default=None)
     p.add_argument("--theta-f", dest="theta_f", type=float, default=None)
@@ -460,39 +469,6 @@ def _add_analysis_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--min-count", dest="min_count", type=int, default=DEFAULT_MIN_COUNT)
     p.add_argument("--entry-rule", dest="entry_rule", choices=ENTRY_RULES, default=DEFAULT_ENTRY_RULE)
     p.add_argument("--vol-scope", dest="vol_scope", choices=VOL_SCOPES, default=DEFAULT_VOL_SCOPE)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="volstab",
-        description="Hitting-time stability analysis of daily returns, simulated or empirical.",
-    )
-    parser.add_argument("--version", action="version", version=f"volstab {__version__}")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add(name: str, func, summary: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=summary)
-        p.add_argument("--out", help="output directory (default: runs/<timestamp>[-seed<seed>])")
-        p.set_defaults(func=func)
-        return p
-
-    p = add("simulate", cmd_simulate, "generate a return ensemble from the model")
-    _add_config_flags(p)
-    p.add_argument("--threads", type=int, default=1,
-                   help="1: draw the normals and step in turn; 2 or more, with two usable CPUs: a forked "
-                        "helper process draws them one block ahead while this one steps "
-                        "(above 2 adds nothing)")
-    _add_model_flags(p)
-    p.add_argument("--write-trajectories", action="store_true",
-                   help="also export series,day,x,v rows")
-
-    p = add("analyze", cmd_analyze, "extract episodes and build hitting-time curves")
-    _add_config_flags(p)
-    p.add_argument("--returns", help="returns CSV (ticker,day_index,return)")
-    p.add_argument("--prices", help="price CSV file or directory")
-    p.add_argument("--layout", choices=("per-stock", "wide"), default="per-stock")
-    _add_analysis_flags(p)
-
     p = add("mfht", cmd_mfht, "bin an episode file into curves and verdicts")
     p.add_argument("--episodes", required=True)
     p.add_argument("--bins", type=int, default=DEFAULT_BINS)
@@ -519,7 +495,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_flag_minima(args)
-        return args.func(args)
+        outcome = args.func(args)  # reads and computes all, so a fault ends the run before any output exists
+        out = _out_dir(args.out, outcome.config.get("seed"))
+        for name, writer, data in outcome.files:
+            writer(*data, out / name)
+        write_manifest(out, args.subcommand, outcome.config, outcome.inputs, outcome.extra)
     except (ConfigError, InputError, EmptyResultError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
@@ -529,6 +509,11 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:  # a size too large for this machine
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    print(outcome.summary(out))
+    if outcome.empty:
+        print(outcome.empty, file=sys.stderr)
+        return EXIT_EMPTY
+    return EXIT_OK
 
 
 if __name__ == "__main__":

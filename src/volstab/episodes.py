@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._io import decode_runs, float_texts, fmt, read_table, write_rows
+from ._io import decode_runs, float_texts, fmt, read_table, write_csv
 from .returns import Ensemble
 
 __all__ = [
@@ -238,14 +238,15 @@ def write_episodes_csv(tables: list[EpisodeTable], path: str | Path) -> None:
     Neighbouring windows share most of their episode volatilities, so each
     table takes the volatility texts of the table before it.
     """
-    seen = (np.empty(0, dtype=np.int64), np.empty(0, dtype=object))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(_EPISODE_DTYPE.names) + "\n")
+    def rows():
+        seen = (np.empty(0, dtype=np.int64), np.empty(0, dtype=object))
         for table in tables:
             w = table.window
             head = f",{w.window_id},{fmt(w.theta_i)},{fmt(w.theta_f)},"
             vol, seen = float_texts(np.asarray(table.volatility, dtype=np.float64), seen)
-            write_rows(fh, table.tickers, head, table.start_index, ",", table.fht, ",", vol)
+            yield table.tickers, head, table.start_index, ",", table.fht, ",", vol
+
+    write_csv(path, ",".join(_EPISODE_DTYPE.names), rows())
 
 
 def read_episodes_csv(path: str | Path) -> list[EpisodeTable]:

@@ -11,13 +11,13 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
-from ._io import decode_runs, read_table, write_json, write_rows
+from ._io import decode_runs, read_table, write_csv, write_json
 
 __all__ = [
     "ReturnSeries",
@@ -272,12 +272,10 @@ _RETURNS_DTYPE = np.dtype([("ticker", "S16"), ("day_index", np.int64), ("return"
 
 def write_returns_csv(ensemble: Ensemble, path: str | Path) -> None:
     """Write ``ticker,day_index,return`` rows, one series at a time; floats round-trip exactly."""
-    heads: list[str] = []  # ",i," for every day_index written so far
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(_RETURNS_DTYPE.names) + "\n")
-        for ticker, (a, b) in zip(ensemble.tickers, ensemble._bounds()):
-            heads.extend(f",{i}," for i in range(len(heads), b - a))
-            write_rows(fh, ticker, heads[: b - a], ensemble.values[a:b])
+    heads = [f",{i}," for i in range(int(np.diff(ensemble.offsets).max(initial=0)))]
+    series = zip(ensemble.tickers, ensemble._bounds())
+    rows = ((ticker, heads[: b - a], ensemble.values[a:b]) for ticker, (a, b) in series)
+    write_csv(path, ",".join(_RETURNS_DTYPE.names), rows)
 
 
 def read_returns_csv(path: str | Path) -> Ensemble:
@@ -349,9 +347,4 @@ def read_returns_csv(path: str | Path) -> Ensemble:
 
 
 def write_stats_json(stats: MarketStats, path: str | Path) -> None:
-    payload = {
-        "n_series": stats.n_series,
-        "sigma_bar": stats.sigma_bar,
-        "per_series_sigma": stats.per_series_sigma,
-    }
-    write_json(payload, path)
+    write_json(asdict(stats), path)

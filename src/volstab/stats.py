@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._io import _loadtxt, read_table, write_rows
+from ._io import _loadtxt, read_table, write_csv
 from .episodes import EpisodeTable, ThresholdWindow
 from .returns import Ensemble
 
@@ -380,9 +380,8 @@ def _finite_text(values: np.ndarray) -> list[str]:
 def write_curve_csv(curve: MfhtCurve, path: str | Path) -> None:
     """Write ``bin_lo,bin_hi,mfht,count``; unpopulated bins leave mfht empty."""
     edges = curve.bin_edges
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(_CURVE_DTYPE.names) + "\n")
-        write_rows(fh, edges[:-1], ",", edges[1:], ",", _finite_text(curve.mfht), ",", curve.counts)
+    write_csv(path, ",".join(_CURVE_DTYPE.names),
+              [(edges[:-1], ",", edges[1:], ",", _finite_text(curve.mfht), ",", curve.counts)])
 
 
 def read_curve_csv(path: str | Path) -> MfhtCurve:
@@ -420,19 +419,15 @@ def read_curve_csv(path: str | Path) -> MfhtCurve:
 def write_comparison_csv(comparison: CurveComparison, path: str | Path) -> None:
     """Write ``bin_lo,bin_hi,mfht_empirical,mfht_model,diff``; NaN cells stay empty."""
     c = comparison
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("bin_lo,bin_hi,mfht_empirical,mfht_model,diff\n")
-        write_rows(fh, c.bin_edges[:-1], ",", c.bin_edges[1:], ",", _finite_text(c.mfht_empirical), ",",
-                   _finite_text(c.mfht_model), ",", _finite_text(c.diff))
+    write_csv(path, "bin_lo,bin_hi,mfht_empirical,mfht_model,diff",
+              [(c.bin_edges[:-1], ",", c.bin_edges[1:], ",", _finite_text(c.mfht_empirical), ",",
+                _finite_text(c.mfht_model), ",", _finite_text(c.diff))])
 
 
 def write_histogram_csv(hist: Histogram, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("bin_lo,bin_hi,density,count\n")
-        write_rows(fh, hist.bin_edges[:-1], ",", hist.bin_edges[1:], ",", hist.density, ",", hist.counts)
+    write_csv(path, "bin_lo,bin_hi,density,count",
+              [(hist.bin_edges[:-1], ",", hist.bin_edges[1:], ",", hist.density, ",", hist.counts)])
 
 
 def write_acf_csv(series: AcfSeries, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("lag,value\n")
-        write_rows(fh, series.lags, ",", series.values)
+    write_csv(path, "lag,value", [(series.lags, ",", series.values)])

@@ -10,7 +10,7 @@ import pytest
 
 from helpers import make_ensemble
 import volstab
-from volstab import model
+from volstab import cli, model
 from volstab.cli import (
     DEFAULT_CONFIG,
     EXIT_CONFIG,
@@ -95,6 +95,7 @@ def valid_inputs(tmp_path_factory):
     rng = np.random.default_rng(8)
     returns = _write_returns(d, [(f"s{i}", rng.uniform(-0.06, 0.06, 300)) for i in range(4)])
     flat = _write_returns(d, [(f"z{i}", [0.0] * 4) for i in range(2)], name="flat.csv")
+    (d / "curve.csv").write_text(CURVE_HEADER + CURVE_ROWS)
     assert run(
         "analyze", "--returns", str(returns), "--window", "fig1a",
         "--sigma-bar", "0.02", "--out", str(d / "an"),
@@ -103,6 +104,7 @@ def valid_inputs(tmp_path_factory):
         "returns": str(returns),
         "episodes": str(d / "an" / "episodes.csv"),
         "flat": str(flat),
+        "curve": str(d / "curve.csv"),
     }
 
 
@@ -146,6 +148,31 @@ def test_bad_numeric_value_is_one_line_config_error(
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert needle.format(**valid_inputs) in err, err
     assert not out.exists()  # a failed run leaves no output directory behind
+
+
+# Prefixes of each subcommand's flags, which argparse would otherwise take
+# for the longer flag: "--m" for "--min-count", "--sig" for "--sigma-bar".
+ABBREVIATED_FLAGS = [
+    ["simulate", "--n-ser", "5", "--day", "10"],
+    ["analyze", "--returns", "{returns}", "--m", "-1"],
+    ["analyze", "--returns", "{returns}", "--sig", "0.02"],
+    ["mfht", "--episodes", "{episodes}", "--min", "1"],
+    ["fht-pdf", "--episodes", "{episodes}", "--bin", "5"],
+    ["acf", "--returns", "{returns}", "--max", "3"],
+    ["compare", "--empirical", "{curve}", "--model", "{curve}", "--mod", "{curve}"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv", ABBREVIATED_FLAGS, ids=[" ".join(a for a in argv if "{" not in a) for argv in ABBREVIATED_FLAGS]
+)
+def test_flag_names_must_be_exact(valid_inputs, tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        run(*[a.format(**valid_inputs) for a in argv], "--out", str(out))
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 RETURNS_HEADER = "ticker,day_index,return\n"
@@ -331,15 +358,15 @@ def test_fractional_day_index_is_refused_with_deprecation_warnings_hidden(tmp_pa
     assert proc.stderr == f"error: {path}: line 3: day_index is not an integer: '1.0'\n"
 
 
-def _run_fresh(flags, env, *argv):
-    """The CLI in a fresh interpreter started with ``flags`` and ``env`` added to this one's."""
+_CLI = ("-c", "import sys; from volstab.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+def _run_fresh(flags, env, *argv, program=_CLI):
+    """``program`` (the CLI) in a fresh interpreter started with ``flags`` and ``env`` added to this one's."""
     src = str(Path(volstab.__file__).parents[1])
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [
-            sys.executable, *flags, "-c",
-            "import sys; from volstab.cli import main; sys.exit(main(sys.argv[1:]))", *argv,
-        ],
+        [sys.executable, *flags, *program, *argv],
         env={**os.environ, "PYTHONPATH": pythonpath, **env}, capture_output=True, text=True, timeout=120,
     )
 
@@ -404,6 +431,54 @@ def test_config_seed_threads_only_on_subcommands_that_read_them(capsys):
             run(sub, "--help")
         text = capsys.readouterr().out
         assert {f for f in ("--config", "--seed", "--threads") if f in text} == flags, sub
+
+
+def test_default_run_directory_is_never_reused(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli.time, "strftime", lambda fmt: "20261019-120000")
+    argv = ["simulate", "--n-series", "2", "--days", "5"]
+    assert run(*argv, "--seed", "1") == 0
+    assert run(*argv, "--seed", "1", "--threads", "1") == 0
+    assert run(*argv, "--seed", "2") == 0
+    runs = Path("runs")
+    assert sorted(p.name for p in runs.iterdir()) == [
+        "20261019-120000-seed1", "20261019-120000-seed1-2", "20261019-120000-seed2",
+    ]
+    assert (runs / "20261019-120000-seed1" / "returns.csv").read_bytes() == (
+        runs / "20261019-120000-seed1-2" / "returns.csv"
+    ).read_bytes()
+    assert "-> runs/20261019-120000-seed1-2\n" in capsys.readouterr().out
+    episodes = runs / "episodes.csv"
+    episodes.write_text(EPISODES_HEADER + FIG1A_ROW)
+    assert run("fht-pdf", "--episodes", str(episodes)) == 0
+    assert run("fht-pdf", "--episodes", str(episodes)) == 0
+    assert (runs / "20261019-120000" / "manifest.json").exists()
+    assert (runs / "20261019-120000-2" / "manifest.json").exists()
+    # --out names a directory, which a later run may write into again
+    assert run(*argv, "--out", "fixed") == 0
+    assert run(*argv, "--out", "fixed") == 0
+    assert not Path("fixed-2").exists()
+
+
+def test_perfbench_tracer_spans_every_layer_the_pipeline_calls(tmp_path):
+    """The benchmark's tracer rebinds the layer names of ``volstab.cli``; each must still be called through them."""
+    tracer = str(Path(__file__).parents[1] / "perfbench" / "tracer.py")
+    names = set()
+    for run_id, argv in [
+        ("sim", ["simulate", "--threads", "1", "--n-series", "4", "--days", "250", "--seed", "3"]),
+        ("an", ["analyze", "--returns", str(tmp_path / "sim" / "returns.csv"), "--window", "fig1b"]),
+    ]:
+        spans = tmp_path / f"{run_id}.json"
+        proc = _run_fresh([], {}, str(spans), run_id, *argv, "--out", str(tmp_path / run_id), program=[tracer])
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(spans.read_text())
+        assert doc["exit_code"] == 0 and doc["missing_names"] == [] and doc["counter_errors"] == []
+        names |= {span["name"] for span in doc["spans"]}
+    assert names >= {
+        "simulate_ensemble", "daily_returns", "market_stats", "write_returns_csv", "write_stats_json",
+        "read_returns_csv", "extract_table", "mfht_curve", "nonmonotonicity_verdict", "write_episodes_csv",
+        "write_curve_csv", "write_manifest", "_sha256",
+    }
 
 
 def test_simulate_writes_returns_stats_manifest(tmp_path):
