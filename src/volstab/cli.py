@@ -1,10 +1,12 @@
 """Command-line pipeline: simulate, analyze, mfht, fht-pdf, acf, compare.
 
-Every subcommand resolves its configuration from built-in defaults, an
-optional ``key = value`` config file, and explicit flags (in that order of
-precedence) and computes its results; only then does ``main`` make one
-output directory, write the result files and record a manifest there.
-Re-running with the same manifest reproduces the output bytes exactly.
+Every subcommand reads its inputs and computes its results; only then
+does ``main`` make one output directory, write the result files and record
+a manifest there, which holds the settings the subcommand used.  Only
+``simulate`` has a model configuration, resolved from built-in defaults,
+an optional ``key = value`` config file, and explicit flags (in that order
+of precedence); re-running it with its manifest reproduces the output
+bytes exactly.
 
 Exit codes: 0 success, 2 configuration error, 3 input error, 4 empty result.
 """
@@ -78,6 +80,8 @@ CONFIG_KEYS = _FLOAT_KEYS + _INT_KEYS
 # Smallest accepted value of each integer flag that is not a model key;
 # model keys are checked by the model's dataclasses.
 _FLAG_MINIMA = {"threads": 1, "bins": 1, "min_count": 1, "max_lag": 0}
+# numpy makes no array of more than intp-max bytes, and --bins asks for bins + 1 edges.
+_MAX_BINS = np.iinfo(np.intp).max // 8 - 1
 
 
 class ConfigError(Exception):
@@ -152,12 +156,10 @@ def load_config_file(path: str | Path) -> dict:
 def resolve_config(args: argparse.Namespace) -> dict:
     """Defaults, then config file, then explicit flags."""
     config = dict(DEFAULT_CONFIG)
-    if getattr(args, "config", None):
+    if args.config:
         config.update(load_config_file(args.config))
-    for key in CONFIG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            config[key] = value
+    flags = vars(args)
+    config.update({key: flags[key] for key in CONFIG_KEYS if flags[key] is not None})
     return config
 
 
@@ -168,11 +170,13 @@ def build_model(config: dict) -> tuple[ModelParams, SimConfig]:
         raise ConfigError(str(exc)) from None
 
 
-def _check_flag_minima(args: argparse.Namespace) -> None:
+def _check_flag_bounds(args: argparse.Namespace) -> None:
     for key, lowest in _FLAG_MINIMA.items():
         value = getattr(args, key, None)
         if value is not None and value < lowest:
             raise ConfigError(f"--{key.replace('_', '-')} must be >= {lowest}, got {value}")
+    if getattr(args, "bins", 0) > _MAX_BINS:
+        raise ConfigError(f"--bins must be <= {_MAX_BINS}: numpy makes no larger array of bin edges, got {args.bins}")
 
 
 def _sha256(path: Path) -> str:
@@ -203,7 +207,6 @@ def write_manifest(out: Path, subcommand: str, config: dict, inputs: list[Path],
     manifest = {
         "subcommand": subcommand,
         "tool_version": __version__,
-        "seed": config.get("seed"),
         "config": config,
         "inputs": {str(p): _sha256(p) for p in inputs},
         **extra,
@@ -216,10 +219,11 @@ class Outcome:
     """What a subcommand computed, for ``main`` to write into the output directory.
 
     ``files`` holds ``(name, writer, args)`` in writing order; ``main``
-    calls ``writer(*args, out / name)``.  ``config``, ``inputs`` and
-    ``extra`` go into the manifest; ``config``'s seed names a default
-    output directory.  ``summary(out)`` is printed; an ``empty`` message
-    marks an empty result, printed to stderr with exit code 4.
+    calls ``writer(*args, out / name)``.  ``config``, the settings the
+    subcommand used, ``inputs`` and ``extra``, its results, go into the
+    manifest; a seed in ``config`` (``simulate``'s) names a default output
+    directory.  ``summary(out)`` is printed; an ``empty`` message marks an
+    empty result, printed to stderr with exit code 4.
     """
 
     config: dict
@@ -265,15 +269,26 @@ def cmd_simulate(args: argparse.Namespace) -> Outcome:
 # ----------------------------------------------------------------- analyze
 
 
-def _load_input_series(args: argparse.Namespace) -> tuple[Ensemble, list[Path]]:
+def _check_analyze_flags(args: argparse.Namespace) -> None:
+    """Refuse a missing input, and a flag that the input or the window would leave unused."""
     if bool(args.returns) == bool(args.prices):
         raise ConfigError("exactly one of --returns or --prices is required")
+    if args.layout and not args.prices:
+        raise ConfigError("--layout applies only to --prices")
+    manual = (args.theta_i, args.theta_f, args.direction)
+    if args.window == "manual" and None in manual:
+        raise ConfigError("manual windows need --theta-i, --theta-f and --direction")
+    if args.window != "manual" and manual != (None, None, None):
+        raise ConfigError("--theta-i, --theta-f and --direction apply only to --window manual")
+
+
+def _load_input_series(args: argparse.Namespace) -> tuple[Ensemble, list[Path]]:
     try:
         if args.returns:
             path = Path(args.returns)
             return read_returns_csv(path), [path]
         path = Path(args.prices)
-        tickers, prices, offsets = load_prices(path, layout=args.layout)
+        tickers, prices, offsets = load_prices(path, layout=args.layout or "per-stock")
     except (OSError, ValueError) as exc:
         raise InputError(str(exc)) from None
     if not tickers:
@@ -288,8 +303,6 @@ def _load_input_series(args: argparse.Namespace) -> tuple[Ensemble, list[Path]]:
 def _resolve_windows(args: argparse.Namespace, sigma_bar: float) -> list[ThresholdWindow]:
     try:
         if args.window == "manual":
-            if args.theta_i is None or args.theta_f is None or args.direction is None:
-                raise ConfigError("manual windows need --theta-i, --theta-f and --direction")
             return [ThresholdWindow(args.theta_i, args.theta_f, sigma_bar, args.direction)]
         return window_family(args.window, sigma_bar)
     except ValueError as exc:
@@ -311,8 +324,7 @@ def _curve_files(tables: list[EpisodeTable], bins: int, min_count: int) -> list[
 
 
 def cmd_analyze(args: argparse.Namespace) -> Outcome:
-    config = resolve_config(args)
-    build_model(config)  # reject an invalid configuration before it is recorded
+    _check_analyze_flags(args)
     ensemble, inputs = _load_input_series(args)
     sigma_bar = args.sigma_bar
     if sigma_bar is None:
@@ -332,12 +344,11 @@ def cmd_analyze(args: argparse.Namespace) -> Outcome:
     files = [("episodes.csv", write_episodes_csv, (tables,))]
     files += _curve_files(tables, args.bins, args.min_count)
     total = sum(len(t) for t in tables)
-    flags = ("window", "entry_rule", "vol_scope", "bins", "min_count")
-    extra = {"sigma_bar": sigma_bar, **{name: getattr(args, name) for name in flags}}
+    config = {name: getattr(args, name) for name in ("window", "entry_rule", "vol_scope", "bins", "min_count")}
     return Outcome(
         config, inputs, files,
         lambda out: f"analyze: {n_series} series, {len(windows)} window(s), {total} episodes -> {out}",
-        extra, empty=None if total else "no episodes extracted",
+        {"sigma_bar": sigma_bar}, empty=None if total else "no episodes extracted",
     )
 
 
@@ -415,17 +426,11 @@ def cmd_compare(args: argparse.Namespace) -> Outcome:
 # ------------------------------------------------------------------ parser
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    """Flags of the subcommands that resolve and record a model configuration."""
-    p.add_argument("--config", help="key = value config file, or a manifest .json to replay")
-    p.add_argument("--seed", type=int, default=None, help="master seed")
-
-
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
     for key in _FLOAT_KEYS:
         p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=float, default=None)
     for key in _INT_KEYS:
-        if key != "seed":  # added with the config flags
+        if key != "seed":  # added next to --config
             p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=int, default=None)
 
 
@@ -441,11 +446,12 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name: str, func, summary: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary, allow_abbrev=False)  # flag names must be exact
         p.add_argument("--out", help="output directory (default: runs/<timestamp>[-seed<seed>])")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, error=p.error)
         return p
 
     p = add("simulate", cmd_simulate, "generate a return ensemble from the model")
-    _add_config_flags(p)
+    p.add_argument("--config", help="key = value config file, or a manifest .json to replay")
+    p.add_argument("--seed", type=int, default=None, help="master seed")
     p.add_argument("--threads", type=int, default=2,
                    help="2 (default) or more, with two usable CPUs: a forked helper process draws the "
                         "normals one block ahead while this one steps (above 2 adds nothing); 1: draw "
@@ -455,10 +461,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also export series,day,x,v rows")
 
     p = add("analyze", cmd_analyze, "extract episodes and build hitting-time curves")
-    _add_config_flags(p)
     p.add_argument("--returns", help="returns CSV (ticker,day_index,return)")
     p.add_argument("--prices", help="price CSV file or directory")
-    p.add_argument("--layout", choices=("per-stock", "wide"), default="per-stock")
+    p.add_argument("--layout", choices=("per-stock", "wide"))
     p.add_argument("--window", choices=WINDOW_FAMILIES + ("manual",), default="fig1a")
     p.add_argument("--theta-i", dest="theta_i", type=float, default=None)
     p.add_argument("--theta-f", dest="theta_f", type=float, default=None)
@@ -491,10 +496,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:  # reported by the subcommand, whose usage names its flags
+        args.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
-        _check_flag_minima(args)
+        _check_flag_bounds(args)
         outcome = args.func(args)  # reads and computes all, so a fault ends the run before any output exists
         out = _out_dir(args.out, outcome.config.get("seed"))
         for name, writer, data in outcome.files:

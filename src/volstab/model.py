@@ -147,6 +147,16 @@ class SimConfig:
             raise ValueError(f"n_series must be >= 1, got {self.n_series}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        # numpy makes no array of more than intp-max bytes.  The largest are
+        # the state and a noise block: two helper slots of two draws of
+        # n_series x at most max(steps_per_day, _CHUNK_STEPS // 2) steps.
+        n, days, spd = int(self.n_series), int(self.days), int(self.steps_per_day)
+        doubles = max(n * (days + 1), 4 * n * min(days * spd, max(spd, _CHUNK_STEPS // 2)))
+        if 8 * doubles > np.iinfo(np.intp).max:
+            raise ValueError(
+                f"n_series={n}, days={days} and steps_per_day={spd} need an array of {8 * doubles} bytes, "
+                f"more than numpy's largest array of {np.iinfo(np.intp).max}"
+            )
 
 
 def potential(x, p: ModelParams):

@@ -90,12 +90,13 @@ def test_invalid_parameter_exits_with_config_error(tmp_path):
 
 @pytest.fixture(scope="module")
 def valid_inputs(tmp_path_factory):
-    """A returns file, the episode file analyze makes of it, and a file of flat series."""
+    """A returns file, the episode file analyze makes of it, a file of flat series, a curve and a config file."""
     d = tmp_path_factory.mktemp("inputs")
     rng = np.random.default_rng(8)
     returns = _write_returns(d, [(f"s{i}", rng.uniform(-0.06, 0.06, 300)) for i in range(4)])
     flat = _write_returns(d, [(f"z{i}", [0.0] * 4) for i in range(2)], name="flat.csv")
     (d / "curve.csv").write_text(CURVE_HEADER + CURVE_ROWS)
+    (d / "run.cfg").write_text("seed = 1\n")
     assert run(
         "analyze", "--returns", str(returns), "--window", "fig1a",
         "--sigma-bar", "0.02", "--out", str(d / "an"),
@@ -105,6 +106,7 @@ def valid_inputs(tmp_path_factory):
         "episodes": str(d / "an" / "episodes.csv"),
         "flat": str(flat),
         "curve": str(d / "curve.csv"),
+        "config": str(d / "run.cfg"),
     }
 
 
@@ -114,12 +116,16 @@ BAD_VALUES = [
     (["fht-pdf", "--episodes", "{episodes}", "--bins", "0"], EXIT_CONFIG, "--bins"),
     (["mfht", "--episodes", "{episodes}", "--min-count", "0"], EXIT_CONFIG, "--min-count"),
     (["simulate", "--n-series", "2", "--days", "5", "--seed", "-1"], EXIT_CONFIG, "seed"),
-    (["analyze", "--returns", "{returns}", "--seed", "-1"], EXIT_CONFIG, "seed"),
     (["analyze", "--returns", "{returns}", "--bins", "0"], EXIT_CONFIG, "--bins"),
     (["analyze", "--returns", "{returns}", "--bins", "-3"], EXIT_CONFIG, "--bins"),
     (["analyze", "--returns", "{returns}", "--min-count", "-1"], EXIT_CONFIG, "--min-count"),
     (["analyze", "--returns", "{returns}", "--sigma-bar", "0"], EXIT_CONFIG, "sigma_bar"),
     (["analyze", "--returns", "{flat}"], EXIT_INPUT, "{flat}"),
+    # flags the input or the window would leave unused
+    (["analyze", "--returns", "{returns}", "--layout", "wide"], EXIT_CONFIG, "--layout"),
+    (["analyze", "--returns", "{returns}", "--window", "fig1a", "--theta-i", "0.5"], EXIT_CONFIG, "--theta-i"),
+    (["analyze", "--returns", "{returns}", "--theta-f", "-1.5"], EXIT_CONFIG, "--theta-f"),
+    (["analyze", "--returns", "{returns}", "--window", "fig2b", "--direction", "rally"], EXIT_CONFIG, "--direction"),
     (["acf", "--returns", "{flat}", "--max-lag", "1"], EXIT_INPUT, "error: {flat}: series 'z0': zero-variance"),
     (["acf", "--returns", "{returns}", "--max-lag", "400"], EXIT_INPUT, "error: {returns}: series 's0'"),
     (["simulate", "--n-series", "2", "--days", "5", "--threads", "0"], EXIT_CONFIG, "--threads"),
@@ -130,6 +136,14 @@ BAD_VALUES = [
     (["analyze", "--returns", "{returns}", "--bins", "1000000000000000"], EXIT_CONFIG, "error: out of memory: "),
     (["mfht", "--episodes", "{episodes}", "--bins", "1000000000000000"], EXIT_CONFIG, "error: out of memory: "),
     (["fht-pdf", "--episodes", "{episodes}", "--bins", "1000000000000000"], EXIT_CONFIG, "error: out of memory: "),
+    # sizes beyond numpy's largest array, intp-max bytes: refused before any input is read
+    (["simulate", "--days", "10000000000000000000"], EXIT_CONFIG, "numpy's largest array"),
+    (["simulate", "--n-series", "10000000000000000000", "--days", "2"], EXIT_CONFIG, "numpy's largest array"),
+    (["simulate", "--n-series", "2", "--days", "2", "--steps-per-day", "10000000000000000000"], EXIT_CONFIG,
+     "numpy's largest array"),
+    (["analyze", "--returns", "{returns}", "--bins", "10000000000000000000"], EXIT_CONFIG, "--bins"),
+    (["mfht", "--episodes", "{episodes}", "--bins", "10000000000000000000"], EXIT_CONFIG, "--bins"),
+    (["fht-pdf", "--episodes", "{episodes}", "--bins", "10000000000000000000"], EXIT_CONFIG, "--bins"),
 ]
 
 
@@ -150,9 +164,10 @@ def test_bad_numeric_value_is_one_line_config_error(
     assert not out.exists()  # a failed run leaves no output directory behind
 
 
-# Prefixes of each subcommand's flags, which argparse would otherwise take
-# for the longer flag: "--m" for "--min-count", "--sig" for "--sigma-bar".
-ABBREVIATED_FLAGS = [
+# Flags a subcommand does not have: prefixes of its flags, which argparse
+# would otherwise take for the longer flag ("--m" for "--min-count", "--sig"
+# for "--sigma-bar"), and simulate's model flags given to analyze.
+UNKNOWN_FLAGS = [
     ["simulate", "--n-ser", "5", "--day", "10"],
     ["analyze", "--returns", "{returns}", "--m", "-1"],
     ["analyze", "--returns", "{returns}", "--sig", "0.02"],
@@ -160,18 +175,22 @@ ABBREVIATED_FLAGS = [
     ["fht-pdf", "--episodes", "{episodes}", "--bin", "5"],
     ["acf", "--returns", "{returns}", "--max", "3"],
     ["compare", "--empirical", "{curve}", "--model", "{curve}", "--mod", "{curve}"],
+    ["analyze", "--returns", "{returns}", "--seed", "1"],
+    ["analyze", "--returns", "{returns}", "--config", "{config}"],
 ]
 
 
 @pytest.mark.parametrize(
-    "argv", ABBREVIATED_FLAGS, ids=[" ".join(a for a in argv if "{" not in a) for argv in ABBREVIATED_FLAGS]
+    "argv", UNKNOWN_FLAGS, ids=[" ".join(a for a in argv if "{" not in a) for argv in UNKNOWN_FLAGS]
 )
 def test_flag_names_must_be_exact(valid_inputs, tmp_path, capsys, argv):
     out = tmp_path / "o"
     with pytest.raises(SystemExit) as exc:
         run(*[a.format(**valid_inputs) for a in argv], "--out", str(out))
     assert exc.value.code == EXIT_CONFIG
-    assert "unrecognized arguments: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: volstab {argv[0]} "), err  # the subcommand's usage names its flags
+    assert f"volstab {argv[0]}: error: unrecognized arguments: " in err
     assert not out.exists()
 
 
@@ -420,7 +439,7 @@ def test_returns_csv_layouts_that_are_accepted(tmp_path, body, tickers):
 def test_config_seed_threads_only_on_subcommands_that_read_them(capsys):
     expected = {
         "simulate": {"--config", "--seed", "--threads"},
-        "analyze": {"--config", "--seed"},
+        "analyze": set(),
         "mfht": set(),
         "fht-pdf": set(),
         "acf": set(),
@@ -431,6 +450,30 @@ def test_config_seed_threads_only_on_subcommands_that_read_them(capsys):
             run(sub, "--help")
         text = capsys.readouterr().out
         assert {f for f in ("--config", "--seed", "--threads") if f in text} == flags, sub
+
+
+def test_manifest_records_each_setting_once(valid_inputs, tmp_path):
+    """Each subcommand's manifest holds its settings under config, and results beside them."""
+    runs = {
+        "simulate": ["--n-series", "2", "--days", "5"],
+        "analyze": ["--returns", "{returns}"],
+        "mfht": ["--episodes", "{episodes}"],
+        "fht-pdf": ["--episodes", "{episodes}"],
+        "acf": ["--returns", "{returns}"],
+        "compare": ["--empirical", "{curve}", "--model", "{curve}"],
+    }
+    manifests = {}
+    for sub, argv in runs.items():
+        out = tmp_path / sub
+        assert run(sub, *[a.format(**valid_inputs) for a in argv], "--out", str(out)) == 0, sub
+        manifests[sub] = json.loads((out / "manifest.json").read_text())
+    for sub, manifest in manifests.items():
+        results = {"sigma_bar"} if sub in ("simulate", "analyze") else set()
+        assert set(manifest) == {"subcommand", "tool_version", "config", "inputs"} | results, sub
+    assert manifests["simulate"]["config"] == {**DEFAULT_CONFIG, "n_series": 2, "days": 5}
+    assert manifests["analyze"]["config"] == {
+        "window": "fig1a", "entry_rule": "crossing", "vol_scope": "window", "bins": 30, "min_count": 5,
+    }
 
 
 def test_default_run_directory_is_never_reused(tmp_path, monkeypatch, capsys):
@@ -454,6 +497,9 @@ def test_default_run_directory_is_never_reused(tmp_path, monkeypatch, capsys):
     assert run("fht-pdf", "--episodes", str(episodes)) == 0
     assert (runs / "20261019-120000" / "manifest.json").exists()
     assert (runs / "20261019-120000-2" / "manifest.json").exists()
+    # analyze has no seed to name its directory by
+    assert run("analyze", "--returns", str(runs / "20261019-120000-seed2" / "returns.csv")) in (0, EXIT_EMPTY)
+    assert (runs / "20261019-120000-3" / "manifest.json").exists()
     # --out names a directory, which a later run may write into again
     assert run(*argv, "--out", "fixed") == 0
     assert run(*argv, "--out", "fixed") == 0

@@ -84,14 +84,14 @@ PRICES_GOLDEN = {
         "fig1a": {
             "stdout": "b55f57e3a847821455b6efe8df7587c3f1392926754287d3dab2169814a42f3b",
             "warnings": "a39606517a197e186421b97e325f896afe1da075dceeb1bafb6cd0de8888c6d5",
-            "manifest.json": "189f732cbd365ebad9264388aca48730997b13ac91000f6edeea4b4f25eb96fd",
+            "manifest.json": "802e227f594039ff75df78114eb031f7531ee2a4f39df262fc83e94203754e66",
             "episodes.csv": "5fbd8b40e9c8b890fde95ef5bc3dcae44207134662e1175c679be5eb905db8d5",
             "verdicts.json": "f116331ec8c2f3b59b0a2f13df2842c067de28cb9c293f45a27b7e87342dcc22",
         },
         "fig1b": {
             "stdout": "fe995b0553b0c8e541959dbd4fe5094a47dd59c90c876e8872d6c67f3230c901",
             "warnings": "a39606517a197e186421b97e325f896afe1da075dceeb1bafb6cd0de8888c6d5",
-            "manifest.json": "5e27c836a641f4c241ce83244e11fc92110feb78c1ed97b378690a556e2922d1",
+            "manifest.json": "74df708be5baf4cc52ca0f31fba36e8ebd1ae311596efd55f8b811b79fd09c0a",
             "episodes.csv": "76f49c4078c19d80b0146a74e9eba13371d328a1e9c93bf867c3b4250095d3bf",
             "verdicts.json": "c466b014864df80be340d10c866c5040a2a48c3424539df0d5b1638416e74307",
         },
@@ -100,14 +100,14 @@ PRICES_GOLDEN = {
         "fig1a": {
             "stdout": "6221c5b5320d9650d86dc94ab73a7b757404095eb6563f9d2fc9757b70c5785a",
             "warnings": "e30a5ba6aad10700a56a4ceadeb67de13028568373dc550a39dca4435fa2da21",
-            "manifest.json": "1b711ba82dd87a515866349e50b4b325f61ea048def7c87ae069ab11cc903ba2",
+            "manifest.json": "31af877cd8750358155ffe91e01ed42b3076a8d8b3a95b7be35b263318cf666d",
             "episodes.csv": "59ae9e1051c26919f4217ec9af018a78f5cded8a250b7a6ccedde3c6718dc50e",
             "verdicts.json": "a5f2b0fa7688925b3b24d80719eef3c47a990b317d06356139aee4e3bed25ac4",
         },
         "fig1b": {
             "stdout": "93583e9ed09bab8667c5e6203573a4c756a65e2c76c13d784d7e6df67bcddb51",
             "warnings": "e30a5ba6aad10700a56a4ceadeb67de13028568373dc550a39dca4435fa2da21",
-            "manifest.json": "1578eebc1fea3efc61d4ded9ab2bcbcb53d204178c3a00575d5813615a7605ef",
+            "manifest.json": "53751f1ea61232b9b402637a0029e13ff019491cd4add4e6423be81002cb80db",
             "episodes.csv": "def5fcca7008197a23cd918361a5c44851b034e53c2ae9563e29179710fcdc51",
             "verdicts.json": "529f2c8b6605374a32bbb77f49400477187b037639b87ec70e0e7d9f12405be1",
         },
