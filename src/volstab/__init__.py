@@ -36,7 +36,6 @@ from .returns import (
 from .stats import (
     AcfSeries,
     CurveComparison,
-    CurvePeak,
     Histogram,
     MfhtCurve,
     acf,
@@ -44,7 +43,6 @@ from .stats import (
     ensemble_acf,
     fht_pdf,
     histogram,
-    locate_maximum,
     mfht_curve,
     nonmonotonicity_verdict,
 )

@@ -131,7 +131,8 @@ def read_table(
     with open(path, encoding="latin-1") as fh:
         got = fh.readline().strip()
         if got != header:
-            raise ValueError(f"{path}: expected header {header!r}, got {_utf8(got)!r}")
+            shown = show_bytes(got.encode("latin-1"))
+            raise ValueError(f"{path}: expected header {header!r}, got {shown!r}")
         body = fh.tell()
         while True:
             try:  # numpy's C reader splits the lines itself
@@ -228,9 +229,10 @@ def _raise_malformed(path, lines: Iterable[str], dtype: np.dtype) -> None:
             row[j] = cells[j]
             if not _numpy_accepts(",".join(row), dtype):
                 kind = "an integer" if dtype[name].kind == "i" else "a number"
-                raise ValueError(f"{path}: line {line_no}: {name} is not {kind}: {_utf8(cells[j])!r}")
+                shown = show_bytes(cells[j].encode("latin-1"))
+                raise ValueError(f"{path}: line {line_no}: {name} is not {kind}: {shown!r}")
 
 
-def _utf8(text: str) -> str:
-    """Text read as latin-1, decoded as UTF-8; a byte that is not UTF-8 shows as ``\\xNN``."""
-    return text.encode("latin-1").decode("utf-8", "backslashreplace")
+def show_bytes(raw: bytes) -> str:
+    """File bytes for an error line, decoded as UTF-8; a byte that is not UTF-8 shows as ``\\xNN``."""
+    return raw.decode("utf-8", "backslashreplace")

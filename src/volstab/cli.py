@@ -270,16 +270,16 @@ def cmd_simulate(args: argparse.Namespace) -> Outcome:
 
 
 def _check_analyze_flags(args: argparse.Namespace) -> None:
-    """Refuse a missing input, and a flag that the input or the window would leave unused."""
+    """Refuse a missing input, a flag the input or window leaves unused, and a manual window missing a theta."""
     if bool(args.returns) == bool(args.prices):
         raise ConfigError("exactly one of --returns or --prices is required")
     if args.layout and not args.prices:
         raise ConfigError("--layout applies only to --prices")
-    manual = (args.theta_i, args.theta_f, args.direction)
+    manual = (args.theta_i, args.theta_f)
     if args.window == "manual" and None in manual:
-        raise ConfigError("manual windows need --theta-i, --theta-f and --direction")
-    if args.window != "manual" and manual != (None, None, None):
-        raise ConfigError("--theta-i, --theta-f and --direction apply only to --window manual")
+        raise ConfigError("manual windows need --theta-i and --theta-f")
+    if args.window != "manual" and manual != (None, None):
+        raise ConfigError("--theta-i and --theta-f apply only to --window manual")
 
 
 def _load_input_series(args: argparse.Namespace) -> tuple[Ensemble, list[Path]]:
@@ -303,7 +303,7 @@ def _load_input_series(args: argparse.Namespace) -> tuple[Ensemble, list[Path]]:
 def _resolve_windows(args: argparse.Namespace, sigma_bar: float) -> list[ThresholdWindow]:
     try:
         if args.window == "manual":
-            return [ThresholdWindow(args.theta_i, args.theta_f, sigma_bar, args.direction)]
+            return [ThresholdWindow(args.theta_i, args.theta_f, sigma_bar)]
         return window_family(args.window, sigma_bar)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -467,7 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", choices=WINDOW_FAMILIES + ("manual",), default="fig1a")
     p.add_argument("--theta-i", dest="theta_i", type=float, default=None)
     p.add_argument("--theta-f", dest="theta_f", type=float, default=None)
-    p.add_argument("--direction", choices=("crash", "rally"), default=None)
     p.add_argument("--sigma-bar", dest="sigma_bar", type=float, default=None,
                    help="override the market volatility computed from the input data")
     p.add_argument("--bins", type=int, default=DEFAULT_BINS)

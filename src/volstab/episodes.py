@@ -43,7 +43,17 @@ VOL_SCOPES = ("window", "no-entry", "no-hit", "interior", "stretch")
 DEFAULT_ENTRY_RULE = "crossing"
 DEFAULT_VOL_SCOPE = "window"
 
-WINDOW_FAMILIES = ("fig1a", "fig1b", "fig1c", "fig2a", "fig2b", "fig2c")
+# (theta_i, theta_f) of each built-in window family, as multiples of sigma_bar;
+# the keys, in order, are the --window choices.
+_FAMILIES = {
+    "fig1a": [(-0.1, -1.5)],
+    "fig1b": [(k / 10.0, round(k / 10.0 - 1.4, 10)) for k in range(9, -17, -1)],
+    "fig1c": [(-0.1, k / 10.0) for k in range(-5, -31, -1)],
+    "fig2a": [(+0.1, +1.5)],
+    "fig2b": [(k / 10.0, round(k / 10.0 + 1.4, 10)) for k in range(-9, 17)],
+    "fig2c": [(+0.1, k / 10.0) for k in range(5, 31)],
+}
+WINDOW_FAMILIES = tuple(_FAMILIES)
 
 # An episode variance below this multiple of the prefix sums' magnitude is
 # within their rounding noise and is recomputed from the returns themselves.
@@ -52,22 +62,25 @@ _NOISE_REL = 64 * np.finfo(float).eps
 
 @dataclass(frozen=True)
 class ThresholdWindow:
-    """Start/final thresholds as multiples (theta_i, theta_f) of sigma_bar."""
+    """Start/final thresholds as multiples (theta_i, theta_f) of sigma_bar.
+
+    The thetas fix the direction: a crash window when theta_f lies below
+    theta_i, a rally window when it lies above.
+    """
 
     theta_i: float
     theta_f: float
     sigma_bar: float
-    direction: str
 
     def __post_init__(self) -> None:
-        if self.direction not in ("crash", "rally"):
-            raise ValueError(f"direction must be 'crash' or 'rally', got {self.direction!r}")
         if not (math.isfinite(self.sigma_bar) and self.sigma_bar > 0):
             raise ValueError(f"sigma_bar must be finite and positive, got {self.sigma_bar}")
-        if self.direction == "crash" and not self.theta_f < self.theta_i:
-            raise ValueError(f"crash window needs theta_f < theta_i, got {self.theta_i}, {self.theta_f}")
-        if self.direction == "rally" and not self.theta_f > self.theta_i:
-            raise ValueError(f"rally window needs theta_f > theta_i, got {self.theta_i}, {self.theta_f}")
+        if not (self.theta_f < self.theta_i or self.theta_f > self.theta_i):  # equal, or NaN
+            raise ValueError(f"theta_f must differ from theta_i, got {self.theta_i}, {self.theta_f}")
+
+    @property
+    def direction(self) -> str:
+        return "crash" if self.theta_f < self.theta_i else "rally"
 
     @property
     def theta_i_abs(self) -> float:
@@ -192,37 +205,17 @@ def extract_table(
     )
 
 
-def _theta_range(start_tenths: int, stop_tenths: int, step_tenths: int) -> list[float]:
-    return [k / 10.0 for k in range(start_tenths, stop_tenths + step_tenths, step_tenths)]
-
-
 def window_family(name: str, sigma_bar: float) -> list[ThresholdWindow]:
-    """Built-in window families.
+    """The windows of a built-in family, from its ``(theta_i, theta_f)`` pairs in ``_FAMILIES``.
 
     fig1a / fig2a: single crash / rally window (-0.1, -1.5) / (+0.1, +1.5).
     fig1b / fig2b: fixed width theta_f - theta_i = -/+1.4, start sliding
     from +/-0.9 to -/+1.6 in steps of 0.1.
     fig1c / fig2c: fixed theta_i = -/+0.1, theta_f from -/+0.5 to -/+3.0.
     """
-    if name == "fig1a":
-        return [ThresholdWindow(-0.1, -1.5, sigma_bar, "crash")]
-    if name == "fig2a":
-        return [ThresholdWindow(+0.1, +1.5, sigma_bar, "rally")]
-    if name == "fig1b":
-        return [
-            ThresholdWindow(ti, round(ti - 1.4, 10), sigma_bar, "crash")
-            for ti in _theta_range(9, -16, -1)
-        ]
-    if name == "fig2b":
-        return [
-            ThresholdWindow(ti, round(ti + 1.4, 10), sigma_bar, "rally")
-            for ti in _theta_range(-9, 16, 1)
-        ]
-    if name == "fig1c":
-        return [ThresholdWindow(-0.1, tf, sigma_bar, "crash") for tf in _theta_range(-5, -30, -1)]
-    if name == "fig2c":
-        return [ThresholdWindow(+0.1, tf, sigma_bar, "rally") for tf in _theta_range(5, 30, 1)]
-    raise ValueError(f"unknown window family {name!r} (expected one of {WINDOW_FAMILIES})")
+    if name not in _FAMILIES:
+        raise ValueError(f"unknown window family {name!r} (expected one of {WINDOW_FAMILIES})")
+    return [ThresholdWindow(ti, tf, sigma_bar) for ti, tf in _FAMILIES[name]]
 
 
 # The text widths are first guesses, widened by the reader when a cell fills one.
@@ -272,7 +265,7 @@ def read_episodes_csv(path: str | Path) -> list[EpisodeTable]:
     for window_id, row in zip(groups, first.tolist()):
         theta_i, theta_f = float(ti[row]), float(tf[row])
         try:
-            windows.append(ThresholdWindow(theta_i, theta_f, 1.0, "crash" if theta_f < theta_i else "rally"))
+            windows.append(ThresholdWindow(theta_i, theta_f, 1.0))
         except ValueError as exc:
             raise ValueError(f"{path}: line {line_of(row)}: window {window_id!r}: {exc}") from None
 

@@ -23,6 +23,7 @@ CPUs; more than 2 threads add nothing.
 
 from __future__ import annotations
 
+import errno
 import math
 import mmap
 import os
@@ -357,9 +358,17 @@ def _forked_blocks(fill, shape: tuple[int, ...], sizes: list[int]):
     One-byte tokens on two pipes say that a slot is ready (helper to
     caller) and that the caller is done with it (caller to helper).  The
     caller must close this generator: its ``finally`` kills and reaps the
-    helper on every path.
+    helper on every path.  A mapping too large for the machine raises
+    MemoryError, as numpy's blocks of ``_local_blocks`` do.
     """
-    slots = np.frombuffer(mmap.mmap(-1, 2 * math.prod(shape) * 8)).reshape(2, *shape)
+    nbytes = 2 * math.prod(shape) * 8
+    try:
+        mapping = mmap.mmap(-1, nbytes)
+    except OSError as exc:
+        if exc.errno == errno.ENOMEM:
+            raise MemoryError(f"cannot map {nbytes} bytes for the noise blocks: {exc.strerror}") from None
+        raise
+    slots = np.frombuffer(mapping).reshape(2, *shape)
     fds = [*os.pipe(), *os.pipe()]
     ready_r, ready_w, free_r, free_w = fds
     pid = 0

@@ -17,7 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ._io import decode_runs, read_table, write_csv, write_json
+from ._io import decode_runs, read_table, show_bytes, write_csv, write_json
 
 __all__ = [
     "ReturnSeries",
@@ -222,11 +222,11 @@ def _price_columns(path: Path, layout: str) -> Iterator[tuple[str, np.ndarray, i
     names = [name.strip() for name in line.split(b",")]
     if names[0].lower() != b"date" or len(names) < 2 or (layout != "wide" and names[1].lower() != b"close"):
         expected = "date,close" if layout == "per-stock" else "date,<ticker>,..."
-        raise ValueError(f"{path}: expected header {expected!r}, got {_text(line.strip())!r}")
+        raise ValueError(f"{path}: expected header {expected!r}, got {show_bytes(line.strip())!r}")
     try:
         tickers = [path.stem] if layout == "per-stock" else [name.decode().strip() for name in names[1:]]
     except UnicodeDecodeError:
-        raise ValueError(f"{path}: line 1: a ticker is not UTF-8: {_text(line.strip())!r}") from None
+        raise ValueError(f"{path}: line 1: a ticker is not UTF-8: {show_bytes(line.strip())!r}") from None
     if len(set(tickers)) != len(tickers):
         raise ValueError(f"{path}: duplicate ticker columns")
     # Every cell is read as text: the date, the prices and any further column.
@@ -246,7 +246,7 @@ def _price_columns(path: Path, layout: str) -> Iterator[tuple[str, np.ndarray, i
             except ValueError:
                 row, j = divmod(k, len(tickers))
                 column = "close" if layout == "per-stock" else tickers[j]
-                raw = _text(rows[f"c{j + 1}"][row])
+                raw = show_bytes(rows[f"c{j + 1}"][row])
                 raise ValueError(
                     f"{path}: line {line_of(row)}, column {column!r}: not a number: {raw!r}"
                 ) from None
@@ -255,15 +255,11 @@ def _price_columns(path: Path, layout: str) -> Iterator[tuple[str, np.ndarray, i
     if late.size:
         before, row = kept[late[0] : late[0] + 2]
         raise ValueError(f"{path}: line {line_of(row)}: dates must be strictly increasing, "
-                         f"got {_text(dates[row])!r} after {_text(dates[before])!r}; dates are "
+                         f"got {show_bytes(dates[row])!r} after {show_bytes(dates[before])!r}; dates are "
                          "compared as text and must be zero-padded ISO dates (YYYY-MM-DD)")
     valid = (prices > 0) & (prices < np.inf)  # NaN is neither
     for j, ticker in enumerate(tickers):
         yield ticker, prices[valid[:, j], j], kept.size - int(np.count_nonzero(valid[:, j]))
-
-
-def _text(raw: bytes) -> str:
-    return raw.decode("utf-8", "backslashreplace")
 
 
 # The ticker width is a first guess, widened by the reader when a ticker fills it.

@@ -21,12 +21,10 @@ from .returns import Ensemble
 
 __all__ = [
     "MfhtCurve",
-    "CurvePeak",
     "Histogram",
     "AcfSeries",
     "CurveComparison",
     "mfht_curve",
-    "locate_maximum",
     "nonmonotonicity_verdict",
     "compare_curves",
     "histogram",
@@ -49,30 +47,19 @@ DEFAULT_PROMINENCE = 1.5
 class MfhtCurve:
     """Mean first hitting time per volatility bin.
 
-    ``mfht`` is NaN for bins with fewer than ``min_count`` episodes; those
-    bins still report their raw ``counts``.
+    ``mfht`` is NaN for bins with too few episodes (fewer than the
+    ``min_count`` given to ``mfht_curve``); those bins still report their
+    raw ``counts``.
     """
 
     bin_edges: np.ndarray
     mfht: np.ndarray
     counts: np.ndarray
-    min_count: int
     window: ThresholdWindow | None = None
 
     @property
     def populated(self) -> np.ndarray:
         return np.isfinite(self.mfht)
-
-    @property
-    def n_bins(self) -> int:
-        return self.counts.size
-
-
-@dataclass(frozen=True)
-class CurvePeak:
-    bin_index: int
-    mfht: float
-    interior: bool
 
 
 @dataclass(eq=False)
@@ -101,8 +88,13 @@ class CurveComparison:
 
 @dataclass(eq=False)
 class AcfSeries:
-    lags: np.ndarray
+    """Autocorrelation ``values`` at lags 0, 1, ..."""
+
     values: np.ndarray
+
+    @property
+    def lags(self) -> np.ndarray:
+        return np.arange(self.values.size)
 
 
 def _edges(values: np.ndarray, bins: int | np.ndarray, log: bool) -> np.ndarray:
@@ -173,25 +165,7 @@ def mfht_curve(
     with np.errstate(invalid="ignore", divide="ignore"):
         mfht = sums / counts
     mfht[counts < min_count] = np.nan
-    return MfhtCurve(bin_edges=edges, mfht=mfht, counts=counts, min_count=min_count, window=table.window)
-
-
-def locate_maximum(curve: MfhtCurve) -> CurvePeak | None:
-    """Populated bin with the greatest mean hitting time.
-
-    Requires at least three populated bins, otherwise None.  Ties break
-    toward interior bins (neither first nor last populated), then toward
-    lower volatility.
-    """
-    pop = np.flatnonzero(curve.populated)
-    if pop.size < 3:
-        return None
-    values = curve.mfht[pop]
-    top = values.max()
-    at_top = pop[values == top]
-    interior = (at_top != pop[0]) & (at_top != pop[-1])
-    pick = at_top[interior][0] if interior.any() else at_top[0]
-    return CurvePeak(bin_index=int(pick), mfht=float(top), interior=bool(pick not in (pop[0], pop[-1])))
+    return MfhtCurve(bin_edges=edges, mfht=mfht, counts=counts, window=table.window)
 
 
 def nonmonotonicity_verdict(
@@ -201,14 +175,17 @@ def nonmonotonicity_verdict(
 ) -> dict:
     """Pass/fail record for the interior-maximum shape of a curve.
 
-    The verdict is positive when the curve's maximum sits strictly inside
-    the populated range and exceeds both the first and last populated bins
-    by the prominence factor.  A window whose episodes make no curve
+    ``argmax_bin`` and ``max_mfht`` give the populated bin with the
+    greatest mean hitting time, when at least three bins are populated.
+    Ties break toward interior bins (neither first nor last populated),
+    then toward lower volatility.  The verdict is positive when that bin
+    is interior and its mean exceeds both the first and last populated
+    bins' by the prominence factor.  A window whose episodes make no curve
     (``curve`` None) has the verdict of a curve with no populated bin.
     """
     if window_id is None and curve is not None and curve.window is not None:
         window_id = curve.window.window_id
-    peak = None if curve is None else locate_maximum(curve)
+    pop = np.flatnonzero(curve.populated) if curve is not None else np.empty(0, dtype=np.intp)
     out = {
         "window_id": window_id,
         "interior_maximum": False,
@@ -216,20 +193,23 @@ def nonmonotonicity_verdict(
         "max_mfht": None,
         "edge_ratio_low": None,
         "edge_ratio_high": None,
-        "populated_bins": 0 if curve is None else int(curve.populated.sum()),
+        "populated_bins": pop.size,
         "n_episodes": 0 if curve is None else int(curve.counts.sum()),
     }
-    if peak is None:
+    if pop.size < 3:
         return out
-    pop = np.flatnonzero(curve.populated)
-    first, last = curve.mfht[pop[0]], curve.mfht[pop[-1]]
-    ratio_low = peak.mfht / first if first > 0 else math.inf
-    ratio_high = peak.mfht / last if last > 0 else math.inf
+    values = curve.mfht[pop]
+    top = values.max()
+    at_top = pop[values == top]
+    interior = (at_top != pop[0]) & (at_top != pop[-1])
+    first, last = values[0], values[-1]
+    ratio_low = top / first if first > 0 else math.inf
+    ratio_high = top / last if last > 0 else math.inf
     out.update(
         {
-            "interior_maximum": bool(peak.interior and ratio_low >= prominence and ratio_high >= prominence),
-            "argmax_bin": peak.bin_index,
-            "max_mfht": peak.mfht,
+            "interior_maximum": bool(interior.any() and ratio_low >= prominence and ratio_high >= prominence),
+            "argmax_bin": int(at_top[interior][0] if interior.any() else at_top[0]),
+            "max_mfht": float(top),
             "edge_ratio_low": ratio_low,
             "edge_ratio_high": ratio_high,
         }
@@ -278,7 +258,7 @@ def compare_curves(empirical: MfhtCurve, model: MfhtCurve) -> CurveComparison:
     else:
         if not (np.all(empirical.bin_edges > 0) and np.all(model.bin_edges > 0)):
             raise ValueError("curves on different grids need positive bin edges to share a log grid")
-        nbins = max(8, min(empirical.n_bins, model.n_bins))
+        nbins = max(8, min(empirical.counts.size, model.counts.size))
         edges = np.exp(np.linspace(np.log(lo), np.log(hi), nbins + 1))
         edges[0], edges[-1] = lo, hi
         mfht_e = _rebin(empirical, edges)
@@ -349,7 +329,7 @@ def acf(r: np.ndarray, max_lag: int, absolute: bool = False) -> AcfSeries:
     values[0] = 1.0
     for k in range(1, max_lag + 1):
         values[k] = float(d[:-k] @ d[k:]) / c0
-    return AcfSeries(lags=np.arange(max_lag + 1), values=values)
+    return AcfSeries(values)
 
 
 def ensemble_acf(ensemble: Ensemble, max_lag: int, absolute: bool = False) -> AcfSeries:
@@ -364,7 +344,7 @@ def ensemble_acf(ensemble: Ensemble, max_lag: int, absolute: bool = False) -> Ac
             rows.append(acf(ensemble.values[a:b], max_lag, absolute=absolute).values)
         except ValueError as exc:
             raise ValueError(f"series {ticker!r}: {exc}") from None
-    return AcfSeries(lags=np.arange(max_lag + 1), values=np.stack(rows).mean(axis=0))
+    return AcfSeries(np.stack(rows).mean(axis=0))
 
 
 # The mfht cell is text, as an unpopulated bin leaves it empty; the width is
@@ -412,7 +392,6 @@ def read_curve_csv(path: str | Path) -> MfhtCurve:
         bin_edges=np.append(lo, hi[-1]),
         mfht=mfht,
         counts=np.array(rows["count"]),
-        min_count=1,
     )
 
 

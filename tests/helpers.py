@@ -101,11 +101,11 @@ def random_windows(rng: np.random.Generator, sigma_bar: float, n_crash: int, n_r
     for _ in range(n_crash):
         ti = rng.uniform(-1.2, 0.8)
         width = rng.uniform(0.3, 2.2)
-        windows.append(ThresholdWindow(round(ti, 3), round(ti - width, 3), sigma_bar, "crash"))
+        windows.append(ThresholdWindow(round(ti, 3), round(ti - width, 3), sigma_bar))
     for _ in range(n_rally):
         ti = rng.uniform(-0.8, 1.2)
         width = rng.uniform(0.3, 2.2)
-        windows.append(ThresholdWindow(round(ti, 3), round(ti + width, 3), sigma_bar, "rally"))
+        windows.append(ThresholdWindow(round(ti, 3), round(ti + width, 3), sigma_bar))
     return windows
 
 

@@ -1,10 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import assert_episodes_match, make_ensemble, oracle_episodes, random_windows
-from volstab.episodes import ENTRY_RULES, VOL_SCOPES, ThresholdWindow, extract_table, window_family
+from volstab.episodes import (
+    ENTRY_RULES,
+    VOL_SCOPES,
+    WINDOW_FAMILIES,
+    ThresholdWindow,
+    extract_table,
+    window_family,
+)
 
 
 def _series(values, ticker="t"):
@@ -20,18 +29,17 @@ def _pairs(table):
     return list(zip(table.start_index.tolist(), table.fht.tolist()))
 
 
-FIG1A = ThresholdWindow(-0.1, -1.5, 0.02, "crash")  # thresholds -0.002 / -0.03
+FIG1A = ThresholdWindow(-0.1, -1.5, 0.02)  # thresholds -0.002 / -0.03
 
 
 def test_window_validation_and_ids():
-    with pytest.raises(ValueError):
-        ThresholdWindow(-1.5, -0.1, 0.02, "crash")
-    with pytest.raises(ValueError):
-        ThresholdWindow(0.1, -1.5, 0.02, "rally")
-    with pytest.raises(ValueError):
-        ThresholdWindow(-0.1, -1.5, 0.0, "crash")
-    with pytest.raises(ValueError):
-        ThresholdWindow(-0.1, -1.5, 0.02, "sideways")
+    for ti, tf in [(0.5, 0.5), (math.nan, -1.5), (-0.1, math.nan), (math.nan, math.nan)]:
+        with pytest.raises(ValueError, match="theta_f must differ from theta_i"):
+            ThresholdWindow(ti, tf, 0.02)
+    with pytest.raises(ValueError, match="sigma_bar"):
+        ThresholdWindow(-0.1, -1.5, 0.0)
+    assert FIG1A.direction == "crash"
+    assert ThresholdWindow(-1.5, -0.1, 0.02).direction == "rally"
     assert FIG1A.theta_i_abs == pytest.approx(-0.002)
     assert FIG1A.theta_f_abs == pytest.approx(-0.03)
     assert FIG1A.window_id == "crash_ti-0.10_tf-1.50"
@@ -52,7 +60,7 @@ def test_all_zero_returns_no_episodes():
 def test_rally_mirror_of_crash():
     values = [0.001, -0.003, -0.010, -0.035, 0.004]
     crash = _scan(_series(values), FIG1A)
-    rally = ThresholdWindow(+0.1, +1.5, 0.02, "rally")
+    rally = ThresholdWindow(+0.1, +1.5, 0.02)
     mirrored = _scan(_series([-v for v in values]), rally)
     assert _pairs(mirrored) == _pairs(crash)
     assert mirrored.volatility.tolist() == crash.volatility.tolist()
@@ -60,7 +68,7 @@ def test_rally_mirror_of_crash():
 
 def test_sign_symmetry_random():
     rng = np.random.default_rng(17)
-    rally = ThresholdWindow(+0.1, +1.5, 0.02, "rally")
+    rally = ThresholdWindow(+0.1, +1.5, 0.02)
     for _ in range(50):
         r = rng.uniform(-0.06, 0.06, size=rng.integers(5, 60))
         assert _pairs(_scan(_series(r), FIG1A)) == _pairs(_scan(_series(-r), rally))
@@ -192,11 +200,11 @@ def _oracle_table(series, window, entry_rule="crossing", vol_scope="window"):
 def ragged_ensembles(draw):
     """A window and 1-6 series of 1-80 returns that often sit exactly on its thresholds."""
     sigma_bar = 0.02
-    direction = draw(st.sampled_from(["crash", "rally"]))
+    crash = draw(st.booleans())
     ti = round(draw(st.floats(-1.2, 1.2)), 3)
     width = round(draw(st.floats(0.3, 2.2)), 3)
-    tf = round(ti - width if direction == "crash" else ti + width, 3)
-    window = ThresholdWindow(ti, tf, sigma_bar, direction)
+    tf = round(ti - width if crash else ti + width, 3)
+    window = ThresholdWindow(ti, tf, sigma_bar)
     value = st.one_of(
         st.floats(-3 * sigma_bar, 3 * sigma_bar),
         st.sampled_from([window.theta_i_abs, window.theta_f_abs, 0.0]),
@@ -248,8 +256,8 @@ def test_stretch_span_begins_at_series_boundary():
 def test_deeper_final_threshold_never_gains_episodes():
     rng = np.random.default_rng(12)
     sigma_bar = 0.02
-    shallow = ThresholdWindow(-0.1, -0.5, sigma_bar, "crash")
-    deep = ThresholdWindow(-0.1, -3.0, sigma_bar, "crash")
+    shallow = ThresholdWindow(-0.1, -0.5, sigma_bar)
+    deep = ThresholdWindow(-0.1, -3.0, sigma_bar)
     total_shallow = total_deep = 0
     for _ in range(100):
         r = rng.uniform(-3 * sigma_bar, 3 * sigma_bar, size=50)
@@ -260,30 +268,84 @@ def test_deeper_final_threshold_never_gains_episodes():
     assert total_shallow > 0
 
 
+# Each built-in family, pinned exactly: its window ids, then the repr of
+# each window's theta_i and of its theta_f, space-separated.
+EXPECTED_FAMILIES = {
+    "fig1a": (
+        "crash_ti-0.10_tf-1.50",
+        "-0.1",
+        "-1.5",
+    ),
+    "fig1b": (
+        "crash_ti+0.90_tf-0.50 crash_ti+0.80_tf-0.60 crash_ti+0.70_tf-0.70 crash_ti+0.60_tf-0.80 "
+        "crash_ti+0.50_tf-0.90 crash_ti+0.40_tf-1.00 crash_ti+0.30_tf-1.10 crash_ti+0.20_tf-1.20 "
+        "crash_ti+0.10_tf-1.30 crash_ti+0.00_tf-1.40 crash_ti-0.10_tf-1.50 crash_ti-0.20_tf-1.60 "
+        "crash_ti-0.30_tf-1.70 crash_ti-0.40_tf-1.80 crash_ti-0.50_tf-1.90 crash_ti-0.60_tf-2.00 "
+        "crash_ti-0.70_tf-2.10 crash_ti-0.80_tf-2.20 crash_ti-0.90_tf-2.30 crash_ti-1.00_tf-2.40 "
+        "crash_ti-1.10_tf-2.50 crash_ti-1.20_tf-2.60 crash_ti-1.30_tf-2.70 crash_ti-1.40_tf-2.80 "
+        "crash_ti-1.50_tf-2.90 crash_ti-1.60_tf-3.00",
+        "0.9 0.8 0.7 0.6 0.5 0.4 0.3 0.2 0.1 0.0 -0.1 -0.2 -0.3 -0.4 -0.5 -0.6 -0.7 -0.8 -0.9 -1.0 -1.1 -1.2 "
+        "-1.3 -1.4 -1.5 -1.6",
+        "-0.5 -0.6 -0.7 -0.8 -0.9 -1.0 -1.1 -1.2 -1.3 -1.4 -1.5 -1.6 -1.7 -1.8 -1.9 -2.0 -2.1 -2.2 -2.3 -2.4 "
+        "-2.5 -2.6 -2.7 -2.8 -2.9 -3.0",
+    ),
+    "fig1c": (
+        "crash_ti-0.10_tf-0.50 crash_ti-0.10_tf-0.60 crash_ti-0.10_tf-0.70 crash_ti-0.10_tf-0.80 "
+        "crash_ti-0.10_tf-0.90 crash_ti-0.10_tf-1.00 crash_ti-0.10_tf-1.10 crash_ti-0.10_tf-1.20 "
+        "crash_ti-0.10_tf-1.30 crash_ti-0.10_tf-1.40 crash_ti-0.10_tf-1.50 crash_ti-0.10_tf-1.60 "
+        "crash_ti-0.10_tf-1.70 crash_ti-0.10_tf-1.80 crash_ti-0.10_tf-1.90 crash_ti-0.10_tf-2.00 "
+        "crash_ti-0.10_tf-2.10 crash_ti-0.10_tf-2.20 crash_ti-0.10_tf-2.30 crash_ti-0.10_tf-2.40 "
+        "crash_ti-0.10_tf-2.50 crash_ti-0.10_tf-2.60 crash_ti-0.10_tf-2.70 crash_ti-0.10_tf-2.80 "
+        "crash_ti-0.10_tf-2.90 crash_ti-0.10_tf-3.00",
+        "-0.1 -0.1 -0.1 -0.1 -0.1 -0.1 -0.1 -0.1 -0.1 -0.1 -0.1 -0.1 -0.1 -0.1 -0.1 -0.1 -0.1 -0.1 -0.1 -0.1 "
+        "-0.1 -0.1 -0.1 -0.1 -0.1 -0.1",
+        "-0.5 -0.6 -0.7 -0.8 -0.9 -1.0 -1.1 -1.2 -1.3 -1.4 -1.5 -1.6 -1.7 -1.8 -1.9 -2.0 -2.1 -2.2 -2.3 -2.4 "
+        "-2.5 -2.6 -2.7 -2.8 -2.9 -3.0",
+    ),
+    "fig2a": (
+        "rally_ti+0.10_tf+1.50",
+        "0.1",
+        "1.5",
+    ),
+    "fig2b": (
+        "rally_ti-0.90_tf+0.50 rally_ti-0.80_tf+0.60 rally_ti-0.70_tf+0.70 rally_ti-0.60_tf+0.80 "
+        "rally_ti-0.50_tf+0.90 rally_ti-0.40_tf+1.00 rally_ti-0.30_tf+1.10 rally_ti-0.20_tf+1.20 "
+        "rally_ti-0.10_tf+1.30 rally_ti+0.00_tf+1.40 rally_ti+0.10_tf+1.50 rally_ti+0.20_tf+1.60 "
+        "rally_ti+0.30_tf+1.70 rally_ti+0.40_tf+1.80 rally_ti+0.50_tf+1.90 rally_ti+0.60_tf+2.00 "
+        "rally_ti+0.70_tf+2.10 rally_ti+0.80_tf+2.20 rally_ti+0.90_tf+2.30 rally_ti+1.00_tf+2.40 "
+        "rally_ti+1.10_tf+2.50 rally_ti+1.20_tf+2.60 rally_ti+1.30_tf+2.70 rally_ti+1.40_tf+2.80 "
+        "rally_ti+1.50_tf+2.90 rally_ti+1.60_tf+3.00",
+        "-0.9 -0.8 -0.7 -0.6 -0.5 -0.4 -0.3 -0.2 -0.1 0.0 0.1 0.2 0.3 0.4 0.5 0.6 0.7 0.8 0.9 1.0 1.1 1.2 1.3 "
+        "1.4 1.5 1.6",
+        "0.5 0.6 0.7 0.8 0.9 1.0 1.1 1.2 1.3 1.4 1.5 1.6 1.7 1.8 1.9 2.0 2.1 2.2 2.3 2.4 2.5 2.6 2.7 2.8 2.9 "
+        "3.0",
+    ),
+    "fig2c": (
+        "rally_ti+0.10_tf+0.50 rally_ti+0.10_tf+0.60 rally_ti+0.10_tf+0.70 rally_ti+0.10_tf+0.80 "
+        "rally_ti+0.10_tf+0.90 rally_ti+0.10_tf+1.00 rally_ti+0.10_tf+1.10 rally_ti+0.10_tf+1.20 "
+        "rally_ti+0.10_tf+1.30 rally_ti+0.10_tf+1.40 rally_ti+0.10_tf+1.50 rally_ti+0.10_tf+1.60 "
+        "rally_ti+0.10_tf+1.70 rally_ti+0.10_tf+1.80 rally_ti+0.10_tf+1.90 rally_ti+0.10_tf+2.00 "
+        "rally_ti+0.10_tf+2.10 rally_ti+0.10_tf+2.20 rally_ti+0.10_tf+2.30 rally_ti+0.10_tf+2.40 "
+        "rally_ti+0.10_tf+2.50 rally_ti+0.10_tf+2.60 rally_ti+0.10_tf+2.70 rally_ti+0.10_tf+2.80 "
+        "rally_ti+0.10_tf+2.90 rally_ti+0.10_tf+3.00",
+        "0.1 0.1 0.1 0.1 0.1 0.1 0.1 0.1 0.1 0.1 0.1 0.1 0.1 0.1 0.1 0.1 0.1 0.1 0.1 0.1 0.1 0.1 0.1 0.1 0.1 "
+        "0.1",
+        "0.5 0.6 0.7 0.8 0.9 1.0 1.1 1.2 1.3 1.4 1.5 1.6 1.7 1.8 1.9 2.0 2.1 2.2 2.3 2.4 2.5 2.6 2.7 2.8 2.9 "
+        "3.0",
+    ),
+}
+
+
 def test_window_families():
     sb = 0.02
-    fig1a = window_family("fig1a", sb)
-    assert len(fig1a) == 1 and fig1a[0].direction == "crash"
-    fig2a = window_family("fig2a", sb)
-    assert fig2a[0].theta_i == pytest.approx(0.1) and fig2a[0].theta_f == pytest.approx(1.5)
-
-    fig1b = window_family("fig1b", sb)
-    assert len(fig1b) == 26
-    assert fig1b[0].theta_i == pytest.approx(0.9) and fig1b[0].theta_f == pytest.approx(-0.5)
-    assert fig1b[-1].theta_i == pytest.approx(-1.6) and fig1b[-1].theta_f == pytest.approx(-3.0)
-    for w in fig1b:
-        assert w.theta_f - w.theta_i == pytest.approx(-1.4)
-
-    fig1c = window_family("fig1c", sb)
-    assert len(fig1c) == 26
-    assert all(w.theta_i == pytest.approx(-0.1) for w in fig1c)
-    assert fig1c[0].theta_f == pytest.approx(-0.5) and fig1c[-1].theta_f == pytest.approx(-3.0)
-
-    fig2b = window_family("fig2b", sb)
-    assert [w.direction for w in fig2b] == ["rally"] * 26
-    assert fig2b[0].theta_i == pytest.approx(-0.9) and fig2b[-1].theta_f == pytest.approx(3.0)
-    fig2c = window_family("fig2c", sb)
-    assert all(w.theta_i == pytest.approx(0.1) for w in fig2c)
-
+    assert WINDOW_FAMILIES == tuple(EXPECTED_FAMILIES)  # the --window choices, in order
+    for name, (ids, theta_i, theta_f) in EXPECTED_FAMILIES.items():
+        windows = window_family(name, sb)
+        assert " ".join(w.window_id for w in windows) == ids, name
+        # repr tells every double apart, 0.0 from -0.0 included
+        assert " ".join(repr(w.theta_i) for w in windows) == theta_i, name
+        assert " ".join(repr(w.theta_f) for w in windows) == theta_f, name
+        assert {w.direction for w in windows} == {"crash" if name.startswith("fig1") else "rally"}
+        assert all(w.sigma_bar == sb for w in windows)
     with pytest.raises(ValueError):
         window_family("fig9z", sb)

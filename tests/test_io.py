@@ -80,10 +80,7 @@ def episode_tables(draw):
     tables = []
     for _ in range(draw(st.integers(0, 4))):
         ti, width = draw(FLOATS), draw(st.floats(1e-3, 1e3))
-        tf = ti - width
-        direction = "crash"
-        if draw(st.booleans()):
-            tf, direction = ti + width, "rally"
+        tf = ti + width if draw(st.booleans()) else ti - width
         assume(tf != ti)  # a width lost to rounding at large |ti|
         n = draw(st.integers(0, 12))
 
@@ -92,7 +89,7 @@ def episode_tables(draw):
 
         tables.append(
             EpisodeTable(
-                window=ThresholdWindow(ti, tf, draw(st.floats(1e-3, 1.0)), direction),
+                window=ThresholdWindow(ti, tf, draw(st.floats(1e-3, 1.0))),
                 tickers=column(LONG_TICKERS),
                 start_index=np.array(column(st.integers(0, 10**12)), dtype=np.int64),
                 fht=np.array(column(st.integers(1, 10**12)), dtype=np.int64),

@@ -160,6 +160,18 @@ def test_usable_cpus_follow_the_affinity_mask(monkeypatch):
     assert model._usable_cpus() == 1
 
 
+def test_noise_blocks_too_large_for_the_machine_raise_memory_error(monkeypatch):
+    # Neither numpy nor mmap allocates anything at this size: both refuse at
+    # once, and the helper's mapping is refused before it would fork.
+    cfg = SimConfig(days=2, n_series=2, steps_per_day=10**17)
+    with pytest.raises(MemoryError):
+        simulate_ensemble(DEFAULT_MP, cfg, threads=1)
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(model.os, "fork", lambda: pytest.fail("forked"))
+    with pytest.raises(MemoryError):
+        simulate_ensemble(DEFAULT_MP, cfg, threads=2)
+
+
 def test_helper_is_reaped_when_the_caller_is_interrupted(monkeypatch):
     def interrupt(signum, frame):
         raise KeyboardInterrupt

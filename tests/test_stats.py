@@ -11,7 +11,6 @@ from volstab.stats import (
     ensemble_acf,
     fht_pdf,
     histogram,
-    locate_maximum,
     mfht_curve,
     nonmonotonicity_verdict,
     read_curve_csv,
@@ -19,7 +18,7 @@ from volstab.stats import (
 )
 
 
-FIG1A = ThresholdWindow(-0.1, -1.5, 0.02, "crash")
+FIG1A = ThresholdWindow(-0.1, -1.5, 0.02)
 
 
 def _table(fht, vol):
@@ -34,11 +33,11 @@ def _table(fht, vol):
     )
 
 
-def _curve(mfht_values, counts=None, min_count=1):
+def _curve(mfht_values, counts=None):
     m = np.asarray(mfht_values, dtype=float)
     c = np.asarray(counts if counts is not None else np.where(np.isfinite(m), 10, 0))
     edges = np.linspace(0.0, 1.0, m.size + 1)
-    return MfhtCurve(bin_edges=edges, mfht=m, counts=c.astype(np.int64), min_count=min_count)
+    return MfhtCurve(bin_edges=edges, mfht=m, counts=c.astype(np.int64))
 
 
 # ------------------------------------------------------------- mfht curve
@@ -125,24 +124,29 @@ def test_explicit_edges_must_be_strictly_increasing(bin_with, edges):
         bin_with(table, np.array(edges))
 
 
-def test_locate_maximum_basic_and_interior_flag():
-    peak = locate_maximum(_curve([2, 9, 3]))
-    assert (peak.bin_index, peak.mfht, peak.interior) == (1, 9.0, True)
-    peak = locate_maximum(_curve([9, 5, 3]))
-    assert (peak.bin_index, peak.interior) == (0, False)
-    assert locate_maximum(_curve([2, 9, float("nan")])) is None  # only 2 populated
+def _peak(curve):
+    """The verdict's peak; at prominence 1.0 ``interior_maximum`` says whether the peak is interior."""
+    verdict = nonmonotonicity_verdict(curve, prominence=1.0)
+    return verdict["argmax_bin"], verdict["max_mfht"], verdict["interior_maximum"]
 
 
-def test_locate_maximum_tie_breaks():
+def test_verdict_peak_basic_and_interior_flag():
+    assert _peak(_curve([2, 9, 3])) == (1, 9.0, True)
+    bin_index, _, interior = _peak(_curve([9, 5, 3]))
+    assert (bin_index, interior) == (0, False)
+    assert _peak(_curve([2, 9, float("nan")])) == (None, None, False)  # only 2 populated
+
+
+def test_verdict_peak_tie_breaks():
     # tie between edge and interior: interior wins
-    peak = locate_maximum(_curve([9, 9, 3]))
-    assert (peak.bin_index, peak.interior) == (1, True)
+    bin_index, _, interior = _peak(_curve([9, 9, 3]))
+    assert (bin_index, interior) == (1, True)
     # tie between two interior bins: lower volatility wins
-    peak = locate_maximum(_curve([1, 9, 9, 3]))
-    assert peak.bin_index == 1
+    bin_index, _, _ = _peak(_curve([1, 9, 9, 3]))
+    assert bin_index == 1
     # populated-edge detection respects gaps
-    peak = locate_maximum(_curve([float("nan"), 9, 5, 3]))
-    assert (peak.bin_index, peak.interior) == (1, False)
+    bin_index, _, interior = _peak(_curve([float("nan"), 9, 5, 3]))
+    assert (bin_index, interior) == (1, False)
 
 
 def test_nonmonotonicity_verdict_prominence_rule():
