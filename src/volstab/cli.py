@@ -19,6 +19,7 @@ import itertools
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable
@@ -82,6 +83,8 @@ CONFIG_KEYS = _FLOAT_KEYS + _INT_KEYS
 _FLAG_MINIMA = {"threads": 1, "bins": 1, "min_count": 1, "max_lag": 0}
 # numpy makes no array of more than intp-max bytes, and --bins asks for bins + 1 edges.
 _MAX_BINS = np.iinfo(np.intp).max // 8 - 1
+# The longest file name, in bytes, that Linux, macOS and Windows all accept.
+_MAX_NAME_BYTES = 255
 
 
 class ConfigError(Exception):
@@ -94,6 +97,15 @@ class InputError(Exception):
 
 class EmptyResultError(Exception):
     exit_code = EXIT_EMPTY
+
+
+@contextmanager
+def _fault(kind: type[Exception], prefix: str = ""):
+    """Raise a library's ValueError or FloatingPointError as ``kind``, the prefix before its message."""
+    try:
+        yield
+    except (ValueError, FloatingPointError) as exc:
+        raise kind(f"{prefix}{exc}") from None
 
 
 def _parse_config_text(path: Path, text: str) -> dict:
@@ -144,10 +156,8 @@ def load_config_file(path: str | Path) -> dict:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    try:
+    with _fault(ConfigError, f"{path}: not UTF-8 text: "):  # a UnicodeDecodeError
         text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
     if path.suffix == ".json":
         return _parse_config_json(path, text)
     return _parse_config_text(path, text)
@@ -164,10 +174,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
 
 
 def build_model(config: dict) -> tuple[ModelParams, SimConfig]:
-    try:
+    with _fault(ConfigError):
         return tuple(cls(**{f.name: config[f.name] for f in fields(cls)}) for cls in (ModelParams, SimConfig))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def _check_flag_bounds(args: argparse.Namespace) -> None:
@@ -246,10 +254,8 @@ def write_trajectories_csv(x: np.ndarray, v: np.ndarray, path: str | Path) -> No
 def cmd_simulate(args: argparse.Namespace) -> Outcome:
     config = resolve_config(args)
     mp, cfg = build_model(config)
-    try:
+    with _fault(ConfigError):  # the integration blew up: a configuration fault
         x, v = simulate_ensemble(mp, cfg, threads=args.threads)
-    except FloatingPointError as exc:  # the integration blew up: a configuration fault
-        raise ConfigError(str(exc)) from None
     files, sigma_bar, tail = [], None, ""
     if cfg.days >= 1:
         ensemble = daily_returns(x, [f"sim{i:04d}" for i in range(cfg.n_series)])
@@ -283,30 +289,24 @@ def _check_analyze_flags(args: argparse.Namespace) -> None:
 
 
 def _load_input_series(args: argparse.Namespace) -> tuple[Ensemble, list[Path]]:
-    try:
+    with _fault(InputError):
         if args.returns:
             path = Path(args.returns)
             return read_returns_csv(path), [path]
         path = Path(args.prices)
         tickers, prices, offsets = load_prices(path, layout=args.layout or "per-stock")
-    except (OSError, ValueError) as exc:
-        raise InputError(str(exc)) from None
     if not tickers:
         raise InputError(f"{path}: no series with at least two valid prices")
     files = sorted(path.glob("*.csv")) if path.is_dir() else [path]
-    try:
+    with _fault(InputError, f"{path}: "):  # names a ticker, not the input it came from
         return to_returns(tickers, prices, offsets), files
-    except ValueError as exc:  # names a ticker, not the input it came from
-        raise InputError(f"{path}: {exc}") from None
 
 
 def _resolve_windows(args: argparse.Namespace, sigma_bar: float) -> list[ThresholdWindow]:
-    try:
+    with _fault(ConfigError):
         if args.window == "manual":
             return [ThresholdWindow(args.theta_i, args.theta_f, sigma_bar)]
         return window_family(args.window, sigma_bar)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def _curve_files(tables: list[EpisodeTable], bins: int, min_count: int) -> list[tuple]:
@@ -357,10 +357,8 @@ def cmd_analyze(args: argparse.Namespace) -> Outcome:
 
 def _load_episode_tables(path_text: str) -> list[EpisodeTable]:
     path = Path(path_text)
-    try:
+    with _fault(InputError):
         tables = read_episodes_csv(path)
-    except (OSError, ValueError) as exc:
-        raise InputError(str(exc)) from None
     if not tables or all(len(t) == 0 for t in tables):
         raise EmptyResultError(f"{path}: no episodes")
     return tables
@@ -388,14 +386,10 @@ def cmd_fht_pdf(args: argparse.Namespace) -> Outcome:
 
 
 def cmd_acf(args: argparse.Namespace) -> Outcome:
-    try:
+    with _fault(InputError):
         ensemble = read_returns_csv(Path(args.returns))
-    except (OSError, ValueError) as exc:
-        raise InputError(str(exc)) from None
-    try:
+    with _fault(InputError, f"{args.returns}: "):  # a series too short for max_lag, or of zero variance
         result = ensemble_acf(ensemble, args.max_lag, absolute=args.absolute)
-    except ValueError as exc:  # a series too short for max_lag, or of zero variance
-        raise InputError(f"{args.returns}: {exc}") from None
     name = "acf_abs.csv" if args.absolute else "acf.csv"
     return Outcome(
         {"max_lag": args.max_lag, "absolute": args.absolute}, [Path(args.returns)],
@@ -408,12 +402,10 @@ def cmd_acf(args: argparse.Namespace) -> Outcome:
 
 
 def cmd_compare(args: argparse.Namespace) -> Outcome:
-    try:
+    with _fault(InputError):
         empirical = read_curve_csv(Path(args.empirical))
         model = read_curve_csv(Path(args.model))
         comparison = compare_curves(empirical, model)
-    except (OSError, ValueError) as exc:
-        raise InputError(str(exc)) from None
     report = comparison.report
     files = [("compare.csv", write_comparison_csv, (comparison,)), ("compare.json", write_json, (report,))]
     bins, offset = report["bins_compared"], report["peak_offset_bins"]
@@ -501,6 +493,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_flag_bounds(args)
         outcome = args.func(args)  # reads and computes all, so a fault ends the run before any output exists
+        for name, _, _ in outcome.files:
+            if len(name.encode()) > _MAX_NAME_BYTES:
+                raise InputError(f"output file name longer than {_MAX_NAME_BYTES} bytes: {name}")
         out = _out_dir(args.out, outcome.config.get("seed"))
         for name, writer, data in outcome.files:
             writer(*data, out / name)

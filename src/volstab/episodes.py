@@ -33,13 +33,12 @@ __all__ = [
 ]
 
 ENTRY_RULES = ("crossing", "level")
-# Which returns feed the episode volatility:
-#   window    entry day .. hit day
-#   no-entry  entry day excluded
-#   no-hit    hit day excluded
-#   interior  both excluded (volatility is NaN when fht == 1)
-#   stretch   day after the previous hit .. hit day
-VOL_SCOPES = ("window", "no-entry", "no-hit", "interior", "stretch")
+# Which returns feed the episode volatility: the days from the entry day
+# plus the first shift to the hit day plus the second, or, for "stretch"
+# (None), from the day after the previous hit.  "interior" leaves no day
+# when fht == 1, and its volatility is NaN.
+_VOL_SHIFTS = {"window": (0, 0), "no-entry": (1, 0), "no-hit": (0, -1), "interior": (1, -1), "stretch": (None, 0)}
+VOL_SCOPES = tuple(_VOL_SHIFTS)
 DEFAULT_ENTRY_RULE = "crossing"
 DEFAULT_VOL_SCOPE = "window"
 
@@ -77,6 +76,10 @@ class ThresholdWindow:
             raise ValueError(f"sigma_bar must be finite and positive, got {self.sigma_bar}")
         if not (self.theta_f < self.theta_i or self.theta_f > self.theta_i):  # equal, or NaN
             raise ValueError(f"theta_f must differ from theta_i, got {self.theta_i}, {self.theta_f}")
+        for name in ("theta_i", "theta_f"):  # an infinite theta, or a finite one that overflows
+            theta = getattr(self, name)
+            if not math.isfinite(theta * self.sigma_bar):
+                raise ValueError(f"threshold {name} * sigma_bar must be finite, got {theta} * {self.sigma_bar}")
 
     @property
     def direction(self) -> str:
@@ -169,16 +172,9 @@ def extract_table(
     spans = span_start[have][keep]
     series = series[have][keep]
 
-    if vol_scope == "window":
-        beg, end = starts, hits
-    elif vol_scope == "no-entry":
-        beg, end = starts + 1, hits
-    elif vol_scope == "no-hit":
-        beg, end = starts, hits - 1
-    elif vol_scope == "interior":
-        beg, end = starts + 1, hits - 1
-    else:  # stretch
-        beg, end = spans, hits
+    first, last = _VOL_SHIFTS[vol_scope]
+    beg = spans if first is None else starts + first
+    end = hits + last
 
     # Negating a series negates its sums exactly, so a rally window reads
     # the same sums as the crash scan of the mirrored series, bit for bit.
@@ -248,9 +244,10 @@ def read_episodes_csv(path: str | Path) -> list[EpisodeTable]:
     The CSV stores theta multipliers, not sigma_bar, so windows are rebuilt
     at ``sigma_bar`` 1.0: absolute thresholds equal the multipliers, and
     curve building does not depend on them.  A malformed row, thetas that
-    differ from those of its window's first row, a negative
-    ``start_index``, an ``fht`` below 1 or a negative volatility raises
-    ValueError naming the line.  Blank lines are skipped.
+    differ from those of its window's first row, a window whose thetas
+    rebuild the window id of an earlier one, a negative ``start_index``, an
+    ``fht`` below 1 or a negative volatility raises ValueError naming the
+    line.  Blank lines are skipped.
     """
     rows, line_of = read_table(path, _EPISODE_DTYPE)
     if rows.size == 0:
@@ -261,13 +258,17 @@ def read_episodes_csv(path: str | Path) -> list[EpisodeTable]:
     row_group = np.repeat(run_group, np.diff(np.append(run_starts, rows.size)))
     first = run_starts[np.unique(run_group, return_index=True)[1]]  # each window's first row
     ti, tf = rows["theta_i"], rows["theta_f"]
-    windows = []
+    windows, rebuilt = [], {}  # rebuilt window id -> (window id, first row) of the first window with it
     for window_id, row in zip(groups, first.tolist()):
         theta_i, theta_f = float(ti[row]), float(tf[row])
         try:
             windows.append(ThresholdWindow(theta_i, theta_f, 1.0))
         except ValueError as exc:
             raise ValueError(f"{path}: line {line_of(row)}: window {window_id!r}: {exc}") from None
+        earlier, at = rebuilt.setdefault(windows[-1].window_id, (window_id, row))
+        if at != row:
+            raise ValueError(f"{path}: line {line_of(row)}: window {window_id!r} and window {earlier!r} on line "
+                             f"{line_of(at)} both rebuild to window id {windows[-1].window_id!r}")
 
     at_first = first[row_group]
     moved = (ti != ti[at_first]) | (tf != tf[at_first])

@@ -140,14 +140,9 @@ class SimConfig:
         _require_finite("dt", self.dt)
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.steps_per_day < 1:
-            raise ValueError(f"steps_per_day must be >= 1, got {self.steps_per_day}")
-        if self.days < 0:
-            raise ValueError(f"days must be >= 0, got {self.days}")
-        if self.n_series < 1:
-            raise ValueError(f"n_series must be >= 1, got {self.n_series}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name, lowest in (("steps_per_day", 1), ("days", 0), ("n_series", 1), ("seed", 0)):
+            if getattr(self, name) < lowest:
+                raise ValueError(f"{name} must be >= {lowest}, got {getattr(self, name)}")
         # numpy makes no array of more than intp-max bytes.  The largest are
         # the state and a noise block: two helper slots of two draws of
         # n_series x at most max(steps_per_day, _CHUNK_STEPS // 2) steps.

@@ -126,14 +126,15 @@ def _edges(values: np.ndarray, bins: int | np.ndarray, log: bool) -> np.ndarray:
     return edges
 
 
-def _bin_index(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Half-open bins [lo, hi), last bin closed; -1 for out-of-range values."""
-    idx = np.searchsorted(edges, values, side="right") - 1
-    nbins = edges.size - 1
-    idx[values == edges[-1]] = nbins - 1
-    idx[(values < edges[0]) | (values > edges[-1])] = -1
-    idx[~np.isfinite(values)] = -1
-    return idx
+def _binned(values: np.ndarray, edges: np.ndarray, *weights: np.ndarray) -> list[np.ndarray]:
+    """Per-bin count of ``values``, then the per-bin sum of each of ``weights``.
+
+    Bins are half-open [lo, hi), the last one closed.  A value below or
+    above the edges, NaN or infinite, is left out.
+    """
+    inside = np.isfinite(values) & (values >= edges[0]) & (values <= edges[-1])
+    idx = np.searchsorted(edges[:-1], values[inside], side="right") - 1
+    return [np.bincount(idx, weights=w, minlength=edges.size - 1) for w in (None, *(w[inside] for w in weights))]
 
 
 def mfht_curve(
@@ -157,11 +158,7 @@ def mfht_curve(
     if usable.size == 0 and isinstance(bins, (int, np.integer)):
         raise ValueError("no episodes with positive volatility to bin")
     edges = _edges(usable, bins, log=True)
-    nbins = edges.size - 1
-    idx = _bin_index(volatility, edges)
-    inside = idx >= 0
-    counts = np.bincount(idx[inside], minlength=nbins)
-    sums = np.bincount(idx[inside], weights=fht[inside], minlength=nbins)
+    counts, sums = _binned(volatility, edges, fht)
     with np.errstate(invalid="ignore", divide="ignore"):
         mfht = sums / counts
     mfht[counts < min_count] = np.nan
@@ -227,11 +224,9 @@ def _populated_span(curve: MfhtCurve) -> tuple[float, float]:
 def _rebin(curve: MfhtCurve, edges: np.ndarray) -> np.ndarray:
     """Count-weighted means of populated source bins onto the common grid."""
     pop = curve.populated
-    idx = _bin_index(np.sqrt(curve.bin_edges[:-1] * curve.bin_edges[1:])[pop], edges)
-    inside = idx >= 0
-    idx, n = idx[inside], curve.counts[pop][inside]
-    sums = np.bincount(idx, weights=curve.mfht[pop][inside] * n, minlength=edges.size - 1)
-    counts = np.bincount(idx, weights=n, minlength=edges.size - 1)
+    centres = np.sqrt(curve.bin_edges[:-1] * curve.bin_edges[1:])[pop]
+    n = curve.counts[pop]
+    _, sums, counts = _binned(centres, edges, curve.mfht[pop] * n, n)
     with np.errstate(invalid="ignore"):
         return sums / counts
 
@@ -297,8 +292,7 @@ def histogram(
     if values.size == 0:
         raise ValueError("no finite values to bin")
     edges = _edges(values, bins, log)
-    idx = _bin_index(values, edges)
-    counts = np.bincount(idx[idx >= 0], minlength=edges.size - 1)
+    (counts,) = _binned(values, edges)
     total = counts.sum()
     if total == 0:
         raise ValueError("no values inside the bin range")
@@ -367,8 +361,9 @@ def write_curve_csv(curve: MfhtCurve, path: str | Path) -> None:
 def read_curve_csv(path: str | Path) -> MfhtCurve:
     """Read a curve ``write_curve_csv`` wrote; an empty mfht cell is NaN.
 
-    A malformed row, a bin whose ``bin_lo`` is not below its ``bin_hi``, or
-    bins that are not contiguous raise ValueError.
+    A malformed row, a bin whose ``bin_lo`` is not below its ``bin_hi``, an
+    infinite edge or mfht, a negative count, or bins that are not contiguous
+    raise ValueError.
     """
     rows, line_of = read_table(path, _CURVE_DTYPE)
     if rows.size == 0:
@@ -381,18 +376,22 @@ def read_curve_csv(path: str | Path) -> MfhtCurve:
                 mfht[row] = _loadtxt([text], np.float64)[0]
             except ValueError:
                 raise ValueError(f"{path}: line {line_of(row)}: mfht is not a number: {text!r}") from None
-    lo, hi = rows["bin_lo"], rows["bin_hi"]
-    unordered = np.flatnonzero(~(lo < hi))  # a NaN edge is not below anything
-    if unordered.size:
-        row = unordered[0]
-        raise ValueError(f"{path}: line {line_of(row)}: bin_lo {lo[row]} is not below bin_hi {hi[row]}")
+    lo, hi, counts = rows["bin_lo"], rows["bin_hi"], np.array(rows["count"])
+    unordered = ~(lo < hi)  # a NaN edge is not below anything
+    infinite = np.isinf(lo) | np.isinf(hi) | np.isinf(mfht)
+    bad = np.flatnonzero(unordered | infinite | (counts < 0))
+    if bad.size:
+        k = int(bad[0])
+        if unordered[k]:
+            what = f"bin_lo {lo[k]} is not below bin_hi {hi[k]}"
+        elif infinite[k]:
+            what = f"bin_lo, bin_hi and mfht must not be infinite, got {lo[k]}, {hi[k]}, {mfht[k]}"
+        else:
+            what = f"count {counts[k]} is negative"
+        raise ValueError(f"{path}: line {line_of(k)}: {what}")
     if np.any(hi[:-1] != lo[1:]):
         raise ValueError(f"{path}: bins are not contiguous")
-    return MfhtCurve(
-        bin_edges=np.append(lo, hi[-1]),
-        mfht=mfht,
-        counts=np.array(rows["count"]),
-    )
+    return MfhtCurve(bin_edges=np.append(lo, hi[-1]), mfht=mfht, counts=counts)
 
 
 def write_comparison_csv(comparison: CurveComparison, path: str | Path) -> None:

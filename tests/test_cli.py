@@ -125,6 +125,11 @@ BAD_VALUES = [
     (["analyze", "--returns", "{returns}", "--layout", "wide"], EXIT_CONFIG, "--layout"),
     (["analyze", "--returns", "{returns}", "--window", "fig1a", "--theta-i", "0.5"], EXIT_CONFIG, "--theta-i"),
     (["analyze", "--returns", "{returns}", "--theta-f", "-1.5"], EXIT_CONFIG, "--theta-f"),
+    # a manual window whose start threshold is infinite, or overflows to infinity
+    (["analyze", "--returns", "{returns}", "--window", "manual", "--theta-i", "inf", "--theta-f", "0"], EXIT_CONFIG,
+     "threshold theta_i * sigma_bar must be finite, got inf * "),
+    (["analyze", "--returns", "{returns}", "--window", "manual", "--theta-i", "1e308", "--theta-f", "0",
+      "--sigma-bar", "10"], EXIT_CONFIG, "threshold theta_i * sigma_bar must be finite, got 1e+308 * 10.0"),
     (["acf", "--returns", "{flat}", "--max-lag", "1"], EXIT_INPUT, "error: {flat}: series 'z0': zero-variance"),
     (["acf", "--returns", "{returns}", "--max-lag", "400"], EXIT_INPUT, "error: {returns}: series 's0'"),
     (["simulate", "--n-series", "2", "--days", "5", "--threads", "0"], EXIT_CONFIG, "--threads"),
@@ -279,6 +284,13 @@ MALFORMED_EPISODES = [
     ("negative volatility", FIG1A_ROW + f"aa,{FIG1A},3,4,-0.5\n", 3, "volatility -0.5 is negative"),
     ("equal thetas", FIG1A_ROW + "aa,w,0.5,0.5,3,4,0.02\n", 3, "window 'w'"),
     ("NaN thetas", FIG1A_ROW + "aa,w,nan,nan,3,4,0.02\n" * 2, 3, "window 'w': theta_f must differ from theta_i"),
+    ("infinite theta", FIG1A_ROW + "aa,w,inf,0,3,4,0.02\n", 3, "window 'w': threshold theta_i * sigma_bar"),
+    (
+        "two window ids, one window",
+        FIG1A_ROW + "bb,other,-0.1,-1.5,5,2,0.03\n",
+        3,
+        "window 'other' and window 'crash_ti-0.10_tf-1.50' on line 2 both rebuild to window id 'crash_ti-0.10_tf-1.50'",
+    ),
     ("UTF-8 fht", FIG1A_ROW + f"aa,{FIG1A},3,é,0.02\n", 3, "fht is not an integer: 'é'"),
     ("non-UTF-8 fht", f"aa,{FIG1A},3,".encode() + b"\xff,0.02\n", 2, "fht is not an integer: '\\\\xff'"),
 ]
@@ -312,6 +324,9 @@ MALFORMED_CURVES = [
     ("count with underscore", CURVE_ROWS + "0.003,0.004,5.0,1_0\n", 4, "count is not an integer: '1_0'"),
     ("decreasing bins", "3,2,5.0,10\n2,1,6.0,10\n1,0.5,7.0,10\n", 2, "bin_lo 3.0 is not below bin_hi 2.0"),
     ("nan bin_hi", CURVE_ROWS + "0.003,nan,5.0,10\n", 4, "bin_lo 0.003 is not below bin_hi nan"),
+    ("inf bin_hi", CURVE_ROWS + "0.003,inf,5.0,10\n", 4, "must not be infinite, got 0.003, inf, 5.0"),
+    ("inf mfht", CURVE_ROWS + "0.003,0.004,inf,10\n", 4, "must not be infinite, got 0.003, 0.004, inf"),
+    ("negative count", "0.001,0.002,5.0,-7\n0.002,0.003,6.0,-7\n", 2, "count -7 is negative"),
 ]
 
 
@@ -346,6 +361,18 @@ def test_compare_on_different_grids_with_non_positive_edges_is_one_line_input_er
     assert not out.exists()
     # on one grid the curves are compared bin by bin, with no logs taken
     assert run("compare", "--empirical", str(a), "--model", str(a), "--out", str(out)) == 0
+
+
+def test_output_file_name_too_long_is_refused_before_the_directory(tmp_path, capsys):
+    path = _write_returns(tmp_path, [("s", [0.01, 0.02, -0.01, 0.03, 0.01, -0.02])])
+    out = tmp_path / "o"
+    rc = run("analyze", "--returns", str(path), "--window", "manual", "--theta-i", "1e230", "--theta-f", "0",
+             "--sigma-bar", "0.02", "--out", str(out))
+    err = capsys.readouterr().err
+    assert rc == EXIT_INPUT
+    assert err.startswith("error: output file name longer than 255 bytes: curve_crash_ti+1000"), err
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_window_without_binnable_episodes_gets_the_empty_verdict(tmp_path):

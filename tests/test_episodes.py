@@ -38,6 +38,10 @@ def test_window_validation_and_ids():
             ThresholdWindow(ti, tf, 0.02)
     with pytest.raises(ValueError, match="sigma_bar"):
         ThresholdWindow(-0.1, -1.5, 0.0)
+    # an infinite theta, or a finite one whose threshold overflows
+    for ti, tf, sigma_bar in [(math.inf, 0.0, 0.02), (-0.1, -math.inf, 0.02), (1e308, 0.0, 10.0), (0.0, -1e308, 10.0)]:
+        with pytest.raises(ValueError, match=r"threshold theta_[if] \* sigma_bar must be finite"):
+            ThresholdWindow(ti, tf, sigma_bar)
     assert FIG1A.direction == "crash"
     assert ThresholdWindow(-1.5, -0.1, 0.02).direction == "rally"
     assert FIG1A.theta_i_abs == pytest.approx(-0.002)

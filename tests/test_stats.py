@@ -110,18 +110,41 @@ def test_curve_empty_errors():
         mfht_curve(_table([3], [float("nan")]))
 
 
+# Binning a table's volatilities on explicit edges, by each of the two routines that bin.
+BIN_WITH = pytest.mark.parametrize(
+    "bin_with", [lambda t, e: mfht_curve(t, bins=e, min_count=1), lambda t, e: histogram(t.volatility, bins=e)],
+    ids=["mfht_curve", "histogram"],
+)
+
+
 @pytest.mark.parametrize(
     "edges", [[0.05, float("nan"), 0.5], [0.5, 0.1, 0.05], [0.05, 0.05, 0.5], [[0.05, 0.5]]],
     ids=["nan", "decreasing", "repeated", "2-d"],
 )
-@pytest.mark.parametrize(
-    "bin_with", [lambda t, e: mfht_curve(t, bins=e, min_count=1), lambda t, e: histogram(t.volatility, bins=e)],
-    ids=["mfht_curve", "histogram"],
-)
+@BIN_WITH
 def test_explicit_edges_must_be_strictly_increasing(bin_with, edges):
     table = _table([3, 5, 7], [0.06, 0.1, 0.3])
     with pytest.raises(ValueError, match="explicit bin edges must be 1-d and strictly increasing"):
         bin_with(table, np.array(edges))
+
+
+# Explicit edges, the values binned on them, and the count each bin gets.
+BINNING_RULE = [
+    ("inner edge", [0.5, 1, 2, 4], [1.0, 2.0], [0, 1, 1]),  # the upper bin
+    ("outer edges", [0.5, 1, 2, 4], [0.5, 4.0], [1, 0, 1]),  # the last bin is closed
+    ("below, above, NaN", [0.5, 1, 2, 4], [0.25, 4.5, math.nan, 1.5], [0, 1, 0]),  # left out
+    ("inf under an infinite edge", [0.5, 1, math.inf], [0.7, math.inf], [1, 0]),  # left out
+    ("-inf under an infinite edge", [-math.inf, 0.5, 1, math.inf], [-math.inf, 0.7, math.inf], [0, 1, 0]),
+]
+
+
+@pytest.mark.parametrize(
+    "edges, values, counts", [row[1:] for row in BINNING_RULE], ids=[row[0] for row in BINNING_RULE]
+)
+@BIN_WITH
+def test_bins_are_half_open_and_leave_out_what_lies_outside(bin_with, edges, values, counts):
+    table = _table([3] * len(values), values)
+    assert bin_with(table, np.array(edges)).counts.tolist() == counts
 
 
 def _peak(curve):
