@@ -171,7 +171,7 @@ def decode_runs(path, column: np.ndarray, name: str, line_of) -> tuple[np.ndarra
         try:
             texts.append(raw.decode("utf-8"))
         except UnicodeDecodeError:
-            raise ValueError(f"{path}: line {line_of(row)}: {name} {raw!r} is not UTF-8") from None
+            raise ValueError(f"{path}: line {line_of(row)}: {name} {show_bytes(raw)!r} is not UTF-8") from None
     return starts, texts
 
 

@@ -17,6 +17,7 @@ import argparse
 import hashlib
 import itertools
 import json
+import re
 import sys
 import time
 from contextlib import contextmanager
@@ -437,6 +438,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name: str, func, summary: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary, allow_abbrev=False)  # flag names must be exact
+        # A value such as -1e-3 is a negative number, not a flag; the pattern
+        # argparse itself uses on some Python releases has no exponent form.
+        p._negative_number_matcher = re.compile(r"^-\.?\d")
         p.add_argument("--out", help="output directory (default: runs/<timestamp>[-seed<seed>])")
         p.set_defaults(func=func, error=p.error)
         return p

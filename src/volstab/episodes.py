@@ -23,13 +23,6 @@ __all__ = [
     "EpisodeTable",
     "extract_table",
     "window_family",
-    "WINDOW_FAMILIES",
-    "ENTRY_RULES",
-    "VOL_SCOPES",
-    "DEFAULT_ENTRY_RULE",
-    "DEFAULT_VOL_SCOPE",
-    "write_episodes_csv",
-    "read_episodes_csv",
 ]
 
 ENTRY_RULES = ("crossing", "level")

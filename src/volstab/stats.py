@@ -22,7 +22,6 @@ from .returns import Ensemble
 __all__ = [
     "MfhtCurve",
     "Histogram",
-    "AcfSeries",
     "CurveComparison",
     "mfht_curve",
     "nonmonotonicity_verdict",
@@ -31,11 +30,6 @@ __all__ = [
     "fht_pdf",
     "acf",
     "ensemble_acf",
-    "write_curve_csv",
-    "read_curve_csv",
-    "write_comparison_csv",
-    "write_histogram_csv",
-    "write_acf_csv",
 ]
 
 DEFAULT_BINS = 30
@@ -84,17 +78,6 @@ class CurveComparison:
     mfht_model: np.ndarray
     diff: np.ndarray
     report: dict
-
-
-@dataclass(eq=False)
-class AcfSeries:
-    """Autocorrelation ``values`` at lags 0, 1, ..."""
-
-    values: np.ndarray
-
-    @property
-    def lags(self) -> np.ndarray:
-        return np.arange(self.values.size)
 
 
 def _edges(values: np.ndarray, bins: int | np.ndarray, log: bool) -> np.ndarray:
@@ -308,7 +291,7 @@ def fht_pdf(table: EpisodeTable, bins: int | np.ndarray = DEFAULT_BINS) -> Histo
     return histogram(table.fht, bins=bins, log=True)
 
 
-def acf(r: np.ndarray, max_lag: int, absolute: bool = False) -> AcfSeries:
+def acf(r: np.ndarray, max_lag: int, absolute: bool = False) -> np.ndarray:
     """Sample autocorrelation of the returns ``r`` at lags 0..max_lag (of |r| when ``absolute``)."""
     r = np.asarray(r, dtype=float)
     if r.size <= max_lag + 1:
@@ -323,10 +306,10 @@ def acf(r: np.ndarray, max_lag: int, absolute: bool = False) -> AcfSeries:
     values[0] = 1.0
     for k in range(1, max_lag + 1):
         values[k] = float(d[:-k] @ d[k:]) / c0
-    return AcfSeries(values)
+    return values
 
 
-def ensemble_acf(ensemble: Ensemble, max_lag: int, absolute: bool = False) -> AcfSeries:
+def ensemble_acf(ensemble: Ensemble, max_lag: int, absolute: bool = False) -> np.ndarray:
     """Per-lag average of the per-series autocorrelations.
 
     A series too short for ``max_lag`` or of zero variance raises
@@ -335,10 +318,10 @@ def ensemble_acf(ensemble: Ensemble, max_lag: int, absolute: bool = False) -> Ac
     rows = []
     for ticker, (a, b) in zip(ensemble.tickers, ensemble._bounds()):
         try:
-            rows.append(acf(ensemble.values[a:b], max_lag, absolute=absolute).values)
+            rows.append(acf(ensemble.values[a:b], max_lag, absolute=absolute))
         except ValueError as exc:
             raise ValueError(f"series {ticker!r}: {exc}") from None
-    return AcfSeries(np.stack(rows).mean(axis=0))
+    return np.stack(rows).mean(axis=0)
 
 
 # The mfht cell is text, as an unpopulated bin leaves it empty; the width is
@@ -362,8 +345,9 @@ def read_curve_csv(path: str | Path) -> MfhtCurve:
     """Read a curve ``write_curve_csv`` wrote; an empty mfht cell is NaN.
 
     A malformed row, a bin whose ``bin_lo`` is not below its ``bin_hi``, an
-    infinite edge or mfht, a negative count, or bins that are not contiguous
-    raise ValueError.
+    infinite edge or mfht, a negative count, a populated bin whose count or
+    mfht is below 1 (a mean of hitting times of at least one day, over at
+    least one episode), or bins that are not contiguous raise ValueError.
     """
     rows, line_of = read_table(path, _CURVE_DTYPE)
     if rows.size == 0:
@@ -379,15 +363,20 @@ def read_curve_csv(path: str | Path) -> MfhtCurve:
     lo, hi, counts = rows["bin_lo"], rows["bin_hi"], np.array(rows["count"])
     unordered = ~(lo < hi)  # a NaN edge is not below anything
     infinite = np.isinf(lo) | np.isinf(hi) | np.isinf(mfht)
-    bad = np.flatnonzero(unordered | infinite | (counts < 0))
+    populated = np.isfinite(mfht)
+    bad = np.flatnonzero(unordered | infinite | (counts < 0) | (populated & ((counts < 1) | (mfht < 1))))
     if bad.size:
         k = int(bad[0])
         if unordered[k]:
             what = f"bin_lo {lo[k]} is not below bin_hi {hi[k]}"
         elif infinite[k]:
             what = f"bin_lo, bin_hi and mfht must not be infinite, got {lo[k]}, {hi[k]}, {mfht[k]}"
-        else:
+        elif counts[k] < 0:
             what = f"count {counts[k]} is negative"
+        elif counts[k] < 1:
+            what = f"count {counts[k]} of a populated bin is below 1"
+        else:
+            what = f"mfht {mfht[k]} is below 1"
         raise ValueError(f"{path}: line {line_of(k)}: {what}")
     if np.any(hi[:-1] != lo[1:]):
         raise ValueError(f"{path}: bins are not contiguous")
@@ -407,5 +396,5 @@ def write_histogram_csv(hist: Histogram, path: str | Path) -> None:
               [(hist.bin_edges[:-1], ",", hist.bin_edges[1:], ",", hist.density, ",", hist.counts)])
 
 
-def write_acf_csv(series: AcfSeries, path: str | Path) -> None:
-    write_csv(path, "lag,value", [(series.lags, ",", series.values)])
+def write_acf_csv(values: np.ndarray, path: str | Path) -> None:
+    write_csv(path, "lag,value", [(np.arange(values.size), ",", values)])

@@ -126,8 +126,8 @@ def test_a5_fht_engine_oracle():
 def test_a6_no_arbitrage_and_clustering(ensemble):
     days = len(ensemble.series[0].returns)
     band = 3.0 / np.sqrt(days)
-    plain = ensemble_acf(ensemble.series, 20).values[1:]
-    absolute = ensemble_acf(ensemble.series, 20, absolute=True).values[1:]
+    plain = ensemble_acf(ensemble.series, 20)[1:]
+    absolute = ensemble_acf(ensemble.series, 20, absolute=True)[1:]
     mean_abs_plain = float(np.abs(plain).mean())
     mean_clustering = float(absolute.mean())
     lags_above = int((absolute > band).sum())

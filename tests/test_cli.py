@@ -61,6 +61,7 @@ BAD_CONFIGS = [
     ("bad.cfg", b"m 2\n", "line 1: expected 'key = value', got 'm 2'"),
     ("bad.cfg", b"m = fast\n", "line 1: bad value for m: 'fast'"),
     ("bad.cfg", b"m = \xff\n", "not UTF-8 text"),
+    ("bad.json", b'{"zz": 1}', "unknown config keys ['zz']"),
     ("bad.json", b"[1, 2]", "expected a JSON object of config keys, got list"),
     ("bad.json", b'{"config": 5}', "expected a JSON object of config keys, got int"),
     ("bad.json", b'{"config": {"dt": "abc"}}', 'bad value for dt: "abc"'),
@@ -204,6 +205,22 @@ def test_flag_names_must_be_exact(valid_inputs, tmp_path, capsys, argv):
     assert not out.exists()
 
 
+# Negative values in exponent form, which the argparse pattern of some Python
+# releases takes for flags, and the setting each one gives.
+NEGATIVE_EXPONENTS = [
+    (["simulate", "--n-series", "2", "--days", "5", "--seed", "1", "--x0", "-1e-3"], "x0"),
+    (["analyze", "--returns", "{returns}", "--window", "manual", "--theta-i", "0.5", "--theta-f", "-1e-3"], "theta_f"),
+]
+
+
+@pytest.mark.parametrize("argv, dest", NEGATIVE_EXPONENTS, ids=[row[0][0] for row in NEGATIVE_EXPONENTS])
+def test_negative_values_in_exponent_form_are_values(valid_inputs, tmp_path, capsys, argv, dest):
+    argv = [a.format(**valid_inputs) for a in argv]
+    assert getattr(cli.build_parser().parse_args(argv), dest) == -1e-3
+    assert run(*argv, "--out", str(tmp_path / "o")) == 0
+    assert capsys.readouterr().err == ""
+
+
 RETURNS_HEADER = "ticker,day_index,return\n"
 EPISODE = [0.001, -0.003, -0.010, -0.035, 0.004]  # one fig1a crash episode at sigma_bar 0.02
 
@@ -235,6 +252,7 @@ MALFORMED_RETURNS = [
     ("header only", "", None, "no return rows"),
     ("UTF-8 cell", "aa,0,0.1\naa,1,é\n", 3, "return is not a number: 'é'"),
     ("non-UTF-8 byte", b"aa,0,0.1\naa,1,\xff\n", 3, "return is not a number: '\\\\xff'"),
+    ("non-UTF-8 ticker", b"aa,0,0.1\na\xff,0,0.2\n", 3, "ticker 'a\\\\xff' is not UTF-8"),
     ("squares overflow", "aa,0,1e200\naa,1,-1e200\n", None, "aa: returns too large"),
 ]
 
@@ -293,6 +311,7 @@ MALFORMED_EPISODES = [
     ),
     ("UTF-8 fht", FIG1A_ROW + f"aa,{FIG1A},3,é,0.02\n", 3, "fht is not an integer: 'é'"),
     ("non-UTF-8 fht", f"aa,{FIG1A},3,".encode() + b"\xff,0.02\n", 2, "fht is not an integer: '\\\\xff'"),
+    ("non-UTF-8 window_id", FIG1A_ROW.encode() + b"aa,w\xff,0.5,-1.5,3,4,0.02\n", 3, "window_id 'w\\\\xff' is not UTF-8"),
 ]
 
 
@@ -327,6 +346,10 @@ MALFORMED_CURVES = [
     ("inf bin_hi", CURVE_ROWS + "0.003,inf,5.0,10\n", 4, "must not be infinite, got 0.003, inf, 5.0"),
     ("inf mfht", CURVE_ROWS + "0.003,0.004,inf,10\n", 4, "must not be infinite, got 0.003, 0.004, inf"),
     ("negative count", "0.001,0.002,5.0,-7\n0.002,0.003,6.0,-7\n", 2, "count -7 is negative"),
+    # bins no mfht_curve writes: populated bins hold at least one episode of at least one day
+    ("populated bins of no episode", "0.001,0.002,5.0,0\n0.002,0.003,6.0,0\n0.003,0.004,5.0,0\n", 2,
+     "count 0 of a populated bin is below 1"),
+    ("mfht of zero days", "0.001,0.002,0.0,10\n0.002,0.003,6.0,10\n0.003,0.004,5.0,10\n", 2, "mfht 0.0 is below 1"),
 ]
 
 
@@ -344,6 +367,38 @@ def test_malformed_curve_csv_is_one_line_input_error(tmp_path, capsys, body, lin
     assert rc == EXIT_INPUT
     assert err.count("\n") == 1, err
     assert err.startswith(f"error: {path}: line {line}: ") and needle in err, err
+    assert not out.exists()
+
+
+# Each input kind under a header that is not its own, and the flags that read it.
+WRONG_HEADERS = [
+    (["analyze", "--returns"], "ticker,day,return\n", RETURNS_HEADER),
+    (["acf", "--returns"], "ticker,day_index\n", RETURNS_HEADER),
+    (["mfht", "--episodes"], RETURNS_HEADER, EPISODES_HEADER),
+    (["fht-pdf", "--episodes"], EPISODES_HEADER.replace("window_id", "window"), EPISODES_HEADER),
+    (["compare", "--empirical", "{curve}", "--model"], "bin_lo,bin_hi,mfht\n", CURVE_HEADER),
+]
+
+
+@pytest.mark.parametrize("argv, header, want", WRONG_HEADERS, ids=[row[0][0] for row in WRONG_HEADERS])
+def test_wrong_header_is_one_line_input_error(valid_inputs, tmp_path, capsys, argv, header, want):
+    path = tmp_path / "input.csv"
+    path.write_text(header)
+    out = tmp_path / "o"
+    rc = run(*[a.format(**valid_inputs) for a in argv], str(path), "--out", str(out))
+    err = capsys.readouterr().err
+    assert rc == EXIT_INPUT
+    assert err == f"error: {path}: expected header {want.strip()!r}, got {header.strip()!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sub", ["mfht", "fht-pdf"])
+def test_episodes_file_of_no_rows_is_an_empty_result(tmp_path, capsys, sub):
+    path = tmp_path / "episodes.csv"
+    path.write_text(EPISODES_HEADER)
+    out = tmp_path / "o"
+    assert run(sub, "--episodes", str(path), "--out", str(out)) == EXIT_EMPTY
+    assert capsys.readouterr().err == f"error: {path}: no episodes\n"
     assert not out.exists()
 
 

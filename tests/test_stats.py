@@ -267,31 +267,31 @@ def test_pooled_simulated_returns_have_excess_kurtosis():
 def test_acf_lag0_is_one_and_bounds():
     rng = np.random.default_rng(12)
     out = acf(rng.normal(0, 1, 3000), 30)
-    assert out.values[0] == 1.0
-    assert np.all(np.abs(out.values) <= 1.0 + 1e-12)
+    assert out[0] == 1.0
+    assert np.all(np.abs(out) <= 1.0 + 1e-12)
 
 
 def test_acf_white_noise_within_band():
     rng = np.random.default_rng(13)
     out = acf(rng.normal(0, 1, 100_000), 20)
-    assert np.all(np.abs(out.values[1:]) < 0.01)  # 3/sqrt(N) ~ 0.0095
+    assert np.all(np.abs(out[1:]) < 0.01)  # 3/sqrt(N) ~ 0.0095
 
 
 def test_acf_alternating_series():
     r = np.tile([0.05, -0.05], 500)
     out = acf(r, 2)
-    assert out.values[1] == pytest.approx(-(999 / 1000), rel=1e-9)
-    assert out.values[2] == pytest.approx(998 / 1000, rel=1e-9)
+    assert out[1] == pytest.approx(-(999 / 1000), rel=1e-9)
+    assert out[2] == pytest.approx(998 / 1000, rel=1e-9)
 
 
 def test_acf_negation_invariance():
     rng = np.random.default_rng(14)
     r = rng.normal(0, 0.02, 2000)
-    plain_pos = acf(r, 10).values
-    plain_neg = acf(-r, 10).values
+    plain_pos = acf(r, 10)
+    plain_neg = acf(-r, 10)
     assert np.array_equal(plain_pos, plain_neg)
-    abs_pos = acf(r, 10, absolute=True).values
-    abs_neg = acf(-r, 10, absolute=True).values
+    abs_pos = acf(r, 10, absolute=True)
+    abs_neg = acf(-r, 10, absolute=True)
     assert np.array_equal(abs_pos, abs_neg)
 
 
@@ -306,8 +306,8 @@ def test_ensemble_acf_is_mean_of_series_acfs():
     rng = np.random.default_rng(15)
     series = [(f"s{i}", rng.normal(0, 1, 500)) for i in range(5)]
     out = ensemble_acf(make_ensemble(series), 6)
-    manual = np.mean([acf(r, 6).values for _, r in series], axis=0)
-    np.testing.assert_array_equal(out.values, manual)
+    manual = np.mean([acf(r, 6) for _, r in series], axis=0)
+    np.testing.assert_array_equal(out, manual)
 
 
 # ------------------------------------------------------------------- csv
