@@ -4,7 +4,8 @@ Floats are written with ``repr``, the shortest text that parses back to the
 same double, so every CSV round-trips exactly.  ``write_csv`` is the one
 CSV writer: it opens the file, writes the header and hands each group of
 rows (a returns series, a trajectory, an episode table, a whole curve) to
-``write_rows``, which writes whole columns.  ``fmt`` formats a scalar cell
+``write_rows``, which writes whole columns; it can split the groups among
+forked processes.  ``fmt`` formats a scalar cell
 (a window's thetas, a curve's bins, ``sigma_bar``) with the same text.
 ``float_texts`` takes a cell's text from the column before when that
 column held the same bit pattern and formats only the other cells, so the
@@ -25,11 +26,16 @@ from __future__ import annotations
 import itertools
 import json
 import re
+import shutil
+import tempfile
 import warnings
+from contextlib import ExitStack, nullcontext
 from pathlib import Path
 from typing import Callable, Iterable, TextIO
 
 import numpy as np
+
+from ._fork import part_bounds, run_parts
 
 
 def fmt(x: float) -> str:
@@ -37,12 +43,31 @@ def fmt(x: float) -> str:
     return repr(float(x))
 
 
-def write_csv(path: str | Path, header: str, rows: Iterable[tuple]) -> None:
-    """Write a UTF-8 CSV: the ``header`` line, then ``write_rows(fh, *cells)`` per ``cells`` in ``rows``."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+def write_csv(path: str | Path, header: str, groups: Iterable[tuple], threads: int = 1) -> None:
+    """Write a UTF-8 CSV: the ``header`` line, then ``write_rows(fh, *cells)`` per ``cells`` in ``groups``.
+
+    With ``threads`` above 1, ``groups`` is a sequence, split as the
+    integrator splits its series (``_fork.part_bounds``).  A forked process
+    formats each slice but the first into an unlinked temporary file next
+    to ``path``, while this one writes the first slice; their files are
+    then appended in order, so no process holds another's text.
+    """
+    bounds = part_bounds(len(groups), threads) if threads > 1 else [0, None]
+    with open(path, "w", newline="", encoding="utf-8") as fh, ExitStack() as stack:
         fh.write(header + "\n")
-        for cells in rows:
-            write_rows(fh, *cells)
+        parts = {lo: stack.enter_context(tempfile.TemporaryFile(dir=Path(path).parent)) for lo in bounds[1:-1]}
+
+        def work(lo: int, hi: int | None) -> None:
+            own = open(parts[lo].fileno(), "w", newline="", encoding="utf-8", closefd=False) if lo else None
+            with own or nullcontext(fh) as out:
+                for cells in itertools.islice(groups, lo, hi):
+                    write_rows(out, *cells)
+
+        run_parts(bounds, work, "formats row groups")
+        fh.flush()
+        for part in parts.values():
+            part.seek(0)
+            shutil.copyfileobj(part, fh.buffer, 1 << 20)
 
 
 def write_rows(fh: TextIO, *cells) -> None:

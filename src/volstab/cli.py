@@ -18,10 +18,12 @@ import hashlib
 import itertools
 import json
 import re
+import shutil
 import sys
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -196,18 +198,24 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _out_dir(out: str | None, seed: int | None) -> Path:
-    """``--out``, or the first free name of ``runs/<timestamp>[-seed<seed>]``, ``-2``, ``-3``, ..."""
+def _out_dir(out: str | None, seed: int | None) -> tuple[Path, Path | None]:
+    """``--out``, or the first free name of ``runs/<timestamp>[-seed<seed>]``, ``-2``, ``-3``, ...
+
+    Also returns the topmost directory this call made, if any, which a
+    failed write removes.
+    """
     if out:
-        Path(out).mkdir(parents=True, exist_ok=True)
-        return Path(out)
+        path = Path(out)
+        made = next((p for p in reversed([path, *path.parents]) if not p.exists()), None)
+        path.mkdir(parents=True, exist_ok=True)
+        return path, made
     stamp = time.strftime("%Y%m%d-%H%M%S")
     name = f"{stamp}-seed{seed}" if seed is not None else stamp
     for n in itertools.count(1):
         path = Path("runs") / (name if n == 1 else f"{name}-{n}")
         try:
             path.mkdir(parents=True)
-            return path
+            return path, path
         except FileExistsError:
             continue
 
@@ -246,10 +254,10 @@ class Outcome:
 # ---------------------------------------------------------------- simulate
 
 
-def write_trajectories_csv(x: np.ndarray, v: np.ndarray, path: str | Path) -> None:
+def write_trajectories_csv(x: np.ndarray, v: np.ndarray, path: str | Path, threads: int = 1) -> None:
     """Write ``series,day,x,v`` rows of ``simulate_ensemble``'s state, one series at a time."""
     heads = [f",{d}," for d in range(x.shape[1])]
-    write_csv(path, "series,day,x,v", ((str(i), heads, x[i], ",", v[i]) for i in range(x.shape[0])))
+    write_csv(path, "series,day,x,v", [(str(i), heads, x[i], ",", v[i]) for i in range(x.shape[0])], threads)
 
 
 def cmd_simulate(args: argparse.Namespace) -> Outcome:
@@ -261,11 +269,12 @@ def cmd_simulate(args: argparse.Namespace) -> Outcome:
     if cfg.days >= 1:
         ensemble = daily_returns(x, [f"sim{i:04d}" for i in range(cfg.n_series)])
         stats = market_stats(ensemble)
-        files += [("returns.csv", write_returns_csv, (ensemble,)), ("stats.json", write_stats_json, (stats,))]
+        files += [("returns.csv", partial(write_returns_csv, threads=args.threads), (ensemble,)),
+                  ("stats.json", write_stats_json, (stats,))]
         sigma_bar = stats.sigma_bar
         tail = f"\nsigma_bar = {fmt(sigma_bar)}"
     if args.write_trajectories or cfg.days < 1:
-        files.append(("trajectories.csv", write_trajectories_csv, (x, v)))
+        files.append(("trajectories.csv", partial(write_trajectories_csv, threads=args.threads), (x, v)))
     return Outcome(
         config, [Path(args.config)] if args.config else [], files,
         lambda out: f"simulate: {cfg.n_series} series x {cfg.days} days -> {out}{tail}",
@@ -449,9 +458,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="key = value config file, or a manifest .json to replay")
     p.add_argument("--seed", type=int, default=None, help="master seed")
     p.add_argument("--threads", type=int, default=2,
-                   help="2 (default) or more, with two usable CPUs: a forked helper process draws the "
-                        "normals one block ahead while this one steps (above 2 adds nothing); 1: draw "
-                        "them and step in turn")
+                   help="processes to split the series among, at most one per usable CPU and series: "
+                        "each draws, steps and writes the rows of its own series (default 2); the output "
+                        "does not depend on it")
     _add_model_flags(p)
     p.add_argument("--write-trajectories", action="store_true",
                    help="also export series,day,x,v rows")
@@ -500,10 +509,20 @@ def main(argv: list[str] | None = None) -> int:
         for name, _, _ in outcome.files:
             if len(name.encode()) > _MAX_NAME_BYTES:
                 raise InputError(f"output file name longer than {_MAX_NAME_BYTES} bytes: {name}")
-        out = _out_dir(args.out, outcome.config.get("seed"))
-        for name, writer, data in outcome.files:
-            writer(*data, out / name)
-        write_manifest(out, args.subcommand, outcome.config, outcome.inputs, outcome.extra)
+        out, made = _out_dir(args.out, outcome.config.get("seed"))
+        try:
+            for name, writer, data in outcome.files:
+                try:
+                    writer(*data, out / name)
+                except OSError as exc:
+                    if exc.filename is None:  # as a full disk or a file size limit raises it
+                        raise OSError(f"{out / name}: {exc}") from None
+                    raise
+            write_manifest(out, args.subcommand, outcome.config, outcome.inputs, outcome.extra)
+        except BaseException:
+            if made:
+                shutil.rmtree(made, ignore_errors=True)
+            raise
     except (ConfigError, InputError, EmptyResultError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -20,24 +20,20 @@ master seed, which makes any single trajectory the same in any ensemble
 that contains it and for any thread count.
 
 With ``threads`` of 2 or more and at least two CPUs that the process may
-run on, a forked helper process draws the raw normals one block ahead
-while the calling process scales them and steps, so the two run on two
-CPUs; more than 2 threads add nothing.
+run on, the series are split into contiguous ranges, one per process, up
+to one process per thread, usable CPU and series: forked processes draw,
+step and check their own rows into memory shared with the calling
+process, which does the same for the first range.
 """
 
 from __future__ import annotations
 
-import errno
 import math
-import mmap
-import os
-import signal
-import warnings
-from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._fork import part_bounds, run_parts, shared_doubles
 from .returns import Ensemble
 
 __all__ = [
@@ -55,19 +51,12 @@ __all__ = [
 # one day.  Trajectories do not depend on this value: each series consumes
 # two dedicated substreams strictly in step order.  The raw normals it sizes
 # are the largest allocation of a run, 13.7 MB at the default 1071 series x
-# 100 steps per day: one pair of 800-step buffers, or, with the helper
-# process, two slots of 400-step pairs (8-day or 4-day blocks).  The step
-# loop reads them through two step-major tiles of _TILE steps, 0.55 MB at
-# 1071 series, which also carry the sqrt(dt) scaling.
+# 100 steps per day: one pair of 800-step buffers (8-day blocks), whose rows
+# each process fills for its own series.  The step loop reads them through
+# two step-major tiles of _TILE steps, 0.55 MB at 1071 series, which also
+# carry the sqrt(dt) scaling.
 _CHUNK_STEPS = 800
 _TILE = 32
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _require_finite(name: str, value: float) -> None:
@@ -148,10 +137,11 @@ class SimConfig:
             if getattr(self, name) < lowest:
                 raise ValueError(f"{name} must be >= {lowest}, got {getattr(self, name)}")
         # numpy makes no array of more than intp-max bytes.  The largest are
-        # the state and a noise block: two helper slots of two draws of
-        # n_series x at most max(steps_per_day, _CHUNK_STEPS // 2) steps.
+        # the shared state mapping, x and v and a (day, row) pair per process,
+        # and the noise block: two draws of n_series x at most
+        # max(steps_per_day, _CHUNK_STEPS) steps.
         n, days, spd = int(self.n_series), int(self.days), int(self.steps_per_day)
-        doubles = max(n * (days + 1), 4 * n * min(days * spd, max(spd, _CHUNK_STEPS // 2)))
+        doubles = max(2 * n * (days + 2), 2 * n * min(days * spd, max(spd, _CHUNK_STEPS)))
         if 8 * doubles > np.iinfo(np.intp).max:
             raise ValueError(
                 f"n_series={n}, days={days} and steps_per_day={spd} need an array of {8 * doubles} bytes, "
@@ -202,213 +192,154 @@ def simulate_ensemble(
     keyed (seed, i, 0) for dW1 and (seed, i, 1) for dW2 strictly in step
     order, so row ``i`` is the same in any ensemble that contains it.
 
-    With ``threads`` of 2 or more and at least two usable CPUs (the
-    process's CPU affinity, not the machine's CPU count), a helper process
-    forked after the generators exist draws the raw normals of each block
-    of about ``_CHUNK_STEPS // 2`` steps while the calling process steps
-    through the block before it; the two processes share no interpreter
-    lock, and more than 2 threads add nothing.  Otherwise, or where
-    ``os.fork`` does not exist, the calling process draws each block of
-    about ``_CHUNK_STEPS`` steps itself.  Each row owns its generators, so
-    the result does not depend on the thread count.  The one step loop
-    runs on the calling thread over the whole ensemble.  It copies each
-    block into step-major tiles of ``_TILE`` steps, scaling by sqrt(dt) in
-    the copy, so every step reads contiguous rows of increments.  It works
-    in place on preallocated arrays but with the floating-point operations
-    of heston_step and cir_step_raw in their order, so its result is
+    The series are split into k contiguous ranges, k the least of
+    ``threads``, the usable CPUs (the process's CPU affinity, not the
+    machine's CPU count) and the number of series, or 1 where ``os.fork``
+    does not exist.  The calling process integrates the first range, and
+    a process forked for each other range integrates that one; they share
+    no interpreter lock, and x and v lie in one anonymous mapping they all
+    write.  Each row owns its generators and every step operation is
+    elementwise, so the result does not depend on k.  Each process draws
+    the normals of its rows in blocks of about ``_CHUNK_STEPS`` steps and
+    runs the one step loop over them.  It copies each block into
+    step-major tiles of ``_TILE`` steps, scaling by sqrt(dt) in the copy,
+    so every step reads contiguous rows of increments.  It works in place
+    on preallocated arrays but with the floating-point operations of
+    heston_step and cir_step_raw in their order, so its result is
     bit-identical to composing those two functions.
 
     The cubic well is unbounded beyond its barrier top, so a state that
     steps past the barrier is reflected back across it; without this the
     rare deep excursion runs away to -inf in finite time and poisons the
     whole series.  Reflection touches only those excursions, and runs only
-    on a step where some series crossed: on the default 1071 x 3000 run,
-    20 series (about one in fifty) cross the barrier, 348 times in all,
-    and without reflection 12 of them blow up.
+    on a step where some series of the range crossed: on the default
+    1071 x 3000 run, 20 series (about one in fifty) cross the barrier, 348
+    times in all, and without reflection 12 of them blow up.
 
-    The state is checked for finiteness once per block; a step too coarse
-    for the parameters raises FloatingPointError naming the first series
-    and day that went non-finite.
+    Each process checks its rows for finiteness once per block; a step
+    too coarse for the parameters raises FloatingPointError naming the
+    first day on which a series went non-finite and the first such series
+    of that day, whatever k is.  A forked process that ends any other way
+    raises OSError.
     """
     n = cfg.n_series
     days, spd, dt = cfg.days, cfg.steps_per_day, cfg.dt
-    x = np.empty((n, days + 1))
-    v = np.empty((n, days + 1))
+    bounds = part_bounds(n, threads)
+    cells = n * (days + 1)
+    # x, v and each process's first non-finite (day, row), one mapping that forked processes share
+    state = shared_doubles(2 * cells + 2 * (len(bounds) - 1))
+    x = state[:cells].reshape(n, days + 1)
+    v = state[cells : 2 * cells].reshape(n, days + 1)
+    first_bad = state[2 * cells :].view(np.int64).reshape(-1, 2)
+    first_bad[:, 0] = days + 1  # none
     x[:, 0] = mp.x0
     v[:, 0] = mp.v_start
     if days == 0:
         return x, v
 
-    rng1 = [_substream(cfg.seed, i, 0) for i in range(n)]
-    rng2 = [_substream(cfg.seed, i, 1) for i in range(n)]
-
-    def fill(dw: np.ndarray, nsteps: int) -> None:
-        """Draw the next ``nsteps`` raw normals for dW1 into dw[0] and for dW2 into dw[1]."""
-        for row in range(n):
-            rng1[row].standard_normal(out=dw[0, row, :nsteps])
-            rng2[row].standard_normal(out=dw[1, row, :nsteps])
-
-    forked = min(threads, _usable_cpus()) >= 2 and hasattr(os, "fork")
-    chunk = min(days, max(1, (_CHUNK_STEPS // 2 if forked else _CHUNK_STEPS) // spd))
-    starts = range(0, days, chunk)
-    sizes = [min(chunk, days - day0) * spd for day0 in starts]
-    blocks = (_forked_blocks if forked else _local_blocks)(fill, (2, n, chunk * spd), sizes)
-
+    chunk = min(days, max(1, _CHUNK_STEPS // spd))
+    # Every process's noise rows, allocated before any fork so that a block
+    # too large for the machine fails here.  A mapping, unlike numpy's
+    # memory, gets no 2 MB pages, so each process's RSS holds its own rows only.
+    dw = shared_doubles(2 * n * chunk * spd).reshape(2, n, chunk * spd)
     sqdt = math.sqrt(dt)
     tile = min(_TILE, chunk * spd)
-    tile1, tile2 = np.empty((tile, n)), np.empty((tile, n))
 
-    def increments(dw1: np.ndarray, dw2: np.ndarray, nsteps: int):
-        """Yield the block's contiguous (dW1, dW2) rows in step order, scaled in step-major tiles.
+    def integrate(lo: int, hi: int) -> None:
+        """Draw, step and check rows ``lo`` to ``hi - 1``, recording their first non-finite (day, row)."""
+        m = hi - lo
+        rng1 = [_substream(cfg.seed, i, 0) for i in range(lo, hi)]
+        rng2 = [_substream(cfg.seed, i, 1) for i in range(lo, hi)]
+        dw1, dw2 = dw[0, lo:hi], dw[1, lo:hi]
+        tile1, tile2 = np.empty((tile, m)), np.empty((tile, m))
 
-        A row is valid until the next tile is made, after the step that reads it.
-        """
-        for s0 in range(0, nsteps, tile):
-            k = min(tile, nsteps - s0)
-            np.multiply(dw1[:, s0 : s0 + k].T, sqdt, out=tile1[:k])
-            np.multiply(dw2[:, s0 : s0 + k].T, sqdt, out=tile2[:k])
-            yield from zip(tile1[:k], tile2[:k])
+        def increments(nsteps: int):
+            """Yield the block's contiguous (dW1, dW2) rows in step order, scaled in step-major tiles.
 
-    # The state and the step's work arrays, reused by every step.  The
-    # scalar operands are (n,) arrays too: a ufunc given a Python float and
-    # an output array takes a slower path, and an array of the same float64
-    # gives the same bits.
-    xt = np.full(n, float(mp.x0))
-    vt = np.full(n, float(mp.v_start))
-    xn, vplus, root, tmp, refl = (np.empty(n) for _ in range(5))
-    below = np.empty(n, dtype=bool)
-    zero, half, m3, n2, a, b, c, step, barrier, barrier2 = (
-        np.full(n, float(k))
-        for k in (0.0, 0.5, 3.0 * mp.m, 2.0 * mp.n, mp.a, mp.b, mp.c, dt, mp.barrier, 2.0 * mp.barrier)
-    )
-    # Local names and positional outputs cost less per call than np. lookups
-    # and in-place operators.
-    maximum, sqrt, square, add, subtract, multiply, less = (
-        np.maximum, np.sqrt, np.square, np.add, np.subtract, np.multiply, np.less
-    )
-    count_nonzero, copyto = np.count_nonzero, np.copyto
+            A row is valid until the next tile is made, after the step that reads it.
+            """
+            for s0 in range(0, nsteps, tile):
+                j = min(tile, nsteps - s0)
+                np.multiply(dw1[:, s0 : s0 + j].T, sqdt, out=tile1[:j])
+                np.multiply(dw2[:, s0 : s0 + j].T, sqdt, out=tile2[:j])
+                yield from zip(tile1[:j], tile2[:j])
 
-    # Overflow is caught by the finiteness check below, not by warnings.
-    # Closing the blocks ends the helper process on every path.
-    with closing(blocks), np.errstate(over="ignore", invalid="ignore"):
-        for day0, (dw1, dw2) in zip(starts, blocks):
-            ndays = min(chunk, days - day0)
-            noise = increments(dw1, dw2, ndays * spd)
-            for d in range(ndays):
-                # zip asks range first, so it takes no row past the day's last step
-                for _, (w1, w2) in zip(range(spd), noise):
-                    # heston_step and cir_step_raw, one ufunc per operation in
-                    # their evaluation order; both read max(v, 0) and its root.
-                    maximum(vt, zero, out=vplus)
-                    sqrt(vplus, root)
-                    square(xt, xn)
-                    multiply(xn, m3, xn)
-                    multiply(xt, n2, tmp)
-                    add(xn, tmp, xn)
-                    multiply(vplus, half, tmp)
-                    add(xn, tmp, xn)
-                    multiply(xn, step, xn)
-                    subtract(xt, xn, xn)
-                    multiply(root, w1, tmp)
-                    add(xn, tmp, xn)
-                    subtract(b, vplus, tmp)
-                    multiply(tmp, a, tmp)
-                    multiply(tmp, step, tmp)
-                    add(vt, tmp, vt)
-                    multiply(root, c, tmp)
-                    multiply(tmp, w2, tmp)
-                    add(vt, tmp, vt)
-                    # np.where's reflection, without its allocations, on the
-                    # rare step where some series crossed the barrier
-                    less(xn, barrier, below)
-                    if count_nonzero(below):
-                        subtract(barrier2, xn, refl)
-                        copyto(xn, refl, where=below)
-                    xt, xn = xn, xt
-                x[:, day0 + d + 1] = xt
-                maximum(vt, zero, out=v[:, day0 + d + 1])
-            block = slice(day0 + 1, day0 + ndays + 1)
-            bad = ~(np.isfinite(x[:, block]) & np.isfinite(v[:, block]))
-            if bad.any():
-                day, row = np.argwhere(bad.T)[0]
-                raise FloatingPointError(
-                    f"series {row} turned non-finite on day {day0 + day + 1}: "
-                    f"the integration blew up; lower dt (now {dt!r})"
-                )
+        # The state and the step's work arrays, reused by every step.  The
+        # scalar operands are (m,) arrays too: a ufunc given a Python float
+        # and an output array takes a slower path, and an array of the same
+        # float64 gives the same bits.
+        xt = np.full(m, float(mp.x0))
+        vt = np.full(m, float(mp.v_start))
+        xn, vplus, root, tmp, refl = (np.empty(m) for _ in range(5))
+        below = np.empty(m, dtype=bool)
+        zero, half, m3, n2, a, b, c, step, barrier, barrier2 = (
+            np.full(m, float(k))
+            for k in (0.0, 0.5, 3.0 * mp.m, 2.0 * mp.n, mp.a, mp.b, mp.c, dt, mp.barrier, 2.0 * mp.barrier)
+        )
+        # Local names and positional outputs cost less per call than np. lookups
+        # and in-place operators.
+        maximum, sqrt, square, add, subtract, multiply, less = (
+            np.maximum, np.sqrt, np.square, np.add, np.subtract, np.multiply, np.less
+        )
+        count_nonzero, copyto = np.count_nonzero, np.copyto
+
+        # Overflow is caught by the finiteness check below, not by warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for day0 in range(0, days, chunk):
+                if first_bad[:, 0].min() <= day0:
+                    return  # another range went non-finite before any day left here
+                ndays = min(chunk, days - day0)
+                for g1, g2, row1, row2 in zip(rng1, rng2, dw1, dw2):
+                    g1.standard_normal(out=row1[: ndays * spd])
+                    g2.standard_normal(out=row2[: ndays * spd])
+                noise = increments(ndays * spd)
+                for d in range(ndays):
+                    # zip asks range first, so it takes no row past the day's last step
+                    for _, (w1, w2) in zip(range(spd), noise):
+                        # heston_step and cir_step_raw, one ufunc per operation in
+                        # their evaluation order; both read max(v, 0) and its root.
+                        maximum(vt, zero, out=vplus)
+                        sqrt(vplus, root)
+                        square(xt, xn)
+                        multiply(xn, m3, xn)
+                        multiply(xt, n2, tmp)
+                        add(xn, tmp, xn)
+                        multiply(vplus, half, tmp)
+                        add(xn, tmp, xn)
+                        multiply(xn, step, xn)
+                        subtract(xt, xn, xn)
+                        multiply(root, w1, tmp)
+                        add(xn, tmp, xn)
+                        subtract(b, vplus, tmp)
+                        multiply(tmp, a, tmp)
+                        multiply(tmp, step, tmp)
+                        add(vt, tmp, vt)
+                        multiply(root, c, tmp)
+                        multiply(tmp, w2, tmp)
+                        add(vt, tmp, vt)
+                        # np.where's reflection, without its allocations, on the
+                        # rare step where some series crossed the barrier
+                        less(xn, barrier, below)
+                        if count_nonzero(below):
+                            subtract(barrier2, xn, refl)
+                            copyto(xn, refl, where=below)
+                        xt, xn = xn, xt
+                    x[lo:hi, day0 + d + 1] = xt
+                    maximum(vt, zero, out=v[lo:hi, day0 + d + 1])
+                block = slice(day0 + 1, day0 + ndays + 1)
+                bad = ~(np.isfinite(x[lo:hi, block]) & np.isfinite(v[lo:hi, block]))
+                if bad.any():
+                    day, row = np.argwhere(bad.T)[0]
+                    first_bad[bounds.index(lo)] = (day0 + day + 1, lo + row)
+                    return
+
+    run_parts(bounds, integrate, "integrates series")
+    day, row = min(map(tuple, first_bad.tolist()))
+    if day <= days:
+        raise FloatingPointError(
+            f"series {row} turned non-finite on day {day}: the integration blew up; lower dt (now {dt!r})"
+        )
     return x, v
-
-
-class NoiseHelperError(OSError):
-    """The helper process that draws the normals ended before its last block."""
-
-
-def _local_blocks(fill, shape: tuple[int, ...], sizes: list[int]):
-    """Yield one noise buffer of ``shape``, filled on the calling thread for each block size."""
-    dw = np.empty(shape)
-    for nsteps in sizes:
-        fill(dw, nsteps)
-        yield dw
-
-
-def _forked_blocks(fill, shape: tuple[int, ...], sizes: list[int]):
-    """Yield the blocks of ``_local_blocks``, filled one block ahead by a forked process.
-
-    The helper fills two slots of an anonymous shared mapping in turn.
-    One-byte tokens on two pipes say that a slot is ready (helper to
-    caller) and that the caller is done with it (caller to helper).  The
-    caller must close this generator: its ``finally`` kills and reaps the
-    helper on every path.  A mapping too large for the machine raises
-    MemoryError, as numpy's blocks of ``_local_blocks`` do.
-    """
-    nbytes = 2 * math.prod(shape) * 8
-    try:
-        mapping = mmap.mmap(-1, nbytes)
-    except OSError as exc:
-        if exc.errno == errno.ENOMEM:
-            raise MemoryError(f"cannot map {nbytes} bytes for the noise blocks: {exc.strerror}") from None
-        raise
-    slots = np.frombuffer(mapping).reshape(2, *shape)
-    fds = [*os.pipe(), *os.pipe()]
-    ready_r, ready_w, free_r, free_w = fds
-    pid = 0
-    try:
-        with warnings.catch_warnings():
-            # Python 3.12+ warns when a process with more than one OS thread
-            # forks, and numpy's OpenBLAS starts a thread at import.  The
-            # helper is safe: it only fills RNG buffers, takes no lock that
-            # another thread may hold, and leaves by os._exit.
-            warnings.filterwarnings(
-                "ignore", r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)", DeprecationWarning
-            )
-            pid = os.fork()
-        if pid == 0:
-            try:
-                os.close(ready_r)
-                os.close(free_w)
-                for k, nsteps in enumerate(sizes):
-                    if k >= 2 and not os.read(free_r, 1):
-                        break  # the caller is gone
-                    fill(slots[k % 2], nsteps)
-                    os.write(ready_w, b"r")
-            finally:
-                # never unwind into the caller's stack or flush its stdio
-                os._exit(0)
-        # The helper then holds the only write end, so its death reads as end of file.
-        os.close(ready_w)
-        fds.remove(ready_w)
-        for k in range(len(sizes)):
-            if not os.read(ready_r, 1):
-                raise NoiseHelperError(
-                    f"the helper process that draws the normals died before block {k + 1} of {len(sizes)}"
-                )
-            yield slots[k % 2]
-            os.write(free_w, b"f")
-    finally:
-        if pid:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for fd in fds:
-            os.close(fd)
 
 
 def daily_returns(x: np.ndarray, tickers: list[str]) -> Ensemble:

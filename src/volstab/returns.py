@@ -266,12 +266,17 @@ def _price_columns(path: Path, layout: str) -> Iterator[tuple[str, np.ndarray, i
 _RETURNS_DTYPE = np.dtype([("ticker", "S16"), ("day_index", np.int64), ("return", np.float64)])
 
 
-def write_returns_csv(ensemble: Ensemble, path: str | Path) -> None:
-    """Write ``ticker,day_index,return`` rows, one series at a time; floats round-trip exactly."""
+def write_returns_csv(ensemble: Ensemble, path: str | Path, threads: int = 1) -> None:
+    """Write ``ticker,day_index,return`` rows, one series at a time; floats round-trip exactly.
+
+    ``threads`` splits the series among processes as ``write_csv`` does.
+    """
     heads = [f",{i}," for i in range(int(np.diff(ensemble.offsets).max(initial=0)))]
     series = zip(ensemble.tickers, ensemble._bounds())
-    rows = ((ticker, heads[: b - a], ensemble.values[a:b]) for ticker, (a, b) in series)
-    write_csv(path, ",".join(_RETURNS_DTYPE.names), rows)
+    # a series of full length shares ``heads``: only shorter ones hold a copy of its start
+    groups = [(ticker, heads if b - a == len(heads) else heads[: b - a], ensemble.values[a:b])
+              for ticker, (a, b) in series]
+    write_csv(path, ",".join(_RETURNS_DTYPE.names), groups, threads)
 
 
 def read_returns_csv(path: str | Path) -> Ensemble:

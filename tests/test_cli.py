@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import signal
@@ -10,7 +11,7 @@ import pytest
 
 from helpers import make_ensemble
 import volstab
-from volstab import cli, model
+from volstab import _fork, _io, cli, model
 from volstab.cli import (
     DEFAULT_CONFIG,
     EXIT_CONFIG,
@@ -141,7 +142,7 @@ BAD_VALUES = [
     (["analyze", "--returns", "{returns}", "--bins", "1000000000000000"], EXIT_CONFIG, "error: out of memory: "),
     (["mfht", "--episodes", "{episodes}", "--bins", "1000000000000000"], EXIT_CONFIG, "error: out of memory: "),
     (["fht-pdf", "--episodes", "{episodes}", "--bins", "1000000000000000"], EXIT_CONFIG, "error: out of memory: "),
-    # a noise block too large, ending the same way whether the helper process maps it or numpy allocates it
+    # a noise block too large, ending the same way whether or not the series are split among processes
     (["simulate", "--n-series", "2", "--days", "2", "--steps-per-day", "100000000000000000", "--threads", "1"],
      EXIT_CONFIG, "error: out of memory: "),
     (["simulate", "--n-series", "2", "--days", "2", "--steps-per-day", "100000000000000000", "--threads", "2"],
@@ -657,7 +658,7 @@ def test_simulate_threads_do_not_change_output(tmp_path):
     assert run(*base, "--threads", "1", "--out", str(out1)) == 0
     assert run(*base, "--threads", "4", "--out", str(out4)) == 0
     assert (out1 / "returns.csv").read_bytes() == (out4 / "returns.csv").read_bytes()
-    out64 = tmp_path / "t64"  # more threads than series or CPUs: still one helper process
+    out64 = tmp_path / "t64"  # more threads than series or CPUs: one process per usable CPU
     assert run(*base, "--threads", "64", "--out", str(out64)) == 0
     assert (out1 / "returns.csv").read_bytes() == (out64 / "returns.csv").read_bytes()
 
@@ -672,12 +673,31 @@ def test_simulate_threads_fork_raises_no_warning(tmp_path):
     assert (tmp_path / "t2" / "returns.csv").read_bytes() == (tmp_path / "t1" / "returns.csv").read_bytes()
 
 
+def _run_with_alarm(*argv):
+    def hang(signum, frame):
+        raise TimeoutError("simulate waited 60 s on a dead forked process")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(60)
+    try:
+        return run(*argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_simulate_helper_that_dies_is_one_error_line(tmp_path, capsys, monkeypatch):
     caller = os.getpid()
     substream = model._substream
 
+    def kill():
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    def fail():
+        raise RuntimeError("not an OSError")
+
     class DiesOnSecondBlock:
-        """A generator that ends the helper process when it is asked for a second block."""
+        """A generator that ends its forked process when it is asked for a second block."""
 
         def __init__(self, *key):
             self.gen, self.blocks = substream(*key), 0
@@ -685,26 +705,40 @@ def test_simulate_helper_that_dies_is_one_error_line(tmp_path, capsys, monkeypat
         def standard_normal(self, out):
             self.blocks += 1
             if self.blocks == 2 and os.getpid() != caller:
-                os._exit(7)
+                die()
             return self.gen.standard_normal(out=out)
 
-    def hang(signum, frame):
-        raise TimeoutError("simulate waited 60 s on a dead helper")
-
     monkeypatch.setattr(model, "_substream", DiesOnSecondBlock)
-    monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
-    out = tmp_path / "o"
-    previous = signal.signal(signal.SIGALRM, hang)
-    signal.alarm(60)
-    try:
-        rc = run("simulate", "--n-series", "3", "--days", "20", "--threads", "2", "--out", str(out))
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    err = capsys.readouterr().err
-    assert rc != 0
-    assert err == "error: the helper process that draws the normals died before block 2 of 5\n"
-    assert not out.exists()
+    monkeypatch.setattr(_fork, "_usable_cpus", lambda: 3)
+    for die, how in [(kill, "was killed by signal 9"), (fail, "failed")]:
+        out = tmp_path / "o"
+        rc = _run_with_alarm("simulate", "--n-series", "5", "--days", "20", "--threads", "3", "--out", str(out))
+        err = capsys.readouterr().err
+        assert rc == EXIT_INPUT
+        assert err == f"error: the process that integrates series 2-3 {how}\n"
+        assert not out.exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("forked", [False, True], ids=["here", "forked"])
+def test_a_failed_write_names_its_file_and_leaves_no_directory(tmp_path, capsys, monkeypatch, forked):
+    # A full disk or a file size limit (ulimit -f) raises an OSError that names no file.
+    caller = os.getpid()
+    write_rows = _io.write_rows
+
+    def too_large(*args):
+        if not forked or os.getpid() != caller:
+            raise OSError(errno.EFBIG, os.strerror(errno.EFBIG))
+        return write_rows(*args)
+
+    monkeypatch.setattr(_io, "write_rows", too_large)
+    monkeypatch.setattr(_fork, "_usable_cpus", lambda: 2)
+    out = tmp_path / "new" / "o"
+    rc = _run_with_alarm("simulate", "--n-series", "4", "--days", "20", "--threads", "2", "--out", str(out))
+    assert rc == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {out / 'returns.csv'}: [Errno 27] File too large\n"
+    assert not (tmp_path / "new").exists()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

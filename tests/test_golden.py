@@ -11,6 +11,7 @@ import logging
 import numpy as np
 import pytest
 
+from volstab import _fork
 from volstab.cli import main
 
 GOLDEN = {
@@ -22,10 +23,13 @@ GOLDEN = {
 }
 
 
-def test_golden_digests_of_seeded_run(tmp_path):
+@pytest.mark.parametrize("processes", [1, 2, 3])
+def test_golden_digests_of_seeded_run(tmp_path, monkeypatch, processes):
+    # on any host: 8 series split 8, 4/4 or 3/3/2 among the integrator's and the writers' processes
+    monkeypatch.setattr(_fork, "_usable_cpus", lambda: processes)
     sim, an = tmp_path / "sim", tmp_path / "an"
     assert main([
-        "simulate", "--n-series", "8", "--days", "250", "--seed", "2024",
+        "simulate", "--n-series", "8", "--days", "250", "--seed", "2024", "--threads", str(processes),
         "--write-trajectories", "--out", str(sim),
     ]) == 0
     assert main(["analyze", "--returns", str(sim / "returns.csv"), "--window", "fig1b", "--out", str(an)]) == 0

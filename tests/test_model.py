@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from volstab import model
+from volstab import _fork, model
 from volstab.model import (
     ModelParams,
     SimConfig,
@@ -126,19 +126,20 @@ def test_simulate_ensemble_threads_do_not_change_results():
     [(64, 8, True, 1), (64, 2, True, 1), (4, 1, True, 0), (1, 8, True, 0), (2, 1, True, 0), (2, 8, False, 0)],
 )
 def test_helper_process_runs_when_two_threads_have_two_cpus(monkeypatch, threads, cpus, has_fork, forks):
-    cfg = SimConfig(days=11, n_series=3, seed=5)
+    # two series: at most one forked process, whatever the threads and CPUs
+    cfg = SimConfig(days=11, n_series=2, seed=5)
     x1, v1 = simulate_ensemble(DEFAULT_MP, cfg, threads=1)
     calls = []
     if has_fork:
         real_fork = os.fork
-        monkeypatch.setattr(model.os, "fork", lambda: calls.append(1) or real_fork())
+        monkeypatch.setattr(os, "fork", lambda: calls.append(1) or real_fork())
     else:
-        monkeypatch.delattr(model.os, "fork")
-    monkeypatch.setattr(model, "_usable_cpus", lambda: cpus)
+        monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(_fork, "_usable_cpus", lambda: cpus)
     x, v = simulate_ensemble(DEFAULT_MP, cfg, threads=threads)
     assert len(calls) == forks
     assert np.array_equal(x, x1) and np.array_equal(v, v1)
-    with pytest.raises(ChildProcessError):  # the helper was reaped
+    with pytest.raises(ChildProcessError):  # every forked process was reaped
         os.waitpid(-1, os.WNOHANG)
 
 
@@ -147,27 +148,31 @@ def test_usable_cpus_follow_the_affinity_mask(monkeypatch):
     x1, v1 = simulate_ensemble(DEFAULT_MP, cfg, threads=1)
     calls = []
     real_fork = os.fork
-    monkeypatch.setattr(model.os, "fork", lambda: calls.append(1) or real_fork())
-    monkeypatch.setattr(model.os, "cpu_count", lambda: 8)
-    monkeypatch.setattr(model.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert model._usable_cpus() == 1
-    x, v = simulate_ensemble(DEFAULT_MP, cfg, threads=2)  # pinned to one CPU: no helper
+    monkeypatch.setattr(os, "fork", lambda: calls.append(1) or real_fork())
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert _fork._usable_cpus() == 1
+    x, v = simulate_ensemble(DEFAULT_MP, cfg, threads=2)  # pinned to one CPU: no fork
     assert calls == []
     assert np.array_equal(x, x1) and np.array_equal(v, v1)
-    monkeypatch.delattr(model.os, "sched_getaffinity")
-    assert model._usable_cpus() == 8
-    monkeypatch.setattr(model.os, "cpu_count", lambda: None)
-    assert model._usable_cpus() == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    x, v = simulate_ensemble(DEFAULT_MP, cfg, threads=64)  # one process per series
+    assert len(calls) == 2
+    assert np.array_equal(x, x1) and np.array_equal(v, v1)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert _fork._usable_cpus() == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _fork._usable_cpus() == 1
 
 
 def test_noise_blocks_too_large_for_the_machine_raise_memory_error(monkeypatch):
-    # Neither numpy nor mmap allocates anything at this size: both refuse at
-    # once, and the helper's mapping is refused before it would fork.
+    # numpy allocates nothing at this size and refuses at once, before any
+    # process would fork.
     cfg = SimConfig(days=2, n_series=2, steps_per_day=10**17)
     with pytest.raises(MemoryError):
         simulate_ensemble(DEFAULT_MP, cfg, threads=1)
-    monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(model.os, "fork", lambda: pytest.fail("forked"))
+    monkeypatch.setattr(_fork, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
     with pytest.raises(MemoryError):
         simulate_ensemble(DEFAULT_MP, cfg, threads=2)
 
@@ -176,7 +181,7 @@ def test_helper_is_reaped_when_the_caller_is_interrupted(monkeypatch):
     def interrupt(signum, frame):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_fork, "_usable_cpus", lambda: 2)
     previous = signal.signal(signal.SIGALRM, interrupt)
     signal.setitimer(signal.ITIMER_REAL, 0.2)  # the run takes several times longer
     try:
@@ -268,7 +273,7 @@ def _assert_unchanged_by(monkeypatch, threads, patch):
     x, v = simulate_ensemble(mp, cfg)
     with pytest.raises(FloatingPointError) as default_error:
         simulate_ensemble(DEFAULT_MP, blowup)
-    monkeypatch.setattr(model, "_usable_cpus", lambda: 2)  # the helper runs with threads=2 on any host
+    monkeypatch.setattr(_fork, "_usable_cpus", lambda: 3)  # 3 processes on any host: 2/2/1 and 3/3/2 series
     patch(cfg)
     xc, vc = simulate_ensemble(mp, cfg, threads=threads)
     assert np.array_equal(xc, x) and np.array_equal(vc, v)
@@ -277,31 +282,69 @@ def _assert_unchanged_by(monkeypatch, threads, patch):
         simulate_ensemble(DEFAULT_MP, blowup, threads=threads)
     assert str(error.value) == str(default_error.value)
     assert str(error.value).startswith("series 6 turned non-finite on day 14:")
-    with pytest.raises(ChildProcessError):  # the helper of the blown-up run was reaped
+    with pytest.raises(ChildProcessError):  # the forked processes of the blown-up run were reaped
         os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize(
     "chunk_days, threads",
     [pytest.param(days, threads, id=f"{days}-helper" if threads > 1 else str(days))
-     for threads in (1, 2) for days in (1, 3, 64)],
+     for threads in (1, 3) for days in (1, 3, 64)],
 )
 def test_noise_block_size_does_not_change_results(monkeypatch, chunk_days, threads):
-    # a helper slot holds half a block, so 2 * chunk_days gives it chunk_days-day blocks
+    # every process draws blocks of _CHUNK_STEPS steps for its own series
     _assert_unchanged_by(
-        monkeypatch, threads,
-        lambda cfg: monkeypatch.setattr(model, "_CHUNK_STEPS", threads * chunk_days * cfg.steps_per_day),
+        monkeypatch, threads, lambda cfg: monkeypatch.setattr(model, "_CHUNK_STEPS", chunk_days * cfg.steps_per_day)
     )
 
 
 @pytest.mark.parametrize(
     "tile, threads",
     [pytest.param(tile, threads, id=f"{tile}-helper" if threads > 1 else str(tile))
-     for threads in (1, 2) for tile in (1, 5, 10_000)],
+     for threads in (1, 3) for tile in (1, 5, 10_000)],
 )
 def test_tile_size_does_not_change_results(monkeypatch, tile, threads):
     # both blocks end mid-tile at 5 steps, and 10_000 is larger than either
     _assert_unchanged_by(monkeypatch, threads, lambda cfg: monkeypatch.setattr(model, "_TILE", tile))
+
+
+class _BlowsUp:
+    """A series' generator whose normals are 1e300 from step ``where[series]`` of the run on."""
+
+    def __init__(self, seed, series, which, where):
+        self.gen = _substream(seed, series, which)
+        self.start = where.get(series, 1 << 62)
+        self.drawn = 0
+
+    def standard_normal(self, out):
+        self.gen.standard_normal(out=out)
+        out[max(0, self.start - self.drawn):] = 1e300
+        self.drawn += out.size
+
+
+@pytest.mark.parametrize(
+    "where, row, day",
+    [
+        pytest.param({1: 30, 2: 31}, 1, 1, id="parent-rows"),
+        pytest.param({6: 300}, 6, 4, id="child-rows"),
+        pytest.param({0: 500, 3: 900, 5: 150, 7: 150}, 5, 2, id="both-child-earlier"),
+    ],
+)
+def test_blow_up_names_the_earliest_day_and_series_at_any_process_count(monkeypatch, where, row, day):
+    # 8 series of 100 steps a day split 3/3/2 or 4/4; a normal of 1e300
+    # makes a series non-finite within the step or the next
+    cfg = SimConfig(days=40, n_series=8, seed=17)
+    monkeypatch.setattr(model, "_substream", lambda seed, series, which: _BlowsUp(seed, series, which, where))
+    messages = []
+    for processes in (1, 2, 3):
+        monkeypatch.setattr(_fork, "_usable_cpus", lambda: processes)
+        with pytest.raises(FloatingPointError) as error:
+            simulate_ensemble(DEFAULT_MP, cfg, threads=processes)
+        messages.append(str(error.value))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert messages[0].startswith(f"series {row} turned non-finite on day {day}:")
+    assert messages == [messages[0]] * 3
 
 
 def test_variance_path_never_negative():
