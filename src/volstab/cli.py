@@ -14,7 +14,6 @@ Exit codes: 0 success, 2 configuration error, 3 input error, 4 empty result.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import itertools
 import json
 import re
@@ -191,6 +190,10 @@ def _check_flag_bounds(args: argparse.Namespace) -> None:
 
 
 def _sha256(path: Path) -> str:
+    # Imported here, where a file is hashed: hashlib loads OpenSSL, about
+    # 3.4 MB of RSS that a run which hashes no input need not hold.
+    import hashlib
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):

@@ -702,11 +702,11 @@ def test_simulate_helper_that_dies_is_one_error_line(tmp_path, capsys, monkeypat
         def __init__(self, *key):
             self.gen, self.blocks = substream(*key), 0
 
-        def standard_normal(self, out):
+        def standard_normal(self, size=None, dtype=np.float64, out=None):
             self.blocks += 1
             if self.blocks == 2 and os.getpid() != caller:
                 die()
-            return self.gen.standard_normal(out=out)
+            return self.gen.standard_normal(size, dtype, out)
 
     monkeypatch.setattr(model, "_substream", DiesOnSecondBlock)
     monkeypatch.setattr(_fork, "_usable_cpus", lambda: 3)

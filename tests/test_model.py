@@ -177,6 +177,17 @@ def test_noise_blocks_too_large_for_the_machine_raise_memory_error(monkeypatch):
         simulate_ensemble(DEFAULT_MP, cfg, threads=2)
 
 
+def test_noise_block_holds_400_steps_of_each_series(monkeypatch):
+    # at 1071 series, 10 days of 100 steps: one mapping for the state, then
+    # one for a pair of 400-step rows per series
+    requested = []
+    real = model.shared_doubles
+    monkeypatch.setattr(model, "shared_doubles", lambda count: requested.append(count) or real(count))
+    simulate_ensemble(DEFAULT_MP, SimConfig(n_series=1071, days=10), threads=1)
+    state, noise = requested
+    assert noise == 2 * 1071 * 400
+
+
 def test_helper_is_reaped_when_the_caller_is_interrupted(monkeypatch):
     def interrupt(signum, frame):
         raise KeyboardInterrupt
@@ -316,8 +327,8 @@ class _BlowsUp:
         self.start = where.get(series, 1 << 62)
         self.drawn = 0
 
-    def standard_normal(self, out):
-        self.gen.standard_normal(out=out)
+    def standard_normal(self, size=None, dtype=np.float64, out=None):
+        self.gen.standard_normal(size, dtype, out)
         out[max(0, self.start - self.drawn):] = 1e300
         self.drawn += out.size
 
