@@ -1,12 +1,13 @@
 """Command-line pipeline: simulate, analyze, mfht, fht-pdf, acf, compare.
 
 Every subcommand reads its inputs and computes its results; only then
-does ``main`` make one output directory, write the result files and record
-a manifest there, which holds the settings the subcommand used.  Only
-``simulate`` has a model configuration, resolved from built-in defaults,
-an optional ``key = value`` config file, and explicit flags (in that order
-of precedence); re-running it with its manifest reproduces the output
-bytes exactly.
+does ``main`` make one output directory and write the result files and a
+manifest, which holds the settings the subcommand used, into it: all of
+them, or none when a write fails.  Only ``simulate`` has a model
+configuration, resolved from built-in defaults, an optional
+``key = value`` config file, and explicit flags (in that order of
+precedence); re-running it with its manifest reproduces the output bytes
+exactly.
 
 Exit codes: 0 success, 2 configuration error, 3 input error, 4 empty result.
 """
@@ -16,9 +17,11 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import re
 import shutil
 import sys
+import tempfile
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
@@ -239,9 +242,10 @@ class Outcome:
     """What a subcommand computed, for ``main`` to write into the output directory.
 
     ``files`` holds ``(name, writer, args)`` in writing order; ``main``
-    calls ``writer(*args, out / name)``.  ``config``, the settings the
-    subcommand used, ``inputs`` and ``extra``, its results, go into the
-    manifest; a seed in ``config`` (``simulate``'s) names a default output
+    calls ``writer(*args, path)`` with a temporary ``path`` that it renames
+    to ``out / name`` (see ``_write_outputs``).  ``config``, the settings
+    the subcommand used, ``inputs`` and ``extra``, its results, go into
+    the manifest; a seed in ``config`` (``simulate``'s) names a default output
     directory.  ``summary(out)`` is printed; an ``empty`` message marks an
     empty result, printed to stderr with exit code 4.
     """
@@ -252,6 +256,33 @@ class Outcome:
     summary: Callable[[Path], str]
     extra: dict = field(default_factory=dict)
     empty: str | None = None
+
+
+def _write_outputs(out: Path, subcommand: str, outcome: Outcome) -> None:
+    """Write ``outcome``'s files and its manifest into ``out``: all of them, or none.
+
+    Every file is written into a temporary directory inside ``out``, and
+    only when every writer has succeeded are they renamed into ``out``, the
+    manifest last.  The temporary directory is removed on every path,
+    KeyboardInterrupt included, so a failed run leaves no cut file, and a
+    file of the same name already in ``out`` is replaced only on success.
+    """
+    staging = Path(tempfile.mkdtemp(prefix=".volstab-", dir=out))
+    try:
+        for name, writer, data in outcome.files:
+            try:
+                writer(*data, staging / name)
+            except OSError as exc:
+                if exc.filename is None:  # as a full disk or a file size limit raises it
+                    raise OSError(f"{out / name}: {exc}") from None
+                if exc.filename == str(staging / name):
+                    raise OSError(exc.errno, exc.strerror, str(out / name)) from None
+                raise
+        write_manifest(staging, subcommand, outcome.config, outcome.inputs, outcome.extra)
+        for name in [name for name, _, _ in outcome.files] + ["manifest.json"]:
+            os.replace(staging / name, out / name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
 
 # ---------------------------------------------------------------- simulate
@@ -266,8 +297,9 @@ def write_trajectories_csv(x: np.ndarray, v: np.ndarray, path: str | Path, threa
 def cmd_simulate(args: argparse.Namespace) -> Outcome:
     config = resolve_config(args)
     mp, cfg = build_model(config)
+    trajectories = args.write_trajectories or cfg.days < 1
     with _fault(ConfigError):  # the integration blew up: a configuration fault
-        x, v = simulate_ensemble(mp, cfg, threads=args.threads)
+        x, v = simulate_ensemble(mp, cfg, threads=args.threads, variance=trajectories)
     files, sigma_bar, tail = [], None, ""
     if cfg.days >= 1:
         ensemble = daily_returns(x, [f"sim{i:04d}" for i in range(cfg.n_series)])
@@ -276,7 +308,7 @@ def cmd_simulate(args: argparse.Namespace) -> Outcome:
                   ("stats.json", write_stats_json, (stats,))]
         sigma_bar = stats.sigma_bar
         tail = f"\nsigma_bar = {fmt(sigma_bar)}"
-    if args.write_trajectories or cfg.days < 1:
+    if trajectories:
         files.append(("trajectories.csv", partial(write_trajectories_csv, threads=args.threads), (x, v)))
     return Outcome(
         config, [Path(args.config)] if args.config else [], files,
@@ -514,14 +546,7 @@ def main(argv: list[str] | None = None) -> int:
                 raise InputError(f"output file name longer than {_MAX_NAME_BYTES} bytes: {name}")
         out, made = _out_dir(args.out, outcome.config.get("seed"))
         try:
-            for name, writer, data in outcome.files:
-                try:
-                    writer(*data, out / name)
-                except OSError as exc:
-                    if exc.filename is None:  # as a full disk or a file size limit raises it
-                        raise OSError(f"{out / name}: {exc}") from None
-                    raise
-            write_manifest(out, args.subcommand, outcome.config, outcome.inputs, outcome.extra)
+            _write_outputs(out, args.subcommand, outcome)
         except BaseException:
             if made:
                 shutil.rmtree(made, ignore_errors=True)

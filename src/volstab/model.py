@@ -53,9 +53,11 @@ __all__ = [
 # two dedicated substreams strictly in step order.  At 1071 series and 100
 # steps per day the raw normals it sizes are one pair of 400-step buffers
 # (4-day blocks), 6.9 MB, whose rows each process fills for its own series.
-# That is the largest allocation of a short run (x and v of 1071 x 100 days
-# take 1.7 MB), but not of the default 1071 x 3000-day run, where x and v
-# take 51.4 MB and the returns copied from x 25.7 MB.  400 steps cost no
+# That is the largest allocation of a short run (x of 1071 x 100 days takes
+# 0.9 MB), but not of the default 1071 x 3000-day run, where x takes 25.7 MB
+# and the returns copied from it 25.7 MB more.  v, as large as x, is kept
+# only when trajectories.csv is written: keeping it always put that run's
+# wait4 peak in one process at 120.9 MB, against 95.1 MB.  400 steps cost no
 # wall time against 800: the tile copies below stay in cache, which pays
 # for twice the draw calls; 200 steps cost about 3%.  The step loop reads
 # the block through two step-major tiles of _TILE steps, 0.55 MB at 1071
@@ -142,8 +144,8 @@ class SimConfig:
             if getattr(self, name) < lowest:
                 raise ValueError(f"{name} must be >= {lowest}, got {getattr(self, name)}")
         # numpy makes no array of more than intp-max bytes.  The largest are
-        # the shared state mapping, x and v and a (day, row) pair per process,
-        # and the noise block: two draws of n_series x at most
+        # the shared state mapping, x, v when it is kept and a (day, row) pair
+        # per process, and the noise block: two draws of n_series x at most
         # max(steps_per_day, _CHUNK_STEPS) steps.
         n, days, spd = int(self.n_series), int(self.days), int(self.steps_per_day)
         doubles = max(2 * n * (days + 2), 2 * n * min(days * spd, max(spd, _CHUNK_STEPS)))
@@ -188,30 +190,35 @@ def _substream(seed: int, series_index: int, which: int) -> np.random.Generator:
 
 
 def simulate_ensemble(
-    mp: ModelParams, cfg: SimConfig, *, threads: int = 1
-) -> tuple[np.ndarray, np.ndarray]:
+    mp: ModelParams, cfg: SimConfig, *, threads: int = 1, variance: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Integrate the coupled SDEs for every ensemble member.
 
     Returns (x, v), float64 arrays of shape (n_series, days + 1) sampled at
-    day boundaries, v as max(v, 0).  Series ``i`` consumes the substreams
-    keyed (seed, i, 0) for dW1 and (seed, i, 1) for dW2 strictly in step
-    order, so row ``i`` is the same in any ensemble that contains it.
+    day boundaries, v as max(v, 0).  With ``variance=False`` v is None:
+    the variance path is integrated and checked but not kept, which saves
+    its n_series x (days + 1) doubles (the default 1071 x 3000 run peaks
+    at 95.1 MB instead of 120.9 MB in one process), and x keeps the same
+    bits.  Series ``i`` consumes the substreams keyed (seed, i, 0) for dW1
+    and (seed, i, 1) for dW2 strictly in step order, so row ``i`` is the
+    same in any ensemble that contains it.
 
     The series are split into k contiguous ranges, k the least of
     ``threads``, the usable CPUs (the process's CPU affinity, not the
     machine's CPU count) and the number of series, or 1 where ``os.fork``
     does not exist.  The calling process integrates the first range, and
     a process forked for each other range integrates that one; they share
-    no interpreter lock, and x and v lie in one anonymous mapping they all
-    write.  Each row owns its generators and every step operation is
-    elementwise, so the result does not depend on k.  Each process draws
-    the normals of its rows in blocks of about ``_CHUNK_STEPS`` steps and
-    runs the one step loop over them.  It copies each block into
-    step-major tiles of ``_TILE`` steps, scaling by sqrt(dt) in the copy,
-    so every step reads contiguous rows of increments.  It works in place
-    on preallocated arrays but with the floating-point operations of
-    heston_step and cir_step_raw in their order, so its result is
-    bit-identical to composing those two functions.
+    no interpreter lock, and x, with v when it is kept, lies in one
+    anonymous mapping they all write.  Each row owns its generators and
+    every step operation is elementwise, so the result does not depend on
+    k.  Each process draws the normals of its rows in blocks of about
+    ``_CHUNK_STEPS`` steps and runs the one step loop over them.  It
+    copies each block into step-major tiles of ``_TILE`` steps, scaling by
+    sqrt(dt) in the copy, so every step reads contiguous rows of
+    increments.  It works in place on preallocated arrays but with the
+    floating-point operations of heston_step and cir_step_raw in their
+    order, so its result is bit-identical to composing those two
+    functions.
 
     The cubic well is unbounded beyond its barrier top, so a state that
     steps past the barrier is reflected back across it; without this the
@@ -221,25 +228,29 @@ def simulate_ensemble(
     1071 x 3000 run, 20 series (about one in fifty) cross the barrier, 348
     times in all, and without reflection 12 of them blow up.
 
-    Each process checks its rows for finiteness once per block, so a
-    blow-up stops it within one block (4 days at the default grid).  A
-    step too coarse for the parameters raises FloatingPointError naming
-    the first day on which a series went non-finite and the first such
-    series of that day, whatever k is.  A forked process that ends any
-    other way raises OSError.
+    Each process records max(v, 0) of its rows at each day's end in a
+    private buffer of one block's days, copied into v when v is kept, and
+    checks x and that buffer for finiteness once per block, so a blow-up
+    stops it within one block (4 days at the default grid).  A step too
+    coarse for the parameters raises FloatingPointError naming the first
+    day on which a series went non-finite and the first such series of
+    that day, whatever k and ``variance`` are.  A forked process that ends
+    any other way raises OSError.
     """
     n = cfg.n_series
     days, spd, dt = cfg.days, cfg.steps_per_day, cfg.dt
     bounds = part_bounds(n, threads)
     cells = n * (days + 1)
-    # x, v and each process's first non-finite (day, row), one mapping that forked processes share
-    state = shared_doubles(2 * cells + 2 * (len(bounds) - 1))
+    kept = 2 if variance else 1
+    # x, v if kept and each process's first non-finite (day, row), one mapping that forked processes share
+    state = shared_doubles(kept * cells + 2 * (len(bounds) - 1))
     x = state[:cells].reshape(n, days + 1)
-    v = state[cells : 2 * cells].reshape(n, days + 1)
-    first_bad = state[2 * cells :].view(np.int64).reshape(-1, 2)
+    v = state[cells : 2 * cells].reshape(n, days + 1) if variance else None
+    first_bad = state[kept * cells :].view(np.int64).reshape(-1, 2)
     first_bad[:, 0] = days + 1  # none
     x[:, 0] = mp.x0
-    v[:, 0] = mp.v_start
+    if variance:
+        v[:, 0] = mp.v_start
     if days == 0:
         return x, v
 
@@ -261,6 +272,7 @@ def simulate_ensemble(
         # integration than views held throughout (0.4 MB at 1071 series).
         fills = [_substream(cfg.seed, i, which).standard_normal for which in (0, 1) for i in range(lo, hi)]
         tile1, tile2 = np.empty((tile, m)), np.empty((tile, m))
+        vday = np.empty((chunk, m))  # max(v, 0) at the end of each day of the block
 
         def increments(nsteps: int):
             """Yield the block's contiguous (dW1, dW2) rows in step order, scaled in step-major tiles.
@@ -334,11 +346,13 @@ def simulate_ensemble(
                             copyto(xn, refl, where=below)
                         xt, xn = xn, xt
                     x[lo:hi, day0 + d + 1] = xt
-                    maximum(vt, zero, out=v[lo:hi, day0 + d + 1])
+                    maximum(vt, zero, out=vday[d])
                 block = slice(day0 + 1, day0 + ndays + 1)
-                bad = ~(np.isfinite(x[lo:hi, block]) & np.isfinite(v[lo:hi, block]))
+                if variance:
+                    v[lo:hi, block] = vday[:ndays].T
+                bad = ~(np.isfinite(x[lo:hi, block].T) & np.isfinite(vday[:ndays]))
                 if bad.any():
-                    day, row = np.argwhere(bad.T)[0]
+                    day, row = np.argwhere(bad)[0]
                     first_bad[bounds.index(lo)] = (day0 + day + 1, lo + row)
                     return
 

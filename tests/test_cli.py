@@ -743,6 +743,52 @@ def test_a_failed_write_names_its_file_and_leaves_no_directory(tmp_path, capsys,
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.parametrize("interrupt", [False, True], ids=["oserror", "interrupt"])
+def test_simulate_failed_write_in_an_existing_directory_leaves_its_files(tmp_path, capsys, monkeypatch, interrupt):
+    out = tmp_path / "o"
+    out.mkdir()
+    old = {name: f"old {name}\n" for name in ("returns.csv", "stats.json", "manifest.json", "notes.txt")}
+    for name, text in old.items():
+        (out / name).write_text(text)
+    write_stats_json = cli.write_stats_json
+
+    def fails(*args):  # stats.json is written after returns.csv
+        if interrupt:
+            raise KeyboardInterrupt
+        raise OSError(errno.EFBIG, os.strerror(errno.EFBIG))
+
+    monkeypatch.setattr(cli, "write_stats_json", fails)
+    argv = ["simulate", "--n-series", "4", "--days", "20", "--seed", "2", "--out", str(out)]
+    if interrupt:
+        with pytest.raises(KeyboardInterrupt):
+            run(*argv)
+    else:
+        assert run(*argv) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {out / 'stats.json'}: [Errno 27] File too large\n"
+    assert {p.name: p.read_text() for p in out.iterdir()} == old
+    monkeypatch.setattr(cli, "write_stats_json", write_stats_json)
+    assert run(*argv) == 0  # a run that succeeds replaces the files of its names
+    assert run(*argv[:-1], str(tmp_path / "fresh")) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(old)
+    for name in ("returns.csv", "stats.json"):
+        assert (out / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+    assert (out / "notes.txt").read_text() == old["notes.txt"]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("trajectories", [False, True], ids=["returns", "trajectories"])
+def test_simulate_maps_the_variance_path_only_for_trajectories(tmp_path, monkeypatch, threads, trajectories):
+    requested = []
+    real = model.shared_doubles
+    monkeypatch.setattr(model, "shared_doubles", lambda count: requested.append(count) or real(count))
+    monkeypatch.setattr(_fork, "_usable_cpus", lambda: 2)
+    n, days = 7, 30
+    argv = ["simulate", "--n-series", str(n), "--days", str(days), "--threads", str(threads)]
+    assert run(*argv, *["--write-trajectories"] * trajectories, "--out", str(tmp_path / "o")) == 0
+    state, noise = requested
+    assert state == (2 if trajectories else 1) * n * (days + 1) + 2 * threads  # and a (day, row) per process
+
+
 def test_analyze_does_not_mutate_inputs(tmp_path):
     rng = np.random.default_rng(6)
     path = _write_returns(tmp_path, [("s0", rng.uniform(-0.06, 0.06, 200))])

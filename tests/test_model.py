@@ -339,23 +339,41 @@ class _BlowsUp:
         pytest.param({1: 30, 2: 31}, 1, 1, id="parent-rows"),
         pytest.param({6: 300}, 6, 4, id="child-rows"),
         pytest.param({0: 500, 3: 900, 5: 150, 7: 150}, 5, 2, id="both-child-earlier"),
+        pytest.param(None, 0, 1, id="dt-1"),
     ],
 )
 def test_blow_up_names_the_earliest_day_and_series_at_any_process_count(monkeypatch, where, row, day):
     # 8 series of 100 steps a day split 3/3/2 or 4/4; a normal of 1e300
-    # makes a series non-finite within the step or the next
+    # makes a series non-finite within the step or the next, and so does a
+    # step of dt = 1.  Keeping v or not changes no message.
     cfg = SimConfig(days=40, n_series=8, seed=17)
-    monkeypatch.setattr(model, "_substream", lambda seed, series, which: _BlowsUp(seed, series, which, where))
+    if where is None:
+        cfg = replace(cfg, dt=1.0)
+    else:
+        monkeypatch.setattr(model, "_substream", lambda seed, series, which: _BlowsUp(seed, series, which, where))
     messages = []
     for processes in (1, 2, 3):
         monkeypatch.setattr(_fork, "_usable_cpus", lambda: processes)
-        with pytest.raises(FloatingPointError) as error:
-            simulate_ensemble(DEFAULT_MP, cfg, threads=processes)
-        messages.append(str(error.value))
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        for variance in (True, False):
+            with pytest.raises(FloatingPointError) as error:
+                simulate_ensemble(DEFAULT_MP, cfg, threads=processes, variance=variance)
+            messages.append(str(error.value))
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
     assert messages[0].startswith(f"series {row} turned non-finite on day {day}:")
-    assert messages == [messages[0]] * 3
+    assert messages == [messages[0]] * 6
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_unkept_variance_leaves_x_bit_identical(monkeypatch, threads):
+    monkeypatch.setattr(_fork, "_usable_cpus", lambda: 3)
+    cfg = SimConfig(days=41, steps_per_day=7, n_series=5, seed=8)
+    x, v = simulate_ensemble(REFLECTING_MP, cfg, threads=threads)
+    x_only, none = simulate_ensemble(REFLECTING_MP, cfg, threads=threads, variance=False)
+    assert none is None and v.shape == x.shape
+    assert x_only.tobytes() == x.tobytes()
+    x0, none = simulate_ensemble(REFLECTING_MP, replace(cfg, days=0), threads=threads, variance=False)
+    assert none is None and x0.tolist() == [[REFLECTING_MP.x0]] * 5
 
 
 def test_variance_path_never_negative():
