@@ -42,6 +42,7 @@ from .episodes import (
     EpisodeTable,
     ThresholdWindow,
     extract_table,
+    join_tables,
     read_episodes_csv,
     window_family,
     write_episodes_csv,
@@ -380,12 +381,16 @@ def cmd_analyze(args: argparse.Namespace) -> Outcome:
                 "so sigma_bar is 0 and no threshold can be set from it"
             )
     windows = _resolve_windows(args, sigma_bar)
-    tables = [
-        extract_table(ensemble, w, entry_rule=args.entry_rule, vol_scope=args.vol_scope)
-        for w in windows
-    ]
+    # Every window scans one block of series before the next block is cut,
+    # so only one block's prefix sums and masks are alive at a time.
+    parts = [[] for _ in windows]
+    for block in ensemble.series_blocks():
+        for window, part in zip(windows, parts):
+            part.append(extract_table(block, window, entry_rule=args.entry_rule, vol_scope=args.vol_scope))
+    del block  # a view of the ensemble's values
     n_series = len(ensemble)
-    del ensemble  # its arrays and prefix sums outweigh the tables; free them before writing
+    del ensemble  # its arrays outweigh the tables; free them before writing
+    tables = join_tables(parts)
     files = [("episodes.csv", write_episodes_csv, (tables,))]
     files += _curve_files(tables, args.bins, args.min_count)
     total = sum(len(t) for t in tables)

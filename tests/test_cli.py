@@ -496,6 +496,11 @@ def test_files_are_utf8_whatever_the_locale(tmp_path):
 # Returns file bodies that must be accepted, and the tickers of the
 # episodes analyze finds in them, in order.
 ACCEPTED_RETURNS = [
+    # 7 bytes fit the readers' first guess of the ticker width; 8 and 40 are read again wider
+    ("7-byte ticker", _rows("T" * 7, EPISODE), ["T" * 7]),
+    ("8-byte ticker", _rows("T" * 8, EPISODE), ["T" * 8]),
+    ("8-byte tickers after 7-byte ones", _rows("abcdefg", EPISODE) + _rows("abcdefgh", EPISODE),
+     ["abcdefg", "abcdefgh"]),
     ("40-character ticker", _rows("T" * 40, EPISODE), ["T" * 40]),
     ("non-ASCII ticker", _rows("Société€", EPISODE), ["Société€"]),
     ("whitespace-only lines", " \n" + _rows("aa", EPISODE).replace("\n", "\n\t \n\n"), ["aa"]),
@@ -522,6 +527,10 @@ def test_returns_csv_layouts_that_are_accepted(tmp_path, body, tickers):
     rows = (out / "episodes.csv").read_text(encoding="utf-8").splitlines()[1:]
     assert [r.split(",")[0] for r in rows] == tickers
     assert all(r.split(",")[4:6] == ["1", "2"] for r in rows)
+    # the episodes file reads back with the same tickers
+    assert [t for table in read_episodes_csv(out / "episodes.csv") for t in table.tickers] == tickers
+    assert run("mfht", "--episodes", str(out / "episodes.csv"), "--min-count", "1", "--out", str(tmp_path / "m")) == 0
+    assert (tmp_path / "m" / "curve_crash_ti-0.10_tf-1.50.csv").exists()
 
 
 def test_config_seed_threads_only_on_subcommands_that_read_them(capsys):
@@ -608,6 +617,10 @@ def test_perfbench_tracer_spans_every_layer_the_pipeline_calls(tmp_path):
         doc = json.loads(spans.read_text())
         assert doc["exit_code"] == 0 and doc["missing_names"] == [] and doc["counter_errors"] == []
         names |= {span["name"] for span in doc["spans"]}
+    # each of the 4 series is scanned once per fig1b window, through extract_table
+    rows = (tmp_path / "an" / "episodes.csv").read_text().splitlines()[1:]
+    assert doc["counters"]["series_scans"] == 26 * 4
+    assert doc["counters"]["episode_rows"] == len(rows) > 0
     assert names >= {
         "simulate_ensemble", "daily_returns", "market_stats", "write_returns_csv", "write_stats_json",
         "read_returns_csv", "extract_table", "mfht_curve", "nonmonotonicity_verdict", "write_episodes_csv",

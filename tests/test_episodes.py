@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import assert_episodes_match, make_ensemble, oracle_episodes, random_windows
+from volstab import returns
 from volstab.episodes import (
     ENTRY_RULES,
     VOL_SCOPES,
     WINDOW_FAMILIES,
     ThresholdWindow,
     extract_table,
+    join_tables,
     window_family,
 )
 
@@ -219,17 +222,35 @@ def ragged_ensembles(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(ragged_ensembles())
-def test_flat_scan_matches_oracle_on_ragged_ensembles(case):
+@given(ragged_ensembles(), st.sampled_from([1, 2, 7, 64]))
+def test_flat_scan_matches_oracle_on_ragged_ensembles(case, block_values):
+    """The whole scan matches the per-series oracle, and the block scans joined match the whole scan bit for bit."""
     window, series = case
     ensemble = make_ensemble(series)
+    lengths = np.diff(ensemble.offsets).tolist()
+    with mock.patch.object(returns, "_BLOCK_VALUES", block_values):
+        blocks = list(ensemble.series_blocks())
+    # the blocks cover the series in order; one is above the cap only when it
+    # is one series, and none could take the next block's first series
+    assert [t for block in blocks for t in block.tickers] == ensemble.tickers
+    assert [n for block in blocks for n in np.diff(block.offsets).tolist()] == lengths
+    assert np.concatenate([block.values for block in blocks]).tobytes() == ensemble.values.tobytes()
+    assert all(block.values.size <= block_values or len(block) == 1 for block in blocks)
+    assert all(a.values.size + int(b.offsets[1]) > block_values for a, b in zip(blocks, blocks[1:]))
     for entry_rule in ENTRY_RULES:
         for scope in VOL_SCOPES:
             got = extract_table(ensemble, window, entry_rule=entry_rule, vol_scope=scope)
             tickers, want = _oracle_table(series, window, entry_rule, scope)
-            context = f"{window.window_id} {entry_rule}/{scope} lengths={np.diff(ensemble.offsets).tolist()}"
+            context = f"{window.window_id} {entry_rule}/{scope} lengths={lengths} blocks of {block_values}"
             assert got.tickers == tickers, context
             assert_episodes_match(got, want, context)
+            parts = [extract_table(block, window, entry_rule=entry_rule, vol_scope=scope) for block in blocks]
+            [joined] = join_tables([parts])
+            assert parts == []  # emptied once joined
+            assert joined.window == window and joined.tickers == got.tickers, context
+            for name in ("start_index", "fht", "volatility"):
+                column, whole = getattr(joined, name), getattr(got, name)
+                assert column.dtype == whole.dtype and column.tobytes() == whole.tobytes(), f"{context}: {name}"
 
 
 def test_entry_on_last_day_and_hit_on_next_first_day_opens_no_episode():
