@@ -228,11 +228,8 @@ def window_family(name: str, sigma_bar: float) -> list[ThresholdWindow]:
 
 
 # The text widths are first guesses, widened by the reader when a cell fills one.
-# A ticker of 8 bytes or more costs a second parse at 32 bytes: the 209,036
-# rows of a fig1b sweep over 1071 x 500 returns with 8-byte tickers read in
-# 0.26-0.32 s against 0.145 s with a 16-byte field.
 _EPISODE_DTYPE = np.dtype([
-    ("ticker", "S8"), ("window_id", "S32"), ("theta_i", np.float64), ("theta_f", np.float64),
+    ("ticker", "S16"), ("window_id", "S32"), ("theta_i", np.float64), ("theta_f", np.float64),
     ("start_index", np.int64), ("fht", np.int64), ("volatility", np.float64),
 ])
 

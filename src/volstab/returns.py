@@ -62,13 +62,9 @@ class Ensemble:
     The arrays are not to be changed once built: ``prefix_sums`` are kept.
 
     ``prefix_sums`` are two float64 arrays of the ensemble's size, so a
-    scan that needs them, such as ``extract_table``, is cheaper run on
+    scan that needs them, such as ``extract_table``, holds less when run on
     each of ``series_blocks`` in turn: each block's sums and threshold
-    masks stay cache-sized and go with the block.  ``analyze`` scans every
-    window on one block before it cuts the next; on the default
-    1071 x 3000 ``returns.csv`` its fig1a and fig1b peaks (wait4) are
-    142-144 MB, against 168-170 MB when every window scanned the whole
-    ensemble.
+    masks are of the block's size and go with the block.
     """
 
     tickers: list[str]
@@ -153,7 +149,11 @@ class Ensemble:
         while i < n:
             a = int(offsets[i])
             j = max(i + 1, int(np.searchsorted(offsets, a + _BLOCK_VALUES, side="right")) - 1)
-            yield Ensemble(self.tickers[i:j], self.values[a : offsets[j]], offsets[i : j + 1] - a)
+            # views of this ensemble's arrays and sigmas, checked once already
+            block = object.__new__(Ensemble)
+            block.__dict__.update(tickers=self.tickers[i:j], values=self.values[a : offsets[j]],
+                                  offsets=offsets[i : j + 1] - a, sigmas=self.sigmas[i:j], _sums=None)
+            yield block
             i = j
 
     def prefix_sums(self) -> tuple[np.ndarray, np.ndarray]:
@@ -289,11 +289,7 @@ def _price_columns(path: Path, layout: str) -> Iterator[tuple[str, np.ndarray, i
 
 
 # The ticker width is a first guess, widened by the reader when a ticker fills it.
-# 8 bytes hold every simNNNN ticker below 10,000 series and NYSE symbols; a
-# ticker of 8 bytes or more costs a second parse at 32 bytes: 1071 x 500
-# rows with 8-byte tickers read in 0.36 s against 0.20 s with a 16-byte
-# field, and analyze --window fig1b on them peaked at 72.0 MB against 55.2 MB.
-_RETURNS_DTYPE = np.dtype([("ticker", "S8"), ("day_index", np.int64), ("return", np.float64)])
+_RETURNS_DTYPE = np.dtype([("ticker", "S16"), ("day_index", np.int64), ("return", np.float64)])
 
 
 def write_returns_csv(ensemble: Ensemble, path: str | Path, threads: int = 1) -> None:

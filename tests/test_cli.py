@@ -496,9 +496,10 @@ def test_files_are_utf8_whatever_the_locale(tmp_path):
 # Returns file bodies that must be accepted, and the tickers of the
 # episodes analyze finds in them, in order.
 ACCEPTED_RETURNS = [
-    # 7 bytes fit the readers' first guess of the ticker width; 8 and 40 are read again wider
+    # up to 15 bytes fit the readers' first guess of the ticker width; 16 and 40 are read again wider
     ("7-byte ticker", _rows("T" * 7, EPISODE), ["T" * 7]),
     ("8-byte ticker", _rows("T" * 8, EPISODE), ["T" * 8]),
+    ("16-byte ticker", _rows("T" * 16, EPISODE), ["T" * 16]),
     ("8-byte tickers after 7-byte ones", _rows("abcdefg", EPISODE) + _rows("abcdefgh", EPISODE),
      ["abcdefg", "abcdefgh"]),
     ("40-character ticker", _rows("T" * 40, EPISODE), ["T" * 40]),

@@ -235,6 +235,7 @@ def test_flat_scan_matches_oracle_on_ragged_ensembles(case, block_values):
     assert [t for block in blocks for t in block.tickers] == ensemble.tickers
     assert [n for block in blocks for n in np.diff(block.offsets).tolist()] == lengths
     assert np.concatenate([block.values for block in blocks]).tobytes() == ensemble.values.tobytes()
+    assert np.concatenate([block.sigmas for block in blocks]).tobytes() == ensemble.sigmas.tobytes()
     assert all(block.values.size <= block_values or len(block) == 1 for block in blocks)
     assert all(a.values.size + int(b.offsets[1]) > block_values for a, b in zip(blocks, blocks[1:]))
     for entry_rule in ENTRY_RULES:
