@@ -52,6 +52,7 @@ from .returns import (
     Ensemble,
     load_prices,
     market_stats,
+    price_files,
     read_returns_csv,
     to_returns,
     write_returns_csv,
@@ -185,6 +186,8 @@ def build_model(config: dict) -> tuple[ModelParams, SimConfig]:
 
 
 def _check_flag_bounds(args: argparse.Namespace) -> None:
+    if args.out == "":  # names no directory; None is a left-out --out
+        raise ConfigError("--out must not be empty")
     for key, lowest in _FLAG_MINIMA.items():
         value = getattr(args, key, None)
         if value is not None and value < lowest:
@@ -211,7 +214,7 @@ def _out_dir(out: str | None, seed: int | None) -> tuple[Path, Path | None]:
     Also returns the topmost directory this call made, if any, which a
     failed write removes.
     """
-    if out:
+    if out is not None:
         path = Path(out)
         made = next((p for p in reversed([path, *path.parents]) if not p.exists()), None)
         path.mkdir(parents=True, exist_ok=True)
@@ -343,9 +346,8 @@ def _load_input_series(args: argparse.Namespace) -> tuple[Ensemble, list[Path]]:
         tickers, prices, offsets = load_prices(path, layout=args.layout or "per-stock")
     if not tickers:
         raise InputError(f"{path}: no series with at least two valid prices")
-    files = sorted(path.glob("*.csv")) if path.is_dir() else [path]
     with _fault(InputError, f"{path}: "):  # names a ticker, not the input it came from
-        return to_returns(tickers, prices, offsets), files
+        return to_returns(tickers, prices, offsets), price_files(path)
 
 
 def _resolve_windows(args: argparse.Namespace, sigma_bar: float) -> list[ThresholdWindow]:
@@ -452,15 +454,19 @@ def cmd_acf(args: argparse.Namespace) -> Outcome:
 
 
 def cmd_compare(args: argparse.Namespace) -> Outcome:
+    paths = [Path(args.empirical), Path(args.model)]
     with _fault(InputError):
-        empirical = read_curve_csv(Path(args.empirical))
-        model = read_curve_csv(Path(args.model))
-        comparison = compare_curves(empirical, model)
+        curves = [read_curve_csv(path) for path in paths]
+    for path, curve in zip(paths, curves):
+        if not curve.populated.any():  # compare_curves' own error would name neither file
+            raise InputError(f"{path}: curve has no populated bins")
+    with _fault(InputError):
+        comparison = compare_curves(*curves)
     report = comparison.report
     files = [("compare.csv", write_comparison_csv, (comparison,)), ("compare.json", write_json, (report,))]
     bins, offset = report["bins_compared"], report["peak_offset_bins"]
     return Outcome(
-        {}, [Path(args.empirical), Path(args.model)], files,
+        {}, paths, files,
         lambda out: f"compare: {bins} common bins, peak offset {offset} -> {out}",
     )
 

@@ -10,9 +10,12 @@ The variance update uses the full-truncation Euler scheme: the integrator
 carries the raw Euler state, feeds only its nonnegative part into drift,
 diffusion and the return equation, and reports max(v, 0) at day boundaries,
 so sampled variances stay nonnegative even when 2ab < c^2 and the
-continuous process can reach zero.  At the default parameters, whose
-Feller ratio 2ab/c^2 is 0.058, the variance sits at that floor on about
-54% of the steps (see README, "Calibration").
+continuous process can reach zero.  Carrying the unfloored state is what
+keeps the scheme's long-run mean of max(v, 0) at b: flooring the state
+itself would pump that mean far above b when 2ab << c^2, where v lives
+near zero.  At the default parameters, whose Feller ratio 2ab/c^2 is
+0.058, the variance sits at that floor on about 54% of the steps (see
+README, "Calibration").
 
 Each series draws from its own pair of PCG64 generators, seeded by
 SeedSequence spawn keys (series_index, 0) and (series_index, 1) under the
@@ -40,10 +43,6 @@ from .returns import Ensemble
 __all__ = [
     "ModelParams",
     "SimConfig",
-    "potential",
-    "potential_gradient",
-    "cir_step_raw",
-    "heston_step",
     "simulate_ensemble",
     "daily_returns",
 ]
@@ -156,35 +155,6 @@ class SimConfig:
             )
 
 
-def potential(x, p: ModelParams):
-    """U(x) = m x^3 + n x^2; accepts scalars or arrays."""
-    return p.m * x**3 + p.n * x**2
-
-
-def potential_gradient(x, p: ModelParams):
-    """U'(x) = 3m x^2 + 2n x; accepts scalars or arrays."""
-    return 3.0 * p.m * x**2 + 2.0 * p.n * x
-
-
-def cir_step_raw(v, p: ModelParams, dt: float, dw):
-    """One full-truncation Euler update, without flooring the new state.
-
-    ``dw`` is a Normal(0, dt) increment.  Only the truncated value
-    max(v, 0) feeds the drift and the diffusion; the state itself may go
-    (slightly) negative and is carried as-is.  Propagating the unfloored
-    state is what keeps the scheme's long-run mean of max(v, 0) equal to b:
-    flooring the state instead would pump the average far above b for
-    parameters with 2ab << c^2, where v lives near zero.
-    """
-    vplus = np.maximum(v, 0.0)
-    return v + p.a * (p.b - vplus) * dt + p.c * np.sqrt(vplus) * dw
-
-
-def heston_step(x, v, mp: ModelParams, dt: float, dw1):
-    """One Euler update of the return state at current variance v >= 0."""
-    return x - (potential_gradient(x, mp) + 0.5 * v) * dt + np.sqrt(v) * dw1
-
-
 def _substream(seed: int, series_index: int, which: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(series_index, which)))
 
@@ -215,10 +185,15 @@ def simulate_ensemble(
     ``_CHUNK_STEPS`` steps and runs the one step loop over them.  It
     copies each block into step-major tiles of ``_TILE`` steps, scaling by
     sqrt(dt) in the copy, so every step reads contiguous rows of
-    increments.  It works in place on preallocated arrays but with the
-    floating-point operations of heston_step and cir_step_raw in their
-    order, so its result is bit-identical to composing those two
-    functions.
+    increments.  With v+ = max(v, 0), each step is
+
+        x' = x - (3m x^2 + 2n x + v+/2) dt + sqrt(v+) dW1
+        v' = v + a (b - v+) dt + c sqrt(v+) dW2
+
+    computed in place on preallocated arrays, one operation at a time in
+    that order of evaluation, so its result is bit-identical to the same
+    expressions written out in numpy: ``heston_step`` and ``cir_step_raw``
+    in ``tests/helpers.py``, the reference the model tests compare with.
 
     The cubic well is unbounded beyond its barrier top, so a state that
     steps past the barrier is reflected back across it; without this the
@@ -317,8 +292,10 @@ def simulate_ensemble(
                 for d in range(ndays):
                     # zip asks range first, so it takes no row past the day's last step
                     for _, (w1, w2) in zip(range(spd), noise):
-                        # heston_step and cir_step_raw, one ufunc per operation in
-                        # their evaluation order; both read max(v, 0) and its root.
+                        # x' = x - (3m x^2 + 2n x + v+/2) dt + sqrt(v+) dW1 and
+                        # v' = v + a (b - v+) dt + c sqrt(v+) dW2, v+ = max(v, 0), one
+                        # ufunc per operation in that evaluation order (the reference:
+                        # heston_step and cir_step_raw in tests/helpers.py).
                         maximum(vt, zero, out=vplus)
                         sqrt(vplus, root)
                         square(xt, xn)

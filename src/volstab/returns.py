@@ -224,7 +224,7 @@ def load_prices(path: str | Path, layout: str = "per-stock") -> tuple[list[str],
         raise ValueError(f"unknown layout {layout!r} (expected 'per-stock' or 'wide')")
     if layout == "wide" and path.is_dir():
         raise ValueError(f"{path}: wide layout expects a single CSV file")
-    files = sorted(path.glob("*.csv")) if path.is_dir() else [path]
+    files = price_files(path)
     if not files:
         raise ValueError(f"{path}: no CSV files found")
     tickers, series = [], []
@@ -239,6 +239,11 @@ def load_prices(path: str | Path, layout: str = "per-stock") -> tuple[list[str],
             series.append(prices)
     offsets = np.cumsum([0, *(p.size for p in series)], dtype=np.int64)
     return tickers, np.concatenate([np.empty(0), *series]), offsets
+
+
+def price_files(path: Path) -> list[Path]:
+    """The files ``load_prices`` reads for ``path``: a directory's ``*.csv`` in name order, or the file itself."""
+    return sorted(path.glob("*.csv")) if path.is_dir() else [path]
 
 
 def _price_columns(path: Path, layout: str) -> Iterator[tuple[str, np.ndarray, int]]:

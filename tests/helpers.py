@@ -1,6 +1,12 @@
-"""Shared test utilities: an Ensemble built from ``(ticker, values)`` pairs,
-the quadratic reference episode scanner, the per-series reductions and the
-row-by-row writers.
+"""Shared test utilities: the reference Euler step, an Ensemble built from
+``(ticker, values)`` pairs, the quadratic reference episode scanner, the
+per-series reductions and the row-by-row writers.
+
+The reference step states the model's update as plain numpy expressions:
+``potential_gradient`` and ``heston_step`` for the return state,
+``cir_step_raw`` for the full-truncation variance update.  The integrator
+in ``volstab.model`` runs the same floating-point operations in the same
+order in place, so composing these gives its bits exactly.
 
 The reference scanner is deliberately independent of the package: it walks
 every candidate start day and scans forward for the first hit, with both
@@ -16,6 +22,32 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+
+def potential(x, p):
+    """U(x) = m x^3 + n x^2 of the ModelParams ``p``; accepts scalars or arrays."""
+    return p.m * x**3 + p.n * x**2
+
+
+def potential_gradient(x, p):
+    """U'(x) = 3m x^2 + 2n x; accepts scalars or arrays."""
+    return 3.0 * p.m * x**2 + 2.0 * p.n * x
+
+
+def cir_step_raw(v, p, dt: float, dw):
+    """One full-truncation Euler update of the variance, without flooring the new state.
+
+    ``dw`` is a Normal(0, dt) increment.  Only max(v, 0) feeds the drift
+    and the diffusion; the state itself may go (slightly) negative and is
+    carried as-is.
+    """
+    vplus = np.maximum(v, 0.0)
+    return v + p.a * (p.b - vplus) * dt + p.c * np.sqrt(vplus) * dw
+
+
+def heston_step(x, v, p, dt: float, dw1):
+    """One Euler update of the return state at current variance v >= 0."""
+    return x - (potential_gradient(x, p) + 0.5 * v) * dt + np.sqrt(v) * dw1
 
 
 def make_ensemble(series):

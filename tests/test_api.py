@@ -1,5 +1,7 @@
-"""The names the volstab package exports: those of its modules' ``__all__`` lists."""
+"""The names the volstab package exports: those of its modules' ``__all__`` lists, each named in README."""
 
+import re
+from pathlib import Path
 from types import ModuleType
 
 import volstab
@@ -7,8 +9,7 @@ from volstab import episodes, model, returns, stats
 
 EXPORTED = {
     "EpisodeTable", "ThresholdWindow", "extract_table", "window_family",
-    "ModelParams", "SimConfig", "cir_step_raw", "daily_returns", "heston_step", "potential",
-    "potential_gradient", "simulate_ensemble",
+    "ModelParams", "SimConfig", "daily_returns", "simulate_ensemble",
     "Ensemble", "MarketStats", "ReturnSeries", "load_prices", "market_stats", "read_returns_csv",
     "to_returns", "write_returns_csv", "write_stats_json",
     "CurveComparison", "Histogram", "MfhtCurve", "acf", "compare_curves", "ensemble_acf", "fht_pdf",
@@ -24,3 +25,9 @@ def test_package_exports_the_public_names_of_its_modules():
     assert len(names) == len(set(names)) and set(names) == EXPORTED  # each name in one list
     published = {n for n, v in vars(volstab).items() if not n.startswith("_") and not isinstance(v, ModuleType)}
     assert published == EXPORTED
+
+
+def test_readme_names_every_exported_name_in_backticks():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    named = {word for span in re.findall(r"`([^`\n]+)`", readme) for word in re.findall(r"\w+", span)}
+    assert sorted(EXPORTED - named) == []

@@ -604,6 +604,17 @@ def test_default_run_directory_is_never_reused(tmp_path, monkeypatch, capsys):
     assert not Path("fixed-2").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--returns", "missing.csv"],  # refused before the input is read
+    ["simulate", "--n-series", "2", "--days", "5"],
+], ids=["analyze", "simulate"])
+def test_empty_out_is_refused_before_any_input_or_directory(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv, "--out", "") == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: --out must not be empty\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_perfbench_tracer_spans_every_layer_the_pipeline_calls(tmp_path):
     """The benchmark's tracer rebinds the layer names of ``volstab.cli``; each must still be called through them."""
     tracer = str(Path(__file__).parents[1] / "perfbench" / "tracer.py")
@@ -952,6 +963,20 @@ def test_analyze_from_prices_directory(tmp_path):
     assert len(manifest["inputs"]) == 2
 
 
+def test_prices_directory_manifest_lists_exactly_the_csv_files_read(tmp_path, capsys):
+    d = tmp_path / "prices"
+    d.mkdir()
+    for name, closes in (("bbb", [10, 11, 12, 11]), ("aaa", [20, 19, 21, 22])):
+        (d / f"{name}.csv").write_text("date,close\n" + "".join(f"2020-01-0{i + 1},{c}\n" for i, c in enumerate(closes)))
+    (d / "notes.txt").write_text("not prices\n")
+    out = tmp_path / "an"
+    assert run("analyze", "--prices", str(d), "--sigma-bar", "0.02", "--out", str(out)) in (0, EXIT_EMPTY)
+    assert capsys.readouterr().out.startswith("analyze: 2 series,")
+    inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+    assert list(inputs) == [str(d / "aaa.csv"), str(d / "bbb.csv")]
+    assert inputs == {p: cli._sha256(Path(p)) for p in inputs}
+
+
 def test_analyze_prices_without_a_usable_series_is_input_error(tmp_path, capsys):
     d = tmp_path / "prices"
     d.mkdir()
@@ -1051,6 +1076,20 @@ def test_compare_identity(tmp_path):
     assert [float(r[0]) for r in rows] + [float(rows[-1][1])] == edges.tolist()
     assert report["peak_offset_bins"] == 0
     assert report["verdict_empirical"]["interior_maximum"] == report["verdict_model"]["interior_maximum"]
+
+
+@pytest.mark.parametrize("empty_side", ["--empirical", "--model"])
+def test_compare_names_the_curve_with_no_populated_bin(tmp_path, capsys, empty_side):
+    good = tmp_path / "good.csv"
+    good.write_text(CURVE_HEADER + CURVE_ROWS)
+    empty = tmp_path / "empty.csv"
+    empty.write_text(CURVE_HEADER + "0.001,0.002,,3\n0.002,0.003,,0\n")  # every bin below --min-count
+    paths = {"--empirical": good, "--model": good, empty_side: empty}
+    out = tmp_path / "o"
+    rc = run("compare", *[str(a) for pair in paths.items() for a in pair], "--out", str(out))
+    assert rc == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {empty}: curve has no populated bins\n"
+    assert not out.exists()
 
 
 def test_compare_disjoint_ranges(tmp_path):

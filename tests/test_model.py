@@ -6,18 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from helpers import cir_step_raw, heston_step, potential, potential_gradient
 from volstab import _fork, model
-from volstab.model import (
-    ModelParams,
-    SimConfig,
-    _substream,
-    cir_step_raw,
-    daily_returns,
-    heston_step,
-    potential,
-    potential_gradient,
-    simulate_ensemble,
-)
+from volstab.model import ModelParams, SimConfig, _substream, daily_returns, simulate_ensemble
 
 DEFAULT_MP = ModelParams()
 REFLECTING_MP = ModelParams(v_start=0.05, x0=-0.99)
