@@ -188,6 +188,11 @@ def build_model(config: dict) -> tuple[ModelParams, SimConfig]:
 def _check_flag_bounds(args: argparse.Namespace) -> None:
     if args.out == "":  # names no directory; None is a left-out --out
         raise ConfigError("--out must not be empty")
+    # The directory (runs/ for a default one) is made after the compute: refuse a file in its way now.
+    out = Path("runs" if args.out is None else args.out)
+    existing = next(p for p in (out, *out.parents) if os.path.lexists(p))
+    if not existing.is_dir():
+        raise InputError(f"output directory {out}: {existing} is not a directory")
     for key, lowest in _FLAG_MINIMA.items():
         value = getattr(args, key, None)
         if value is not None and value < lowest:

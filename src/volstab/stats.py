@@ -34,7 +34,7 @@ __all__ = [
 
 DEFAULT_BINS = 30
 DEFAULT_MIN_COUNT = 5
-DEFAULT_PROMINENCE = 1.5
+PROMINENCE = 1.5
 
 
 @dataclass(eq=False)
@@ -80,26 +80,18 @@ class CurveComparison:
     report: dict
 
 
-def _edges(values: np.ndarray, bins: int | np.ndarray, log: bool) -> np.ndarray:
+def _edges(values: np.ndarray, bins: int, log: bool) -> np.ndarray:
     """Edges of ``bins`` equal bins, log-spaced when ``log``, spanning the values; endpoints exact.
 
-    Explicit edges passed as ``bins`` are checked and returned.  The inner
-    log-spaced edges come from ``np.exp``, whose last bits depend on the
-    SIMD loops numpy picks for the CPU, so curve files written on another
-    kind of CPU may differ in those bits.
+    Under ``log`` the values must be positive.  Equal values get one bin
+    around them.  The inner log-spaced edges come from ``np.exp``, whose
+    last bits depend on the SIMD loops numpy picks for the CPU, so curve
+    files written on another kind of CPU may differ in those bits.
     """
-    if not isinstance(bins, (int, np.integer)):
-        edges = np.asarray(bins, dtype=float)
-        # np.all, not any(<= 0): a NaN difference is neither
-        if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0):
-            raise ValueError("explicit bin edges must be 1-d and strictly increasing")
-        return edges
     vmin = float(values.min())
     vmax = float(values.max())
     if vmin == vmax:
-        if not log:
-            return np.array([vmin - 0.5, vmax + 0.5])
-        return np.array([0.5 * vmin, 1.5 * vmin]) if vmin > 0 else np.array([-0.5, 0.5])
+        return np.array([0.5 * vmin, 1.5 * vmin]) if log else np.array([vmin - 0.5, vmax + 0.5])
     if log:
         edges = np.exp(np.linspace(math.log(vmin), math.log(vmax), bins + 1))
     else:
@@ -122,23 +114,22 @@ def _binned(values: np.ndarray, edges: np.ndarray, *weights: np.ndarray) -> list
 
 def mfht_curve(
     table: EpisodeTable,
-    bins: int | np.ndarray = DEFAULT_BINS,
+    bins: int = DEFAULT_BINS,
     min_count: int = DEFAULT_MIN_COUNT,
 ) -> MfhtCurve:
     """Mean-FHT-versus-volatility curve from the episodes of one window.
 
     Episodes are binned by volatility and their hitting times averaged per
-    bin.  ``bins`` is either a count of log-spaced bins spanning the
-    observed positive volatilities or an explicit edge array.  Episodes
-    whose volatility is NaN, non-positive (under log spacing), or outside
-    the edges do not contribute.
+    bin, over ``bins`` log-spaced bins spanning the finite positive
+    volatilities.  Episodes whose volatility is NaN, infinite or not
+    positive do not contribute; when none is left, ValueError is raised.
     """
     fht = np.asarray(table.fht, dtype=float)
     volatility = np.asarray(table.volatility, dtype=float)
     if fht.size == 0:
         raise ValueError("no episodes to bin")
     usable = volatility[np.isfinite(volatility) & (volatility > 0)]
-    if usable.size == 0 and isinstance(bins, (int, np.integer)):
+    if usable.size == 0:
         raise ValueError("no episodes with positive volatility to bin")
     edges = _edges(usable, bins, log=True)
     counts, sums = _binned(volatility, edges, fht)
@@ -148,20 +139,16 @@ def mfht_curve(
     return MfhtCurve(bin_edges=edges, mfht=mfht, counts=counts, window=table.window)
 
 
-def nonmonotonicity_verdict(
-    curve: MfhtCurve | None,
-    prominence: float = DEFAULT_PROMINENCE,
-    window_id: str | None = None,
-) -> dict:
+def nonmonotonicity_verdict(curve: MfhtCurve | None, window_id: str | None = None) -> dict:
     """Pass/fail record for the interior-maximum shape of a curve.
 
     ``argmax_bin`` and ``max_mfht`` give the populated bin with the
     greatest mean hitting time, when at least three bins are populated.
     Ties break toward interior bins (neither first nor last populated),
     then toward lower volatility.  The verdict is positive when that bin
-    is interior and its mean exceeds both the first and last populated
-    bins' by the prominence factor.  A window whose episodes make no curve
-    (``curve`` None) has the verdict of a curve with no populated bin.
+    is interior and its mean is at least ``PROMINENCE`` = 1.5 times the
+    first and the last populated bins'.  A window whose episodes make no
+    curve (``curve`` None) has the verdict of a curve with no populated bin.
     """
     if window_id is None and curve is not None and curve.window is not None:
         window_id = curve.window.window_id
@@ -187,7 +174,7 @@ def nonmonotonicity_verdict(
     ratio_high = top / last if last > 0 else math.inf
     out.update(
         {
-            "interior_maximum": bool(interior.any() and ratio_low >= prominence and ratio_high >= prominence),
+            "interior_maximum": bool(interior.any() and ratio_low >= PROMINENCE and ratio_high >= PROMINENCE),
             "argmax_bin": int(at_top[interior][0] if interior.any() else at_top[0]),
             "max_mfht": float(top),
             "edge_ratio_low": ratio_low,
@@ -264,27 +251,24 @@ def compare_curves(empirical: MfhtCurve, model: MfhtCurve) -> CurveComparison:
     )
 
 
-def histogram(
-    values: Sequence[float] | np.ndarray, bins: int | np.ndarray = DEFAULT_BINS, log: bool = False
-) -> Histogram:
-    """Normalized histogram; density integrates to 1 over the in-range values."""
+def histogram(values: Sequence[float] | np.ndarray, bins: int = DEFAULT_BINS, log: bool = False) -> Histogram:
+    """Density over ``bins`` bins spanning the finite values; log-spaced, of positive values, under ``log``.
+
+    The density integrates to 1.  ValueError when no value is left to bin.
+    """
     values = np.asarray(values, dtype=float)
     values = values[np.isfinite(values)]
     if log:
         values = values[values > 0]
     if values.size == 0:
-        raise ValueError("no finite values to bin")
+        raise ValueError("no positive finite values to bin" if log else "no finite values to bin")
     edges = _edges(values, bins, log)
     (counts,) = _binned(values, edges)
-    total = counts.sum()
-    if total == 0:
-        raise ValueError("no values inside the bin range")
-    widths = np.diff(edges)
-    density = counts / (total * widths)
+    density = counts / (counts.sum() * np.diff(edges))
     return Histogram(bin_edges=edges, density=density, counts=counts)
 
 
-def fht_pdf(table: EpisodeTable, bins: int | np.ndarray = DEFAULT_BINS) -> Histogram:
+def fht_pdf(table: EpisodeTable, bins: int = DEFAULT_BINS) -> Histogram:
     """Distribution of hitting times, log-spaced bins by default."""
     if len(table) == 0:
         raise ValueError("no episodes")

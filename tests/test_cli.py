@@ -615,6 +615,26 @@ def test_empty_out_is_refused_before_any_input_or_directory(tmp_path, monkeypatc
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, blocker, err", [
+    (["simulate", "--n-series", "2", "--days", "5", "--out", "afile"], "afile",
+     "output directory afile: afile is not a directory"),
+    (["simulate", "--n-series", "2", "--days", "5", "--out", "afile/sub"], "afile",
+     "output directory afile/sub: afile is not a directory"),
+    (["simulate", "--n-series", "2", "--days", "5"], "runs",  # the default directory's parent
+     "output directory runs: runs is not a directory"),
+    (["analyze", "--returns", "missing.csv", "--out", "afile"], "afile",  # before the missing input
+     "output directory afile: afile is not a directory"),
+], ids=["a file", "under a file", "default under a file", "analyze"])
+def test_out_that_cannot_be_a_directory_is_refused_before_any_work(tmp_path, monkeypatch, capsys, argv, blocker, err):
+    monkeypatch.chdir(tmp_path)
+    Path(blocker).write_bytes(b"kept\n")
+    monkeypatch.setattr(cli, "simulate_ensemble", lambda *a, **k: pytest.fail("simulated before refusing --out"))
+    assert run(*argv) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {err}\n"
+    assert Path(blocker).read_bytes() == b"kept\n"
+    assert [p.name for p in tmp_path.iterdir()] == [blocker]
+
+
 def test_perfbench_tracer_spans_every_layer_the_pipeline_calls(tmp_path):
     """The benchmark's tracer rebinds the layer names of ``volstab.cli``; each must still be called through them."""
     tracer = str(Path(__file__).parents[1] / "perfbench" / "tracer.py")

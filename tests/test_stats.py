@@ -7,6 +7,7 @@ from helpers import make_ensemble
 from volstab.episodes import EpisodeTable, ThresholdWindow, extract_table
 from volstab.stats import (
     MfhtCurve,
+    _binned,
     acf,
     ensemble_acf,
     fht_pdf,
@@ -79,13 +80,13 @@ def test_curve_refinement_merge_consistency():
     fht = rng.integers(1, 100, 400).astype(float)
     vol = rng.uniform(0.01, 0.02, 400)
     edges = np.linspace(0.01, 0.02, 11)
-    fine = mfht_curve(_table(fht, vol), bins=edges, min_count=1)
-    merged_edges = np.delete(edges, 5)  # merge bins 4 and 5
-    coarse = mfht_curve(_table(fht, vol), bins=merged_edges, min_count=1)
-    c4, c5 = fine.counts[4], fine.counts[5]
-    assert coarse.counts[4] == c4 + c5
-    expected = (fine.mfht[4] * c4 + fine.mfht[5] * c5) / (c4 + c5)
-    assert coarse.mfht[4] == pytest.approx(expected, rel=1e-12)
+    counts, sums = _binned(vol, edges, fht)  # as mfht_curve bins its episodes
+    merged_counts, merged_sums = _binned(vol, np.delete(edges, 5), fht)  # bins 4 and 5 merged
+    fine, coarse = sums / counts, merged_sums / merged_counts
+    c4, c5 = counts[4], counts[5]
+    assert merged_counts[4] == c4 + c5
+    expected = (fine[4] * c4 + fine[5] * c5) / (c4 + c5)
+    assert coarse[4] == pytest.approx(expected, rel=1e-12)
 
 
 def test_curve_mfht_bounded_by_episode_range():
@@ -110,24 +111,6 @@ def test_curve_empty_errors():
         mfht_curve(_table([3], [float("nan")]))
 
 
-# Binning a table's volatilities on explicit edges, by each of the two routines that bin.
-BIN_WITH = pytest.mark.parametrize(
-    "bin_with", [lambda t, e: mfht_curve(t, bins=e, min_count=1), lambda t, e: histogram(t.volatility, bins=e)],
-    ids=["mfht_curve", "histogram"],
-)
-
-
-@pytest.mark.parametrize(
-    "edges", [[0.05, float("nan"), 0.5], [0.5, 0.1, 0.05], [0.05, 0.05, 0.5], [[0.05, 0.5]]],
-    ids=["nan", "decreasing", "repeated", "2-d"],
-)
-@BIN_WITH
-def test_explicit_edges_must_be_strictly_increasing(bin_with, edges):
-    table = _table([3, 5, 7], [0.06, 0.1, 0.3])
-    with pytest.raises(ValueError, match="explicit bin edges must be 1-d and strictly increasing"):
-        bin_with(table, np.array(edges))
-
-
 # Explicit edges, the values binned on them, and the count each bin gets.
 BINNING_RULE = [
     ("inner edge", [0.5, 1, 2, 4], [1.0, 2.0], [0, 1, 1]),  # the upper bin
@@ -141,16 +124,23 @@ BINNING_RULE = [
 @pytest.mark.parametrize(
     "edges, values, counts", [row[1:] for row in BINNING_RULE], ids=[row[0] for row in BINNING_RULE]
 )
-@BIN_WITH
-def test_bins_are_half_open_and_leave_out_what_lies_outside(bin_with, edges, values, counts):
-    table = _table([3] * len(values), values)
-    assert bin_with(table, np.array(edges)).counts.tolist() == counts
+@pytest.mark.parametrize("weighted", [True, False], ids=["mfht_curve", "histogram"])  # how each caller bins
+def test_bins_are_half_open_and_leave_out_what_lies_outside(weighted, edges, values, counts):
+    values = np.array(values, dtype=float)
+    if weighted:  # a weight follows its value into its bin, or out with it
+        binned_counts, sums = _binned(values, np.array(edges), np.full(values.size, 3.0))
+        assert sums.tolist() == [3.0 * c for c in counts]
+    else:
+        (binned_counts,) = _binned(values, np.array(edges))
+    assert binned_counts.tolist() == counts
 
 
 def _peak(curve):
-    """The verdict's peak; at prominence 1.0 ``interior_maximum`` says whether the peak is interior."""
-    verdict = nonmonotonicity_verdict(curve, prominence=1.0)
-    return verdict["argmax_bin"], verdict["max_mfht"], verdict["interior_maximum"]
+    """The verdict's peak, and whether it lies between the first and last populated bins."""
+    verdict = nonmonotonicity_verdict(curve)
+    pop = np.flatnonzero(curve.populated)
+    peak = verdict["argmax_bin"]
+    return peak, verdict["max_mfht"], peak is not None and pop[0] < peak < pop[-1]
 
 
 def test_verdict_peak_basic_and_interior_flag():
@@ -200,6 +190,13 @@ def test_histogram_normalization_and_single_value():
     hist = histogram(rng.lognormal(0, 1, 5000), bins=24, log=True)
     assert abs(float(hist.density @ np.diff(hist.bin_edges)) - 1.0) < 1e-9
     assert (hist.density >= 0).all()
+
+
+def test_histogram_of_no_value_to_bin_says_which_values_count():
+    with pytest.raises(ValueError, match="^no positive finite values to bin$"):
+        histogram([-1.0, 0.0, math.nan], log=True)
+    with pytest.raises(ValueError, match="^no finite values to bin$"):
+        histogram([math.nan, math.inf])
 
 
 def test_histogram_linear_normalization():
