@@ -16,16 +16,17 @@ payloads give equal bytes.
 
 ``read_table`` reads a CSV back: numpy's C reader is given the path and
 splits and parses the lines itself.  A file it refuses (a whitespace-only
-line, a malformed row) is parsed again from its nonblank lines, and a line
-refused then is named by its file line, so every numeric cell is judged by
-numpy's parser either way.  Files are UTF-8 in both directions.
+line, a malformed row) is parsed again from its nonblank lines; when that
+fails too, the lines go to numpy again in chunks, and only in a chunk it
+refuses is each line put to it alone, so a refused line is named by its
+file line.  numpy's parser is the only judge of a cell.  Files are UTF-8
+in both directions.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import re
 import shutil
 import tempfile
 import warnings
@@ -219,18 +220,13 @@ def _loadtxt(source: str | Path | Iterable[str], dtype, skiprows: int = 0) -> np
                           skiprows=skiprows, encoding="latin-1")
 
 
-# Cells of the forms the writers write, by field kind; numpy's parser
-# accepts every one (18 digits always fit an int64).
-_PLAIN_CELL = {
-    "S": r"[^,]*",
-    "i": r"-?[0-9]{1,18}",
-    "f": r"-?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|nan",
-}
+# The nonblank lines _raise_malformed puts to numpy at once.
+_CHUNK_LINES = 1024
 
 
-def _numpy_accepts(line: str, dtype: np.dtype) -> bool:
+def _numpy_accepts(lines: list[str], dtype: np.dtype) -> bool:
     try:
-        _loadtxt([line], dtype)
+        _loadtxt(lines, dtype)
     except ValueError:
         return False
     return True
@@ -239,23 +235,28 @@ def _numpy_accepts(line: str, dtype: np.dtype) -> bool:
 def _raise_malformed(path, lines: Iterable[str], dtype: np.dtype) -> None:
     """Raise naming the first nonblank line that numpy's parser rejects.
 
-    Lines of the plain form pass at once; any other line, and then each of
-    its cells, is put to numpy alone, so the verdict is numpy's own.
+    The nonblank lines go to numpy ``_CHUNK_LINES`` at a time.  In a chunk
+    it refuses, each line is put to it alone, and then each cell of a
+    refused line, so the verdict is numpy's own.  A line refused whole
+    whose cells all pass alone is passed over.
     """
-    plain = re.compile(",".join(f"(?:{_PLAIN_CELL[dtype[name].kind]})" for name in dtype.names) + "\n?")
-    for line_no, line in enumerate(lines, start=2):
-        if not line.strip() or plain.fullmatch(line) or _numpy_accepts(line, dtype):
+    numbered = ((n, line) for n, line in enumerate(lines, start=2) if line.strip())
+    while chunk := list(itertools.islice(numbered, _CHUNK_LINES)):
+        if _numpy_accepts([line for _, line in chunk], dtype):
             continue
-        cells = line.rstrip("\n").split(",")
-        if len(cells) != len(dtype.names):
-            raise ValueError(f"{path}: line {line_no}: expected {len(dtype.names)} columns, got {len(cells)}")
-        for j, name in enumerate(dtype.names):
-            row = ["0"] * len(cells)
-            row[j] = cells[j]
-            if not _numpy_accepts(",".join(row), dtype):
-                kind = "an integer" if dtype[name].kind == "i" else "a number"
-                shown = show_bytes(cells[j].encode("latin-1"))
-                raise ValueError(f"{path}: line {line_no}: {name} is not {kind}: {shown!r}")
+        for line_no, line in chunk:
+            if _numpy_accepts([line], dtype):
+                continue
+            cells = line.rstrip("\n").split(",")
+            if len(cells) != len(dtype.names):
+                raise ValueError(f"{path}: line {line_no}: expected {len(dtype.names)} columns, got {len(cells)}")
+            for j, name in enumerate(dtype.names):
+                row = ["0"] * len(cells)
+                row[j] = cells[j]
+                if not _numpy_accepts([",".join(row)], dtype):
+                    kind = "an integer" if dtype[name].kind == "i" else "a number"
+                    shown = show_bytes(cells[j].encode("latin-1"))
+                    raise ValueError(f"{path}: line {line_no}: {name} is not {kind}: {shown!r}")
 
 
 def show_bytes(raw: bytes) -> str:

@@ -188,11 +188,13 @@ def build_model(config: dict) -> tuple[ModelParams, SimConfig]:
 def _check_flag_bounds(args: argparse.Namespace) -> None:
     if args.out == "":  # names no directory; None is a left-out --out
         raise ConfigError("--out must not be empty")
-    # The directory (runs/ for a default one) is made after the compute: refuse a file in its way now.
+    # The directory (runs/ for a default one) is made after the compute: refuse now what would stop it.
     out = Path("runs" if args.out is None else args.out)
     existing = next(p for p in (out, *out.parents) if os.path.lexists(p))
     if not existing.is_dir():
         raise InputError(f"output directory {out}: {existing} is not a directory")
+    if not os.access(existing, os.W_OK | os.X_OK):
+        raise InputError(f"output directory {out}: {existing} is not writable")
     for key, lowest in _FLAG_MINIMA.items():
         value = getattr(args, key, None)
         if value is not None and value < lowest:
@@ -370,7 +372,7 @@ def _curve_files(tables: list[EpisodeTable], bins: int, min_count: int) -> list[
         try:
             curve = mfht_curve(table, bins=bins, min_count=min_count)
             files.append((f"curve_{window_id}.csv", write_curve_csv, (curve,)))
-        except ValueError:  # no episodes, or none with binnable volatility
+        except ValueError:  # no episode with binnable volatility; an empty table has none
             curve = None
         verdicts.append(nonmonotonicity_verdict(curve, window_id=window_id))
     return files + [("verdicts.json", write_json, (verdicts,))]
@@ -416,7 +418,7 @@ def _load_episode_tables(path_text: str) -> list[EpisodeTable]:
     path = Path(path_text)
     with _fault(InputError):
         tables = read_episodes_csv(path)
-    if not tables or all(len(t) == 0 for t in tables):
+    if not tables:
         raise EmptyResultError(f"{path}: no episodes")
     return tables
 

@@ -32,7 +32,7 @@ process, which does the same for the first range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
 
 import numpy as np
@@ -88,19 +88,16 @@ class ModelParams:
     x0: float = 0.0
 
     def __post_init__(self) -> None:
-        _require_finite("m", self.m)
-        _require_finite("n", self.n)
+        for f in fields(self):
+            _require_finite(f.name, getattr(self, f.name))
         if self.m < 0 or self.n < 0:
             raise ValueError(f"potential coefficients must be >= 0, got m={self.m}, n={self.n}")
-        for name in ("a", "b", "c", "v_start"):
-            _require_finite(name, getattr(self, name))
         if self.a <= 0:
             raise ValueError(f"a must be positive, got {self.a}")
         if self.b < 0 or self.c < 0 or self.v_start < 0:
             raise ValueError(
                 f"b, c and v_start must be >= 0, got b={self.b}, c={self.c}, v_start={self.v_start}"
             )
-        _require_finite("x0", self.x0)
 
     @property
     def barrier(self) -> float:

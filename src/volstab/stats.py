@@ -84,10 +84,13 @@ def _edges(values: np.ndarray, bins: int, log: bool) -> np.ndarray:
     """Edges of ``bins`` equal bins, log-spaced when ``log``, spanning the values; endpoints exact.
 
     Under ``log`` the values must be positive.  Equal values get one bin
-    around them.  The inner log-spaced edges come from ``np.exp``, whose
-    last bits depend on the SIMD loops numpy picks for the CPU, so curve
-    files written on another kind of CPU may differ in those bits.
+    around them; ``bins`` below 1 raises ValueError.  The inner log-spaced
+    edges come from ``np.exp``, whose last bits depend on the SIMD loops
+    numpy picks for the CPU, so curve files written on another kind of CPU
+    may differ in those bits.
     """
+    if bins < 1:
+        raise ValueError(f"bins must be at least 1, got {bins}")
     vmin = float(values.min())
     vmax = float(values.max())
     if vmin == vmax:
@@ -126,8 +129,6 @@ def mfht_curve(
     """
     fht = np.asarray(table.fht, dtype=float)
     volatility = np.asarray(table.volatility, dtype=float)
-    if fht.size == 0:
-        raise ValueError("no episodes to bin")
     usable = volatility[np.isfinite(volatility) & (volatility > 0)]
     if usable.size == 0:
         raise ValueError("no episodes with positive volatility to bin")
@@ -270,8 +271,6 @@ def histogram(values: Sequence[float] | np.ndarray, bins: int = DEFAULT_BINS, lo
 
 def fht_pdf(table: EpisodeTable, bins: int = DEFAULT_BINS) -> Histogram:
     """Distribution of hitting times, log-spaced bins by default."""
-    if len(table) == 0:
-        raise ValueError("no episodes")
     return histogram(table.fht, bins=bins, log=True)
 
 

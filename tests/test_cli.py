@@ -371,6 +371,38 @@ def test_malformed_curve_csv_is_one_line_input_error(tmp_path, capsys, body, lin
     assert not out.exists()
 
 
+# Per file kind: the command line up to the file, its header, a good row, a
+# bad row and the error the bad row gives.
+CHUNKED_FILES = {
+    "returns": (["analyze", "--returns"], RETURNS_HEADER, "aa,0,0.001\n", "aa,1,x\n", "return is not a number: 'x'"),
+    "episodes": (["mfht", "--episodes"], EPISODES_HEADER, FIG1A_ROW, f"aa,{FIG1A},3,4\n", "expected 7 columns, got 6"),
+    "curves": (["compare", "--empirical", "{good}", "--model"], CURVE_HEADER, "0.001,0.002,5.0,10\n",
+               "0.001,0.002,5.0,1.5\n", "count is not an integer: '1.5'"),
+}
+CHUNK = _io._CHUNK_LINES
+# The bad row's place among the nonblank rows, and the text before the rows.
+CHUNK_EDGES = [
+    ("last of the first chunk", CHUNK - 1, ""),
+    ("first of the second chunk", CHUNK, ""),
+    ("far past both", 3 * CHUNK + 5, ""),
+    ("first of the second chunk after a whitespace-only line", CHUNK, " \n"),
+]
+
+
+@pytest.mark.parametrize("kind", list(CHUNKED_FILES))
+@pytest.mark.parametrize("at, lead", [row[1:] for row in CHUNK_EDGES], ids=[row[0] for row in CHUNK_EDGES])
+def test_a_malformed_row_is_named_wherever_it_falls_among_the_chunks(tmp_path, capsys, kind, at, lead):
+    argv, header, good, bad, needle = CHUNKED_FILES[kind]
+    (tmp_path / "good.csv").write_text(CURVE_HEADER + CURVE_ROWS)
+    path = tmp_path / "input.csv"
+    path.write_text(header + lead + good * at + bad + good * (4 * CHUNK - at))
+    out = tmp_path / "o"
+    assert run(*[a.format(good=tmp_path / "good.csv") for a in argv], str(path), "--out", str(out)) == EXIT_INPUT
+    line = 2 + lead.count("\n") + at
+    assert capsys.readouterr().err == f"error: {path}: line {line}: {needle}\n"
+    assert not out.exists()
+
+
 # Each input kind under a header that is not its own, and the flags that read it.
 WRONG_HEADERS = [
     (["analyze", "--returns"], "ticker,day,return\n", RETURNS_HEADER),
@@ -505,6 +537,8 @@ ACCEPTED_RETURNS = [
     ("40-character ticker", _rows("T" * 40, EPISODE), ["T" * 40]),
     ("non-ASCII ticker", _rows("Société€", EPISODE), ["Société€"]),
     ("whitespace-only lines", " \n" + _rows("aa", EPISODE).replace("\n", "\n\t \n\n"), ["aa"]),
+    # numpy refuses the whitespace-only line, so the width is widened on the nonblank lines
+    ("16-byte ticker after a whitespace-only line", " \n" + _rows("T" * 16, EPISODE), ["T" * 16]),
     (
         "interleaved tickers",
         "".join(a + b for a, b in zip(_rows("bb", EPISODE).splitlines(True), _rows("aa", EPISODE).splitlines(True))),
@@ -633,6 +667,28 @@ def test_out_that_cannot_be_a_directory_is_refused_before_any_work(tmp_path, mon
     assert capsys.readouterr().err == f"error: {err}\n"
     assert Path(blocker).read_bytes() == b"kept\n"
     assert [p.name for p in tmp_path.iterdir()] == [blocker]
+
+
+@pytest.mark.parametrize("argv, locked, err", [
+    (["simulate", "--n-series", "2", "--days", "5", "--out", "locked"], "locked",
+     "output directory locked: locked is not writable"),
+    (["simulate", "--n-series", "2", "--days", "5", "--out", "locked/sub/run"], "locked",
+     "output directory locked/sub/run: locked is not writable"),
+    (["simulate", "--n-series", "2", "--days", "5"], ".",  # the default directory's parent
+     "output directory runs: . is not writable"),
+    (["analyze", "--returns", "missing.csv", "--out", "locked"], "locked",  # before the missing input
+     "output directory locked: locked is not writable"),
+], ids=["a directory", "under a directory", "default", "analyze"])
+def test_out_that_cannot_be_written_is_refused_before_any_work(tmp_path, monkeypatch, capsys, argv, locked, err):
+    # Permissions do not bind a superuser, so the directory is made unwritable to os.access alone.
+    monkeypatch.chdir(tmp_path)
+    Path(locked).mkdir(exist_ok=True)
+    access = os.access
+    monkeypatch.setattr(os, "access", lambda path, mode, **kw: Path(path) != Path(locked) and access(path, mode, **kw))
+    monkeypatch.setattr(cli, "simulate_ensemble", lambda *a, **k: pytest.fail("simulated before refusing --out"))
+    assert run(*argv) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {err}\n"
+    assert [p.name for p in tmp_path.rglob("*")] == ([] if locked == "." else [locked])
 
 
 def test_perfbench_tracer_spans_every_layer_the_pipeline_calls(tmp_path):

@@ -1,7 +1,7 @@
 import math
 import os
 import signal
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -56,6 +56,13 @@ def test_param_validation():
         SimConfig(days=-1)
     with pytest.raises(ValueError):
         SimConfig(n_series=0)
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(ModelParams)])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_each_model_param_must_be_finite(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
+        ModelParams(**{name: value})
 
 
 def test_feller_ratio_reported_not_enforced():

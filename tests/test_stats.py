@@ -105,10 +105,25 @@ def test_curve_counts_exclude_filtered_episodes():
 
 
 def test_curve_empty_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^no episodes with positive volatility to bin$"):
         mfht_curve(_table([], []))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^no episodes with positive volatility to bin$"):
         mfht_curve(_table([3], [float("nan")]))
+    with pytest.raises(ValueError, match="^no positive finite values to bin$"):
+        fht_pdf(_table([], []))
+
+
+@pytest.mark.parametrize("bins", [0, -2])
+@pytest.mark.parametrize("call", [
+    lambda bins: mfht_curve(_table([3, 5, 7], [0.01, 0.02, 0.03]), bins=bins),
+    lambda bins: mfht_curve(_table([3, 5, 7], [0.02] * 3), bins=bins),
+    lambda bins: histogram([1.0, 2.0, 3.0], bins=bins),
+    lambda bins: histogram([7.0] * 3, bins=bins),
+    lambda bins: fht_pdf(_table([3, 5, 7], [0.01, 0.02, 0.03]), bins=bins),
+], ids=["mfht_curve", "mfht_curve of equal volatilities", "histogram", "histogram of equal values", "fht_pdf"])
+def test_fewer_than_one_bin_is_refused(call, bins):
+    with pytest.raises(ValueError, match=f"^bins must be at least 1, got {bins}$"):
+        call(bins)
 
 
 # Explicit edges, the values binned on them, and the count each bin gets.

@@ -1,7 +1,10 @@
-"""tools/src_lines.py: every source line counted once, in one kind."""
+"""Repository tooling: tools/src_lines.py, and a check that no module of src/volstab imports a name it never uses."""
 
+import ast
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).parents[1]
 _spec = importlib.util.spec_from_file_location("src_lines", ROOT / "tools" / "src_lines.py")
@@ -39,3 +42,32 @@ def test_each_line_falls_in_one_kind(tmp_path):
 def test_the_counts_of_the_package_add_up():
     counts = src_lines.count(ROOT / "src" / "volstab")
     assert counts["total"] == sum(counts[kind] for kind in src_lines.KINDS) > 0
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads; ``__future__`` imports and names in ``__all__`` count as read."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update({(a.asname or a.name.split(".")[0]): node.lineno for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update({(a.asname or a.name): node.lineno for a in node.names})
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return sorted(f"line {line}: {name}" for name, line in imported.items() if name not in used)
+
+
+def test_unused_import_is_found():
+    assert _unused_imports("import re\nimport os.path\nfrom x import a as b, c\n__all__ = ['c']\nos.sep\n") == [
+        "line 1: re", "line 3: b",
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in (ROOT / "src" / "volstab").glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.name
+)
+def test_no_module_imports_a_name_it_never_uses(path):
+    assert _unused_imports(path.read_text(encoding="utf-8")) == []
