@@ -3,9 +3,11 @@
 Floats are written with ``repr``, the shortest text that parses back to the
 same double, so every CSV round-trips exactly.  ``write_csv`` is the one
 CSV writer: it opens the file, writes the header and hands each group of
-rows (a returns series, a trajectory, an episode table, a whole curve) to
-``write_rows``, which writes whole columns; it can split the groups among
-forked processes.  ``fmt`` formats a scalar cell
+rows (a returns series, a trajectory, a whole curve) to ``write_rows``,
+which writes whole columns; it can split the groups among forked
+processes.  The episodes writer calls ``write_rows`` itself, once per
+block of series and window, and ``IntTexts`` builds the integer texts of
+all those calls once.  ``fmt`` formats a scalar cell
 (a window's thetas, a curve's bins, ``sigma_bar``) with the same text.
 ``float_texts`` takes a cell's text from the column before when that
 column held the same bit pattern and formats only the other cells, so the
@@ -14,13 +16,15 @@ windows, with the same bytes.
 JSON files are indented, key-sorted and newline-terminated so that equal
 payloads give equal bytes.
 
-``read_table`` reads a CSV back: numpy's C reader is given the path and
-splits and parses the lines itself.  A file it refuses (a whitespace-only
-line, a malformed row) is parsed again from its nonblank lines; when that
-fails too, the lines go to numpy again in chunks, and only in a chunk it
-refuses is each line put to it alone, so a refused line is named by its
-file line.  numpy's parser is the only judge of a cell.  Files are UTF-8
-in both directions.
+``read_table`` reads a CSV back a chunk of ``_CHUNK_LINES`` lines at a
+time: each chunk's lines are read from the open file and handed to numpy's
+parser as a list, so what a read holds at once is one chunk's text and
+rows, and each caller keeps only what it reduces a chunk to.  A chunk
+numpy refuses (a whitespace-only line, a malformed row) is parsed again
+from its nonblank lines; when that fails too, its nonblank lines are put
+to numpy in groups and then alone, so a refused line is named by its file
+line.  numpy's parser
+is the only judge of a cell.  Files are UTF-8 in both directions.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import tempfile
 import warnings
 from contextlib import ExitStack, nullcontext
 from pathlib import Path
-from typing import Callable, Iterable, TextIO
+from typing import Callable, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -105,6 +109,32 @@ def _column_text(column) -> list[str]:
     return list(map(str, column.tolist()))
 
 
+class IntTexts:
+    """The texts of integer columns, from one table of ``str(i)`` for 0, 1, 2, ... kept across calls.
+
+    Called on a column, it returns each cell's text as ``write_rows``
+    writes it.  A column of non-negative cells takes them from the table,
+    which grows to the column's largest cell when that adds no more texts
+    than the column has cells; any other column is formatted as
+    ``write_rows`` formats it.  So the columns of one write, such as the
+    episodes' start indices and hitting times block after block, build each
+    text once.
+    """
+
+    def __init__(self) -> None:
+        self._texts = np.empty(0, dtype=object)
+
+    def __call__(self, column: np.ndarray) -> list[str]:
+        lo, hi = (int(column.min()), int(column.max())) if column.size else (0, -1)
+        known = self._texts.size
+        if lo < 0 or hi - known >= column.size:
+            return _column_text(column)
+        if hi >= known:
+            grown = np.array([str(i) for i in range(known, hi + 1)], dtype=object)
+            self._texts = np.concatenate([self._texts, grown])
+        return self._texts[column].tolist()
+
+
 def float_texts(
     column: np.ndarray, previous: tuple[np.ndarray, np.ndarray]
 ) -> tuple[list[str], tuple[np.ndarray, np.ndarray]]:
@@ -138,67 +168,129 @@ def write_json(payload, path: str | Path) -> None:
         fh.write("\n")
 
 
+# The lines read_table reads and numpy parses at once.
+_CHUNK_LINES = 2**12
+# The nonblank lines of a refused chunk that _raise_malformed puts to numpy at once.
+_PROBE_LINES = 1024
+
+
 def read_table(
     path: str | Path, dtype: np.dtype, header: str | None = None
-) -> tuple[np.ndarray, Callable[[int], int]]:
-    """Every nonblank data row of a CSV whose header names ``dtype``'s fields.
+) -> tuple[Iterator[np.ndarray], Callable[[int], int]]:
+    """The nonblank data rows of a CSV whose header names ``dtype``'s fields, a chunk at a time.
 
     ``dtype`` has one field per column.  A text column (``S<n>``) keeps its
     cells' UTF-8 bytes; ``n`` is a first guess at its width, widened until
-    no cell fills it, so no cell is ever cut short.  A caller that has read
+    no cell of a chunk fills it, so no cell is ever cut short; a chunk is
+    read at least as wide as the chunk before it.  A caller that has read
     and checked the header line itself passes it, stripped and read as
-    latin-1, as ``header``.  Returns the rows and ``line_of``, the file line
-    of a data row.  A wrong header or a line that numpy's parser refuses
-    raises ValueError naming the file and the line.
+    latin-1, as ``header``.  Returns the chunks, the rows of each next
+    ``_CHUNK_LINES`` lines of the file that hold any, and ``line_of``, the
+    file line of a data row counted over the whole file.  A wrong header
+    or a line that numpy's parser refuses raises ValueError naming the file
+    and the line when its chunk is reached, so a caller that reports its
+    own faults only after the last chunk reports none that numpy would
+    have refused.
     """
     header = ",".join(dtype.names) if header is None else header
-    # latin-1 maps every byte to one character, so text cells pass the
-    # parser as their bytes.
-    with open(path, encoding="latin-1") as fh:
-        got = fh.readline().strip()
-        if got != header:
-            shown = show_bytes(got.encode("latin-1"))
-            raise ValueError(f"{path}: expected header {header!r}, got {shown!r}")
-        body = fh.tell()
-        while True:
-            try:  # numpy's C reader splits the lines itself
-                rows = _loadtxt(path, dtype, skiprows=1)
-            except Exception:
-                # numpy refuses a whitespace-only line, which the line filter
-                # skips, and a malformed line, which _raise_malformed names;
-                # it also takes a name ending in .gz, .bz2, .xz or .lzma for
-                # a compressed file, and its decompressor fails on the text.
-                fh.seek(body)
-                try:
-                    rows = _loadtxt(filter(str.strip, fh), dtype)
-                except ValueError as exc:
-                    fh.seek(body)
-                    _raise_malformed(path, fh, dtype)
-                    raise ValueError(f"{path}: {exc}") from None  # a row numpy refuses whole
-            full = [name for name in dtype.names if _fills(rows, name)]
-            if not full:
-                break
-            dtype = np.dtype([(name, f"S{4 * dtype[name].itemsize}" if name in full else dtype[name])
-                              for name in dtype.names])
+
+    def chunks(dtype: np.dtype) -> Iterator[np.ndarray]:
+        # latin-1 maps every byte to one character, so text cells pass the
+        # parser as their bytes.
+        with open(path, encoding="latin-1") as fh:
+            got = fh.readline().strip()
+            if got != header:
+                shown = show_bytes(got.encode("latin-1"))
+                raise ValueError(f"{path}: expected header {header!r}, got {shown!r}")
+            first = 2  # the file line of the chunk's first line
+            while lines := list(itertools.islice(fh, _CHUNK_LINES)):
+                rows, dtype = _parse(path, lines, first, dtype)
+                if rows.size:
+                    yield rows
+                first += len(lines)
 
     def line_of(row: int) -> int:
         with open(path, encoding="latin-1") as fh:
             numbers = (n for n, line in enumerate(fh, start=1) if n > 1 and line.strip())
             return next(itertools.islice(numbers, int(row), None))
 
-    return rows, line_of
+    return chunks(dtype), line_of
 
 
-def decode_runs(path, column: np.ndarray, name: str, line_of) -> tuple[np.ndarray, list[str]]:
-    """Starts of the runs of equal cells in a text column, and each run's UTF-8 text."""
-    starts = np.concatenate(([0], np.flatnonzero(column[1:] != column[:-1]) + 1))
-    texts = []
-    for row, raw in zip(starts.tolist(), column[starts].tolist()):
+def read_rows(path: str | Path, dtype: np.dtype, header: str | None = None) -> tuple[np.ndarray, Callable[[int], int]]:
+    """``read_table``'s chunks as one array, for a file whose rows are all kept; it is read as wide as its widest chunk."""
+    chunks, line_of = read_table(path, dtype, header)
+    parts = list(chunks)
+    if not parts:
+        return np.empty(0, dtype), line_of
+    return np.concatenate([part.astype(parts[-1].dtype) for part in parts]), line_of
+
+
+def _parse(path, lines: list[str], first: int, dtype: np.dtype) -> tuple[np.ndarray, np.dtype]:
+    """The rows of ``lines``, the file's lines from line ``first`` on, and the dtype wide enough for them."""
+    while True:
         try:
-            texts.append(raw.decode("utf-8"))
-        except UnicodeDecodeError:
-            raise ValueError(f"{path}: line {line_of(row)}: {name} {show_bytes(raw)!r} is not UTF-8") from None
-    return starts, texts
+            rows = _loadtxt(lines, dtype)
+        except ValueError:
+            # numpy refuses a whitespace-only line, which the line filter
+            # skips, and a malformed line, which _raise_malformed names.
+            try:
+                rows = _loadtxt(filter(str.strip, lines), dtype)
+            except ValueError as exc:
+                _raise_malformed(path, lines, dtype, first)
+                raise ValueError(f"{path}: {exc}") from None  # a row numpy refuses whole
+        full = [name for name in dtype.names if _fills(rows, name)]
+        if not full:
+            return rows, dtype
+        dtype = np.dtype([(name, f"S{4 * dtype[name].itemsize}" if name in full else dtype[name])
+                          for name in dtype.names])
+
+
+class TextRuns:
+    """Runs of equal cells in a text column that a file gives chunk by chunk.
+
+    ``starts`` holds each run's first row, counted over the whole file, and
+    ``texts`` its cell decoded as UTF-8.  A run at the end of a chunk goes
+    on into the next chunk when that chunk's first cell is the same.  The
+    first run whose cell is not UTF-8 is kept as ``fault``, its row and
+    bytes, for the caller to report once the whole file has been parsed;
+    no run is added after it.
+    """
+
+    def __init__(self) -> None:
+        self.starts: list[int] = []
+        self.texts: list[str] = []
+        self.fault: tuple[int, bytes] | None = None
+        self._rows = 0  # rows of the chunks before
+        self._last = None  # the last cell of the chunk before
+
+    def add(self, column: np.ndarray) -> tuple[np.ndarray, list[str]] | None:
+        """The runs that cover the next chunk's cells: each one's first row in the chunk and its text.
+
+        None once a cell has not been UTF-8.
+        """
+        starts = np.concatenate(([0], np.flatnonzero(column[1:] != column[:-1]) + 1))
+        raws = column[starts].tolist()
+        before, self._rows = self._rows, self._rows + column.size
+        go_on, self._last = raws[0] == self._last, raws[-1]
+        if self.fault:
+            return None
+        texts = self.texts[-1:] if go_on else []
+        for row, raw in zip(starts.tolist()[len(texts):], raws[len(texts):]):
+            try:
+                texts.append(raw.decode("utf-8"))
+            except UnicodeDecodeError:
+                self.fault = (before + row, raw)
+                return None
+            self.starts.append(before + row)
+            self.texts.append(texts[-1])
+        return starts, texts
+
+    def raise_fault(self, path, name: str, line_of: Callable[[int], int]) -> None:
+        """Raise ValueError naming the line and bytes of the cell that was not UTF-8, if one was not."""
+        if self.fault:
+            row, raw = self.fault
+            raise ValueError(f"{path}: line {line_of(row)}: {name} {show_bytes(raw)!r} is not UTF-8")
 
 
 def _fills(rows: np.ndarray, name: str) -> bool:
@@ -209,19 +301,14 @@ def _fills(rows: np.ndarray, name: str) -> bool:
     return bool(rows.view(np.uint8).reshape(rows.size, -1)[:, offset + field.itemsize - 1].any())
 
 
-def _loadtxt(source: str | Path | Iterable[str], dtype, skiprows: int = 0) -> np.ndarray:
+def _loadtxt(source: Iterable[str], dtype) -> np.ndarray:
     with warnings.catch_warnings():
         # A header-only file is reported by the caller, not by numpy.
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         # numpy releases that read "1.5" as the integer 1 only warn, and
         # Python hides that warning; as an error it makes numpy refuse the row.
         warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
-        return np.loadtxt(source, dtype=dtype, delimiter=",", comments=None, ndmin=1,
-                          skiprows=skiprows, encoding="latin-1")
-
-
-# The nonblank lines _raise_malformed puts to numpy at once.
-_CHUNK_LINES = 1024
+        return np.loadtxt(source, dtype=dtype, delimiter=",", comments=None, ndmin=1, encoding="latin-1")
 
 
 def _numpy_accepts(lines: list[str], dtype: np.dtype) -> bool:
@@ -232,19 +319,20 @@ def _numpy_accepts(lines: list[str], dtype: np.dtype) -> bool:
     return True
 
 
-def _raise_malformed(path, lines: Iterable[str], dtype: np.dtype) -> None:
-    """Raise naming the first nonblank line that numpy's parser rejects.
+def _raise_malformed(path, lines: list[str], dtype: np.dtype, first: int) -> None:
+    """Raise naming the first nonblank line of a refused chunk that numpy's parser rejects.
 
-    The nonblank lines go to numpy ``_CHUNK_LINES`` at a time.  In a chunk
-    it refuses, each line is put to it alone, and then each cell of a
-    refused line, so the verdict is numpy's own.  A line refused whole
-    whose cells all pass alone is passed over.
+    ``lines`` are the file's lines from line ``first`` on.  Their nonblank
+    lines go to numpy ``_PROBE_LINES`` at a time.  In a group it refuses,
+    each line is put to it alone, and then each cell of a refused line, so
+    the verdict is numpy's own.  A line refused whole whose cells all pass
+    alone is passed over.
     """
-    numbered = ((n, line) for n, line in enumerate(lines, start=2) if line.strip())
-    while chunk := list(itertools.islice(numbered, _CHUNK_LINES)):
-        if _numpy_accepts([line for _, line in chunk], dtype):
+    numbered = ((n, line) for n, line in enumerate(lines, start=first) if line.strip())
+    while group := list(itertools.islice(numbered, _PROBE_LINES)):
+        if _numpy_accepts([line for _, line in group], dtype):
             continue
-        for line_no, line in chunk:
+        for line_no, line in group:
             if _numpy_accepts([line], dtype):
                 continue
             cells = line.rstrip("\n").split(",")

@@ -23,16 +23,16 @@ import shutil
 import sys
 import tempfile
 import time
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
-from ._io import fmt, write_csv, write_json
+from ._io import IntTexts, fmt, write_csv, write_json
 from .episodes import (
     DEFAULT_ENTRY_RULE,
     DEFAULT_VOL_SCOPE,
@@ -42,9 +42,9 @@ from .episodes import (
     EpisodeTable,
     ThresholdWindow,
     extract_table,
-    join_tables,
     read_episodes_csv,
     window_family,
+    write_episode_rows,
     write_episodes_csv,
 )
 from .model import ModelParams, SimConfig, daily_returns, simulate_ensemble
@@ -258,7 +258,9 @@ class Outcome:
     the subcommand used, ``inputs`` and ``extra``, its results, go into
     the manifest; a seed in ``config`` (``simulate``'s) names a default output
     directory.  ``summary(out)`` is printed; an ``empty`` message marks an
-    empty result, printed to stderr with exit code 4.
+    empty result, printed to stderr with exit code 4.  ``closing`` closes
+    what the writers read from, such as analyze's spooled episode rows; it
+    is closed when ``main`` is done with the outcome, on every path.
     """
 
     config: dict
@@ -267,6 +269,7 @@ class Outcome:
     summary: Callable[[Path], str]
     extra: dict = field(default_factory=dict)
     empty: str | None = None
+    closing: ExitStack = field(default_factory=ExitStack)
 
 
 def _write_outputs(out: Path, subcommand: str, outcome: Outcome) -> None:
@@ -364,7 +367,15 @@ def _resolve_windows(args: argparse.Namespace, sigma_bar: float) -> list[Thresho
         return window_family(args.window, sigma_bar)
 
 
-def _curve_files(tables: list[EpisodeTable], bins: int, min_count: int) -> list[tuple]:
+class _Binned(NamedTuple):
+    """What a window's curve is built from: ``mfht_curve`` reads a table's window, fht and volatility only."""
+
+    window: ThresholdWindow
+    fht: np.ndarray
+    volatility: np.ndarray
+
+
+def _curve_files(tables: list[EpisodeTable] | list[_Binned], bins: int, min_count: int) -> list[tuple]:
     """Each table's curve file (none when no episode can be binned), then ``verdicts.json``."""
     files, verdicts = [], []
     for table in tables:
@@ -390,25 +401,38 @@ def cmd_analyze(args: argparse.Namespace) -> Outcome:
                 "so sigma_bar is 0 and no threshold can be set from it"
             )
     windows = _resolve_windows(args, sigma_bar)
-    # Every window scans one block of series before the next block is cut,
-    # so only one block's prefix sums and masks are alive at a time.
-    parts = [[] for _ in windows]
-    for block in ensemble.series_blocks():
-        for window, part in zip(windows, parts):
-            part.append(extract_table(block, window, entry_rule=args.entry_rule, vol_scope=args.vol_scope))
-    del block  # a view of the ensemble's values
     n_series = len(ensemble)
-    del ensemble  # its arrays outweigh the tables; free them before writing
-    tables = join_tables(parts)
-    files = [("episodes.csv", write_episodes_csv, (tables,))]
-    files += _curve_files(tables, args.bins, args.min_count)
-    total = sum(len(t) for t in tables)
-    config = {name: getattr(args, name) for name in ("window", "entry_rule", "vol_scope", "bins", "min_count")}
-    return Outcome(
-        config, inputs, files,
-        lambda out: f"analyze: {n_series} series, {len(windows)} window(s), {total} episodes -> {out}",
-        {"sigma_bar": sigma_bar}, empty=None if total else "no episodes extracted",
-    )
+    # Every window scans one block of series before the next block is cut,
+    # so only one block's prefix sums and masks are alive at a time, and
+    # each block's rows are written out as text at once: to one unlinked
+    # temporary file per window, which episodes.csv is made of.  Only the
+    # hitting times and volatilities stay, for the curves.
+    kept = [([], []) for _ in windows]
+    try:
+        with ExitStack() as stack:
+            spools = [stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
+                      for _ in windows]
+            ints = IntTexts()
+            for block in ensemble.series_blocks():
+                tables = [extract_table(block, w, entry_rule=args.entry_rule, vol_scope=args.vol_scope)
+                          for w in windows]
+                write_episode_rows(spools, tables, ints)
+                for (fht, vol), table in zip(kept, tables):
+                    fht.append(table.fht)
+                    vol.append(table.volatility)
+            del ensemble, block  # the block is a view of the ensemble's values
+            binned = [_Binned(w, np.concatenate(fht), np.concatenate(vol)) for w, (fht, vol) in zip(windows, kept)]
+            files = [("episodes.csv", write_episodes_csv, (spools,))]
+            files += _curve_files(binned, args.bins, args.min_count)
+            total = sum(b.fht.size for b in binned)
+            config = {name: getattr(args, name) for name in ("window", "entry_rule", "vol_scope", "bins", "min_count")}
+            return Outcome(
+                config, inputs, files,
+                lambda out: f"analyze: {n_series} series, {len(windows)} window(s), {total} episodes -> {out}",
+                {"sigma_bar": sigma_bar}, empty=None if total else "no episodes extracted", closing=stack.pop_all(),
+            )
+    except OSError as exc:  # a full disk, or a file size limit, where the spools are
+        raise OSError(f"episodes.csv: temporary file in {tempfile.gettempdir()}: {exc}") from None
 
 
 # ------------------------------------------------------- mfht / fht-pdf / acf
@@ -559,16 +583,17 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_flag_bounds(args)
         outcome = args.func(args)  # reads and computes all, so a fault ends the run before any output exists
-        for name, _, _ in outcome.files:
-            if len(name.encode()) > _MAX_NAME_BYTES:
-                raise InputError(f"output file name longer than {_MAX_NAME_BYTES} bytes: {name}")
-        out, made = _out_dir(args.out, outcome.config.get("seed"))
-        try:
-            _write_outputs(out, args.subcommand, outcome)
-        except BaseException:
-            if made:
-                shutil.rmtree(made, ignore_errors=True)
-            raise
+        with outcome.closing:
+            for name, _, _ in outcome.files:
+                if len(name.encode()) > _MAX_NAME_BYTES:
+                    raise InputError(f"output file name longer than {_MAX_NAME_BYTES} bytes: {name}")
+            out, made = _out_dir(args.out, outcome.config.get("seed"))
+            try:
+                _write_outputs(out, args.subcommand, outcome)
+            except BaseException:
+                if made:
+                    shutil.rmtree(made, ignore_errors=True)
+                raise
     except (ConfigError, InputError, EmptyResultError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -10,12 +10,14 @@ level, rally windows mirror every inequality.
 from __future__ import annotations
 
 import math
+import shutil
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence, TextIO
 
 import numpy as np
 
-from ._io import decode_runs, float_texts, fmt, read_table, write_csv
+from ._io import IntTexts, TextRuns, float_texts, fmt, read_table, write_rows
 from .returns import Ensemble
 
 __all__ = [
@@ -194,26 +196,6 @@ def extract_table(
     )
 
 
-def join_tables(parts: list[list[EpisodeTable]]) -> list[EpisodeTable]:
-    """One table per window from ``parts[k]``, window k's tables of consecutive series blocks.
-
-    The blocks' rows are joined in order, which is the order of one scan of
-    their series together.  Each window's list of parts is emptied once its
-    table is built, so at most one window's rows are held twice.
-    """
-    tables = []
-    for blocks in parts:
-        tables.append(EpisodeTable(
-            blocks[0].window,
-            [ticker for table in blocks for ticker in table.tickers],
-            np.concatenate([table.start_index for table in blocks]),
-            np.concatenate([table.fht for table in blocks]),
-            np.concatenate([table.volatility for table in blocks]),
-        ))
-        blocks.clear()
-    return tables
-
-
 def window_family(name: str, sigma_bar: float) -> list[ThresholdWindow]:
     """The windows of a built-in family, from its ``(theta_i, theta_f)`` pairs in ``_FAMILIES``.
 
@@ -234,21 +216,33 @@ _EPISODE_DTYPE = np.dtype([
 ])
 
 
-def write_episodes_csv(tables: list[EpisodeTable], path: str | Path) -> None:
-    """Write ``ticker,window_id,theta_i,theta_f,start_index,fht,volatility`` rows, one table at a time.
+def write_episode_rows(files: Sequence[TextIO], tables: Sequence[EpisodeTable], ints: IntTexts) -> None:
+    """Write each table's ``episodes.csv`` rows, without the header, to the file of ``files`` at its place.
 
-    Neighbouring windows share most of their episode volatilities, so each
-    table takes the volatility texts of the table before it.
+    The tables are one block's tables of neighbouring windows, so each
+    table takes the volatility texts of the table before it.  ``ints``
+    holds the integer texts, shared by every call of one write.
     """
-    def rows():
-        seen = (np.empty(0, dtype=np.int64), np.empty(0, dtype=object))
-        for table in tables:
-            w = table.window
-            head = f",{w.window_id},{fmt(w.theta_i)},{fmt(w.theta_f)},"
-            vol, seen = float_texts(np.asarray(table.volatility, dtype=np.float64), seen)
-            yield table.tickers, head, table.start_index, ",", table.fht, ",", vol
+    seen = (np.empty(0, dtype=np.int64), np.empty(0, dtype=object))
+    for fh, table in zip(files, tables):
+        w = table.window
+        head = f",{w.window_id},{fmt(w.theta_i)},{fmt(w.theta_f)},"
+        vol, seen = float_texts(np.asarray(table.volatility, dtype=np.float64), seen)
+        write_rows(fh, table.tickers, head, ints(table.start_index), ",", ints(table.fht), ",", vol)
 
-    write_csv(path, ",".join(_EPISODE_DTYPE.names), rows())
+
+def write_episodes_csv(spools: Sequence[TextIO], path: str | Path) -> None:
+    """Write ``ticker,window_id,theta_i,theta_f,start_index,fht,volatility``, then each spool's rows in turn.
+
+    ``spools`` are text files, one per window in window order, that
+    ``write_episode_rows`` filled block by block; their text is copied as
+    it is, so the rows come by window, then by series, then by start.
+    """
+    with open(path, "wb") as fh:
+        fh.write(",".join(_EPISODE_DTYPE.names).encode() + b"\n")
+        for spool in spools:
+            spool.seek(0)  # which writes out what the spool still buffers
+            shutil.copyfileobj(spool.buffer, fh, 1 << 20)
 
 
 def read_episodes_csv(path: str | Path) -> list[EpisodeTable]:
@@ -261,19 +255,56 @@ def read_episodes_csv(path: str | Path) -> list[EpisodeTable]:
     rebuild the window id of an earlier one, a negative ``start_index``, an
     ``fht`` below 1 or a negative volatility raises ValueError naming the
     line.  Blank lines are skipped.
+
+    The file is read a chunk of lines at a time (``read_table``), and each
+    chunk is reduced to its columns and its text runs.  A fault is reported
+    only once every line has passed numpy's parser.
     """
-    rows, line_of = read_table(path, _EPISODE_DTYPE)
-    if rows.size == 0:
+    chunks, line_of = read_table(path, _EPISODE_DTYPE)
+    window_runs, ticker_runs = TextRuns(), TextRuns()
+    groups: dict[str, int] = {}  # window id -> its window, in order of first rows
+    first: list[int] = []  # each window's first row
+    thetas: list[tuple[float, float]] = []  # and the thetas on it
+    columns = []  # per chunk: each row's window, start_index, fht and volatility
+    bad_row = None  # the first row with a bad cell, and its message
+    n = 0
+    for rows in chunks:
+        ticker_runs.add(rows["ticker"])  # a ticker that is not UTF-8 is reported after the rest
+        if chunk := window_runs.add(rows["window_id"]):  # None after a window id that is not UTF-8
+            starts, ids = chunk
+            local = [groups.setdefault(w, len(groups)) for w in ids]
+            ti, tf = rows["theta_i"], rows["theta_f"]
+            for row, g in zip(starts.tolist(), local):
+                if g == len(first):  # a window first seen here
+                    first.append(n + row)
+                    thetas.append((float(ti[row]), float(tf[row])))
+            lengths = np.diff(np.append(starts, rows.size))
+            row_group = np.repeat(local, lengths)
+            at_first = np.repeat(np.array([thetas[g] for g in local]), lengths, axis=0)
+            moved = (ti != at_first[:, 0]) | (tf != at_first[:, 1])
+            start, fht, vol = rows["start_index"], rows["fht"], rows["volatility"]
+            bad = np.flatnonzero(moved | (start < 0) | (fht < 1) | (vol < 0))
+            if bad.size and bad_row is None:
+                k = int(bad[0])
+                run = int(np.searchsorted(starts, k, side="right")) - 1
+                if moved[k]:
+                    g = local[run]
+                    what = (f"thetas {fmt(ti[k])}, {fmt(tf[k])} of window {ids[run]!r} differ from "
+                            f"{fmt(thetas[g][0])}, {fmt(thetas[g][1])} on line {line_of(first[g])}")
+                elif start[k] < 0:
+                    what = f"start_index {start[k]} is negative"
+                elif fht[k] < 1:
+                    what = f"fht {fht[k]} is below 1"
+                else:
+                    what = f"volatility {fmt(vol[k])} is negative"
+                bad_row = n + k, what
+            columns.append((row_group, start.copy(), fht.copy(), vol.copy()))
+        n += rows.size
+    if n == 0:
         return []
-    run_starts, run_ids = decode_runs(path, rows["window_id"], "window_id", line_of)
-    groups: dict[str, int] = {}
-    run_group = np.array([groups.setdefault(w, len(groups)) for w in run_ids], dtype=np.int64)
-    row_group = np.repeat(run_group, np.diff(np.append(run_starts, rows.size)))
-    first = run_starts[np.unique(run_group, return_index=True)[1]]  # each window's first row
-    ti, tf = rows["theta_i"], rows["theta_f"]
+    window_runs.raise_fault(path, "window_id", line_of)
     windows, rebuilt = [], {}  # rebuilt window id -> (window id, first row) of the first window with it
-    for window_id, row in zip(groups, first.tolist()):
-        theta_i, theta_f = float(ti[row]), float(tf[row])
+    for window_id, row, (theta_i, theta_f) in zip(groups, first, thetas):
         try:
             windows.append(ThresholdWindow(theta_i, theta_f, 1.0))
         except ValueError as exc:
@@ -282,28 +313,15 @@ def read_episodes_csv(path: str | Path) -> list[EpisodeTable]:
         if at != row:
             raise ValueError(f"{path}: line {line_of(row)}: window {window_id!r} and window {earlier!r} on line "
                              f"{line_of(at)} both rebuild to window id {windows[-1].window_id!r}")
+    if bad_row:
+        raise ValueError(f"{path}: line {line_of(bad_row[0])}: {bad_row[1]}")
+    ticker_runs.raise_fault(path, "ticker", line_of)
 
-    at_first = first[row_group]
-    moved = (ti != ti[at_first]) | (tf != tf[at_first])
-    start, fht, vol = rows["start_index"], rows["fht"], rows["volatility"]
-    bad = np.flatnonzero(moved | (start < 0) | (fht < 1) | (vol < 0))
-    if bad.size:
-        k, g = int(bad[0]), int(at_first[bad[0]])
-        if moved[k]:
-            what = (f"thetas {fmt(ti[k])}, {fmt(tf[k])} of window {list(groups)[row_group[k]]!r} "
-                    f"differ from {fmt(ti[g])}, {fmt(tf[g])} on line {line_of(g)}")
-        elif start[k] < 0:
-            what = f"start_index {start[k]} is negative"
-        elif fht[k] < 1:
-            what = f"fht {fht[k]} is below 1"
-        else:
-            what = f"volatility {fmt(vol[k])} is negative"
-        raise ValueError(f"{path}: line {line_of(k)}: {what}")
-
-    ticker_starts, names = decode_runs(path, rows["ticker"], "ticker", line_of)
-    tickers = np.repeat(np.array(names, dtype=object), np.diff(np.append(ticker_starts, rows.size)))
-    order = slice(None) if len(groups) == run_starts.size else np.argsort(row_group, kind="stable")
-    tickers, start, fht, vol = (np.array(column[order]) for column in (tickers, start, fht, vol))
+    row_group, start, fht, vol = (np.concatenate(column) for column in zip(*columns))
+    tickers = np.repeat(np.array(ticker_runs.texts, dtype=object), np.diff(np.append(ticker_runs.starts, n)))
+    if len(groups) < len(window_runs.starts):  # some window's rows are not adjacent
+        order = np.argsort(row_group, kind="stable")
+        tickers, start, fht, vol = (column[order] for column in (tickers, start, fht, vol))
     bounds = np.cumsum(np.bincount(row_group)).tolist()
     return [
         EpisodeTable(window, tickers[a:b].tolist(), start[a:b], fht[a:b], vol[a:b])

@@ -17,7 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ._io import decode_runs, read_table, show_bytes, write_csv, write_json
+from ._io import TextRuns, read_rows, read_table, show_bytes, write_csv, write_json
 
 __all__ = [
     "ReturnSeries",
@@ -262,7 +262,7 @@ def _price_columns(path: Path, layout: str) -> Iterator[tuple[str, np.ndarray, i
         raise ValueError(f"{path}: duplicate ticker columns")
     # Every cell is read as text: the date, the prices and any further column.
     dtype = np.dtype([("date", "S16"), *((f"c{j}", "S32") for j in range(1, len(names)))])
-    rows, line_of = read_table(path, dtype, header=line.decode("latin-1").strip())
+    rows, line_of = read_rows(path, dtype, header=line.decode("latin-1").strip())
     dates = np.char.strip(rows["date"])
     cells = np.stack([np.char.strip(rows[f"c{j + 1}"]) for j in range(len(tickers))], axis=-1)
     blank = cells == b""
@@ -318,62 +318,63 @@ def read_returns_csv(path: str | Path) -> Ensemble:
     order.  Blank lines are skipped.  A malformed row, a non-finite return
     or a day_index out of order raises ValueError naming the file line, and
     a standard deviation that overflows one naming the file and ticker.
+
+    The file is read a chunk of lines at a time (``read_table``), and each
+    chunk is reduced to its returns, its ticker runs and its day check,
+    carried from chunk to chunk, so the read holds 8 bytes a row besides
+    one chunk.  A fault is reported only once every line has passed
+    numpy's parser, so a malformed line anywhere in the file is the one
+    named, and among the other faults the first kind in the list above.
     """
-    rows, line_of = read_table(path, _RETURNS_DTYPE)
-    if rows.size == 0:
+    chunks, line_of = read_table(path, _RETURNS_DTYPE)
+    runs = TextRuns()
+    groups: dict[str, int] = {}  # ticker -> its series, in order of first rows
+    run_group: list[int] = []  # the series of each of runs' runs
+    counts: list[int] = []  # rows of each series so far
+    returns: list[np.ndarray] = []
+    nonfinite = misplaced = None  # the first row of each fault, and its message
+    n = 0
+    for rows in chunks:
+        if chunk := runs.add(rows["ticker"]):  # None after a ticker that is not UTF-8
+            starts, texts = chunk
+            local = [groups.setdefault(text.lstrip(), len(groups)) for text in texts]  # leading blanks are no part of a ticker
+            run_group += local[len(local) - (len(runs.starts) - len(run_group)) :]  # the runs this chunk began
+            counts += [0] * (len(groups) - len(counts))
+            lengths = np.diff(np.append(starts, rows.size))
+            base = []  # the day_index due at each run's first row
+            for g, length in zip(local, lengths.tolist()):
+                base.append(counts[g])
+                counts[g] += length
+            due = np.arange(rows.size) + np.repeat(np.array(base) - starts, lengths)
+
+            def ticker(k: int) -> str:
+                return texts[int(np.searchsorted(starts, k, side="right")) - 1].lstrip()
+
+            r, day = rows["return"], rows["day_index"]
+            bad = np.flatnonzero(~np.isfinite(r))
+            if bad.size and nonfinite is None:
+                k = int(bad[0])
+                nonfinite = n + k, f"non-finite return {float(r[k])!r} for {ticker(k)!r}"
+            bad = np.flatnonzero(day != due)
+            if bad.size and misplaced is None:
+                k = int(bad[0])
+                misplaced = n + k, f"day_index {int(day[k])} out of order for {ticker(k)!r} (expected {int(due[k])})"
+            returns.append(r.copy())
+        n += rows.size
+    if n == 0:
         raise ValueError(f"{path}: no return rows")
+    runs.raise_fault(path, "ticker", line_of)
+    for fault in (nonfinite, misplaced):
+        if fault:
+            raise ValueError(f"{path}: line {line_of(fault[0])}: {fault[1]}")
 
-    def fail(row: int, what: str) -> ValueError:
-        return ValueError(f"{path}: line {line_of(row)}: {what}")
-
-    run_starts, run_names = decode_runs(path, rows["ticker"], "ticker", line_of)
-    run_names = [name.lstrip() for name in run_names]  # a line's leading blanks are no part of its ticker
-    groups: dict[str, int] = {}
-    run_group = np.array([groups.setdefault(t, len(groups)) for t in run_names])
-    tickers = list(groups)
-
-    bad = np.flatnonzero(~np.isfinite(rows["return"]))
-    if bad.size:
-        row = int(bad[0])
-        ticker = run_names[int(np.searchsorted(run_starts, row, side="right")) - 1]
-        raise fail(row, f"non-finite return {float(rows['return'][row])!r} for {ticker!r}")
-
-    run_ends = np.append(run_starts[1:], rows.size)
-    if len(tickers) == run_starts.size:  # each ticker's rows are adjacent
-        order = None
-        counts = run_ends - run_starts
-        day = rows["day_index"]
-    else:
-        row_group = np.repeat(run_group, run_ends - run_starts)
-        order = np.argsort(row_group, kind="stable")
-        counts = np.bincount(row_group)
-        day = rows["day_index"][order]
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-
-    # day_index is 0 on a ticker's first row and rises by one after it.
-    # The buffer that will hold the values holds the steps first, so
-    # the check allocates no array of the file's length.
-    values = np.empty(rows.size)
-    step = values.view(np.int64)
-    np.subtract(day[1:], day[:-1], out=step[1:])
-    in_step = step == 1
-    in_step[offsets[:-1]] = day[offsets[:-1]] == 0
-    bad = np.flatnonzero(~in_step)
-    if bad.size:
-        rows_in_file = bad if order is None else order[bad]
-        k = int(bad[np.argmin(rows_in_file)])
-        series = int(np.searchsorted(offsets, k, side="right")) - 1
-        raise fail(
-            int(rows_in_file.min()),
-            f"day_index {int(day[k])} out of order for {tickers[series]!r} "
-            f"(expected {k - int(offsets[series])})",
-        )
-    if order is None:
-        values[:] = rows["return"]
-    else:
-        np.take(rows["return"], order, out=values)
+    values = np.concatenate(returns)
+    del returns
+    if len(groups) < len(run_group):  # some ticker's rows are not adjacent: put each series' rows together
+        row_group = np.repeat(run_group, np.diff(np.append(runs.starts, n)))
+        values = values[np.argsort(row_group, kind="stable")]
     try:
-        return Ensemble(tickers, values, offsets)
+        return Ensemble(list(groups), values, np.concatenate(([0], np.cumsum(counts))))
     except ValueError as exc:  # a standard deviation that overflows
         raise ValueError(f"{path}: {exc}") from None
 

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._io import _loadtxt, read_table, write_csv
+from ._io import _loadtxt, read_rows, write_csv
 from .episodes import EpisodeTable, ThresholdWindow
 from .returns import Ensemble
 
@@ -332,7 +332,7 @@ def read_curve_csv(path: str | Path) -> MfhtCurve:
     mfht is below 1 (a mean of hitting times of at least one day, over at
     least one episode), or bins that are not contiguous raise ValueError.
     """
-    rows, line_of = read_table(path, _CURVE_DTYPE)
+    rows, line_of = read_rows(path, _CURVE_DTYPE)
     if rows.size == 0:
         raise ValueError(f"{path}: empty curve")
     mfht = np.full(rows.size, np.nan)

@@ -3,6 +3,7 @@ import json
 import os
 import signal
 import subprocess
+import tempfile
 import sys
 from pathlib import Path
 
@@ -1219,3 +1220,138 @@ def test_compare_rebins_different_grids(tmp_path):
     assert report["peak_offset_bins"] <= 2
     rows = (out / "compare.csv").read_text().splitlines()
     assert rows[0] == "bin_lo,bin_hi,mfht_empirical,mfht_model,diff"
+
+
+# Returns bodies whose rows cross the edges of chunks of CHUNK_EDGE_LINES
+# lines: the reader must carry a ticker run, the day check and the text
+# width from one chunk to the next.
+CHUNK_EDGE_LINES = 3
+ACCEPTED_ACROSS_CHUNKS = [
+    ("16-byte ticker only in a later chunk", _rows("aa", EPISODE) + _rows("T" * 16, EPISODE), ["aa", "T" * 16]),
+    ("whitespace-only line in a later chunk",
+     "".join(_rows("aa", EPISODE).splitlines(True)[:3]) + " \n" + "".join(_rows("aa", EPISODE).splitlines(True)[3:]),
+     ["aa"]),
+    ("ticker run across an edge", _rows("aa", EPISODE) + _rows("bb", EPISODE), ["aa", "bb"]),
+    ("ticker back in a later chunk",
+     "".join(_rows("aa", EPISODE).splitlines(True)[:2]) + _rows("bb", EPISODE)
+     + "".join(_rows("aa", EPISODE).splitlines(True)[2:]), ["aa", "bb"]),
+]
+MALFORMED_ACROSS_CHUNKS = [
+    # the fourth data row is the first of the second chunk
+    ("day_index break at an edge", "aa,0,0.1\naa,1,0.1\naa,2,0.1\naa,4,0.1\n", 5,
+     "day_index 4 out of order for 'aa' (expected 3)"),
+    ("day_index of a ticker back in a later chunk", "aa,0,0.1\nbb,0,0.1\nbb,1,0.1\naa,2,0.1\n", 5,
+     "day_index 2 out of order for 'aa' (expected 1)"),
+    ("bad float in a later chunk", "aa,0,0.1\naa,1,0.1\naa,2,0.1\naa,3,0.1\naa,4,x\n", 6, "'x'"),
+    ("non-UTF-8 ticker in a later chunk", b"aa,0,0.1\naa,1,0.1\naa,2,0.1\n\xff,0,0.1\n", 5, "is not UTF-8"),
+]
+
+
+@pytest.mark.parametrize(
+    "body, tickers", [row[1:] for row in ACCEPTED_ACROSS_CHUNKS], ids=[row[0] for row in ACCEPTED_ACROSS_CHUNKS]
+)
+def test_returns_read_across_chunk_edges(tmp_path, monkeypatch, body, tickers):
+    monkeypatch.setattr(_io, "_CHUNK_LINES", CHUNK_EDGE_LINES)
+    test_returns_csv_layouts_that_are_accepted(tmp_path, body, tickers)
+
+
+@pytest.mark.parametrize(
+    "body, line, needle", [row[1:] for row in MALFORMED_ACROSS_CHUNKS], ids=[row[0] for row in MALFORMED_ACROSS_CHUNKS]
+)
+def test_returns_faults_in_a_later_chunk_are_one_line_input_errors(tmp_path, capsys, monkeypatch, body, line, needle):
+    monkeypatch.setattr(_io, "_CHUNK_LINES", CHUNK_EDGE_LINES)
+    path = tmp_path / "returns.csv"
+    _write_csv(path, RETURNS_HEADER, body)
+    assert run("analyze", "--returns", str(path), "--out", str(tmp_path / "o")) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: line {line}: ") and needle in err and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("kind", ["episodes", "curves"])
+def test_faults_in_a_later_chunk_of_episodes_and_curves(tmp_path, capsys, monkeypatch, kind):
+    monkeypatch.setattr(_io, "_CHUNK_LINES", CHUNK_EDGE_LINES)
+    argv, header, good, bad, needle = CHUNKED_FILES[kind]
+    (tmp_path / "good.csv").write_text(CURVE_HEADER + CURVE_ROWS)
+    path = tmp_path / "input.csv"
+    path.write_text(header + good * 4 + bad + good)
+    assert run(*[a.format(good=tmp_path / "good.csv") for a in argv], str(path), "--out", str(tmp_path / "o")) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {path}: line 6: {needle}\n"
+
+
+@pytest.mark.parametrize("errno_", [errno.ENOSPC, errno.EFBIG], ids=["ENOSPC", "EFBIG"])
+def test_a_spool_that_fails_is_one_error_line_and_leaves_nothing(tmp_path, capsys, monkeypatch, errno_):
+    path = _write_returns(tmp_path, [(f"s{i}", np.random.default_rng(i).uniform(-0.06, 0.06, 300)) for i in range(4)])
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    spools, real = [], tempfile.TemporaryFile
+
+    def failing(*args, **kwargs):
+        spool = real(*args, **kwargs)
+        spools.append(spool)
+        if len(spools) == 3:
+            def write(text):
+                raise OSError(errno_, os.strerror(errno_))
+            spool.write = write
+        return spool
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", failing)
+    out = tmp_path / "new" / "o"
+    rc = run("analyze", "--returns", str(path), "--window", "fig1b", "--sigma-bar", "0.02", "--out", str(out))
+    assert rc == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f"error: episodes.csv: temporary file in {temp}: [Errno {errno_}] {os.strerror(errno_)}\n")
+    assert len(spools) == 26 and all(spool.closed for spool in spools)
+    assert not (tmp_path / "new").exists() and list(temp.iterdir()) == []
+
+
+def test_analyze_closes_its_spools_on_success_and_on_a_failed_write(tmp_path, capsys, monkeypatch):
+    path = _write_returns(tmp_path, [("s", np.random.default_rng(3).uniform(-0.06, 0.06, 300))])
+    spools, real = [], tempfile.TemporaryFile
+    monkeypatch.setattr(tempfile, "TemporaryFile", lambda *a, **k: spools.append(real(*a, **k)) or spools[-1])
+    argv = ["analyze", "--returns", str(path), "--sigma-bar", "0.02"]
+    assert run(*argv, "--out", str(tmp_path / "ok")) == 0
+    monkeypatch.setattr(cli, "write_curve_csv", lambda *a: (_ for _ in ()).throw(OSError(errno.EFBIG, "File too large")))
+    assert run(*argv, "--out", str(tmp_path / "bad")) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: ")
+    assert len(spools) == 2 and all(spool.closed for spool in spools)
+    assert not (tmp_path / "bad").exists()
+
+
+def test_analyze_reads_in_chunks_and_holds_no_window_long_ticker_list(tmp_path, monkeypatch):
+    import tracemalloc
+
+    from volstab import episodes, returns
+
+    rng = np.random.default_rng(5)
+    path = _write_returns(tmp_path, [(f"s{i:03d}", rng.standard_t(4, 400) * 0.02) for i in range(100)])
+    n_rows = 100 * 400
+    monkeypatch.setattr(_io, "_CHUNK_LINES", 1024)
+    monkeypatch.setattr(returns, "_BLOCK_VALUES", 4000)  # ten blocks of series
+    longest = []
+
+    class Recorded(episodes.EpisodeTable):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            longest.append(len(self.tickers))
+
+    monkeypatch.setattr(episodes, "EpisodeTable", Recorded)
+    read = cli.read_returns_csv
+    peaks = []
+
+    def traced_read(*args):
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = read(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        return result
+
+    monkeypatch.setattr(cli, "read_returns_csv", traced_read)
+    tracemalloc.start()
+    try:
+        assert run("analyze", "--returns", str(path), "--window", "fig1a", "--out", str(tmp_path / "o")) == 0
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] < 32 * n_rows  # the whole file's structured array would take 32 bytes a row
+    rows = len((tmp_path / "o" / "episodes.csv").read_text().splitlines()) - 1
+    assert 0 < max(longest) < rows  # no window's tickers are ever listed whole

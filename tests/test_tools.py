@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -71,3 +72,17 @@ def test_unused_import_is_found():
 )
 def test_no_module_imports_a_name_it_never_uses(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+_spec = importlib.util.spec_from_file_location("peak_rss", ROOT / "tools" / "peak_rss.py")
+peak_rss = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(peak_rss)
+
+
+def test_peak_rss_reports_the_child_peak_and_its_exit_code(capsys):
+    code, large = peak_rss.peak_rss([sys.executable, "-c", "b = bytearray(40_000_000); b[::4096] = b'x' * len(b[::4096]); raise SystemExit(3)"])
+    assert code == 3
+    assert large > 40  # MB of 10^6 bytes: the 40 MB the child touched, and its interpreter
+    assert peak_rss.main([sys.executable, "-c", "pass"]) == 0
+    out = capsys.readouterr().out.split()
+    assert out[0] == "peak_rss_mb" and float(out[1]) > 0
