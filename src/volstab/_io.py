@@ -6,15 +6,11 @@ CSV writer: it opens the file, writes the header and hands each group of
 rows (a returns series, a trajectory, a whole curve) to ``write_rows``,
 which writes whole columns; it can split the groups among forked
 processes.  The episodes writer calls ``write_rows`` itself, once per
-block of series and window, and ``IntTexts`` builds the integer texts of
-all those calls once.  ``fmt`` formats a scalar cell
-(a window's thetas, a curve's bins, ``sigma_bar``) with the same text.
-``float_texts`` takes a cell's text from the column before when that
-column held the same bit pattern and formats only the other cells, so the
-episodes writer formats each volatility once per pair of neighbouring
-windows, with the same bytes.
-JSON files are indented, key-sorted and newline-terminated so that equal
-payloads give equal bytes.
+block of series and window, with texts that ``distinct_texts`` formats
+once per distinct value of all the block's windows, with the same bytes.
+``fmt`` formats a scalar cell (a window's thetas, a curve's bins,
+``sigma_bar``) with the same text.  JSON files are indented, key-sorted
+and newline-terminated so that equal payloads give equal bytes.
 
 ``read_table`` reads a CSV back a chunk of ``_CHUNK_LINES`` lines at a
 time: each chunk's lines are read from the open file and handed to numpy's
@@ -22,9 +18,9 @@ parser as a list, so what a read holds at once is one chunk's text and
 rows, and each caller keeps only what it reduces a chunk to.  A chunk
 numpy refuses (a whitespace-only line, a malformed row) is parsed again
 from its nonblank lines; when that fails too, its nonblank lines are put
-to numpy in groups and then alone, so a refused line is named by its file
-line.  numpy's parser
-is the only judge of a cell.  Files are UTF-8 in both directions.
+to numpy one at a time, so a refused line is named by its file line.
+numpy's parser is the only judge of a cell.  Files are UTF-8 in both
+directions.
 """
 
 from __future__ import annotations
@@ -36,7 +32,7 @@ import tempfile
 import warnings
 from contextlib import ExitStack, nullcontext
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -109,57 +105,24 @@ def _column_text(column) -> list[str]:
     return list(map(str, column.tolist()))
 
 
-class IntTexts:
-    """The texts of integer columns, from one table of ``str(i)`` for 0, 1, 2, ... kept across calls.
+def distinct_texts(columns: Sequence[np.ndarray]) -> list[list[str]]:
+    """Each column's cell texts as ``write_rows`` writes them, from one pass over the columns joined.
 
-    Called on a column, it returns each cell's text as ``write_rows``
-    writes it.  A column of non-negative cells takes them from the table,
-    which grows to the column's largest cell when that adds no more texts
-    than the column has cells; any other column is formatted as
-    ``write_rows`` formats it.  So the columns of one write, such as the
-    episodes' start indices and hitting times block after block, build each
-    text once.
+    The columns are all float64 or all of one integer type.  Floats take
+    ``repr`` once per distinct bit pattern, so ``0.0``, ``-0.0`` and NaN
+    each keep their own text; integers are formatted as ``write_rows``
+    formats one column.  The texts are cut back into one list per column.
     """
-
-    def __init__(self) -> None:
-        self._texts = np.empty(0, dtype=object)
-
-    def __call__(self, column: np.ndarray) -> list[str]:
-        lo, hi = (int(column.min()), int(column.max())) if column.size else (0, -1)
-        known = self._texts.size
-        if lo < 0 or hi - known >= column.size:
-            return _column_text(column)
-        if hi >= known:
-            grown = np.array([str(i) for i in range(known, hi + 1)], dtype=object)
-            self._texts = np.concatenate([self._texts, grown])
-        return self._texts[column].tolist()
-
-
-def float_texts(
-    column: np.ndarray, previous: tuple[np.ndarray, np.ndarray]
-) -> tuple[list[str], tuple[np.ndarray, np.ndarray]]:
-    """``fmt``'s text of each cell of a float64 column, reusing the column before's texts.
-
-    ``previous`` is the ``(bits, texts)`` pair returned with the column
-    before, or two empty arrays.  A cell whose bits are there takes that
-    text; only the other cells are formatted, in row order, so the texts
-    lie in memory in the order the rows are joined.  Cells are matched by
-    bits, not values, so ``0.0``, ``-0.0`` and NaN each keep their own
-    text.  Returns the texts and the column's own pair: its bits and their
-    texts, as an object array.
-    """
-    bits = column.view(np.int64)
-    old_bits, old_texts = previous
-    texts = np.empty(bits.size, dtype=object)
-    new = np.ones(bits.size, dtype=bool)
-    if old_bits.size:  # sort both columns' bits, so the search walks them in step
-        old_order, order = np.argsort(old_bits), np.argsort(bits)
-        at = old_order[np.minimum(np.searchsorted(old_bits[old_order], bits[order]), old_bits.size - 1)]
-        hit = old_bits[at] == bits[order]
-        new[order[hit]] = False
-        texts[order[hit]] = old_texts[at[hit]]
-    texts[new] = list(map(repr, column[new].tolist()))
-    return texts.tolist(), (bits, texts)
+    if not columns:
+        return []
+    joined = np.concatenate(columns)
+    if joined.dtype.kind == "f":
+        bits, inverse = np.unique(joined.view(np.int64), return_inverse=True)
+        texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)[inverse].tolist()
+    else:
+        texts = _column_text(joined)
+    bounds = np.cumsum([column.size for column in columns]).tolist()
+    return [texts[a:b] for a, b in zip([0, *bounds], bounds)]
 
 
 def write_json(payload, path: str | Path) -> None:
@@ -170,8 +133,6 @@ def write_json(payload, path: str | Path) -> None:
 
 # The lines read_table reads and numpy parses at once.
 _CHUNK_LINES = 2**12
-# The nonblank lines of a refused chunk that _raise_malformed puts to numpy at once.
-_PROBE_LINES = 1024
 
 
 def read_table(
@@ -322,29 +283,24 @@ def _numpy_accepts(lines: list[str], dtype: np.dtype) -> bool:
 def _raise_malformed(path, lines: list[str], dtype: np.dtype, first: int) -> None:
     """Raise naming the first nonblank line of a refused chunk that numpy's parser rejects.
 
-    ``lines`` are the file's lines from line ``first`` on.  Their nonblank
-    lines go to numpy ``_PROBE_LINES`` at a time.  In a group it refuses,
-    each line is put to it alone, and then each cell of a refused line, so
+    ``lines`` are the file's lines from line ``first`` on.  Each nonblank
+    line is put to numpy alone, and then each cell of a refused line, so
     the verdict is numpy's own.  A line refused whole whose cells all pass
     alone is passed over.
     """
-    numbered = ((n, line) for n, line in enumerate(lines, start=first) if line.strip())
-    while group := list(itertools.islice(numbered, _PROBE_LINES)):
-        if _numpy_accepts([line for _, line in group], dtype):
+    for line_no, line in enumerate(lines, start=first):
+        if not line.strip() or _numpy_accepts([line], dtype):
             continue
-        for line_no, line in group:
-            if _numpy_accepts([line], dtype):
-                continue
-            cells = line.rstrip("\n").split(",")
-            if len(cells) != len(dtype.names):
-                raise ValueError(f"{path}: line {line_no}: expected {len(dtype.names)} columns, got {len(cells)}")
-            for j, name in enumerate(dtype.names):
-                row = ["0"] * len(cells)
-                row[j] = cells[j]
-                if not _numpy_accepts([",".join(row)], dtype):
-                    kind = "an integer" if dtype[name].kind == "i" else "a number"
-                    shown = show_bytes(cells[j].encode("latin-1"))
-                    raise ValueError(f"{path}: line {line_no}: {name} is not {kind}: {shown!r}")
+        cells = line.rstrip("\n").split(",")
+        if len(cells) != len(dtype.names):
+            raise ValueError(f"{path}: line {line_no}: expected {len(dtype.names)} columns, got {len(cells)}")
+        for j, name in enumerate(dtype.names):
+            row = ["0"] * len(cells)
+            row[j] = cells[j]
+            if not _numpy_accepts([",".join(row)], dtype):
+                kind = "an integer" if dtype[name].kind == "i" else "a number"
+                shown = show_bytes(cells[j].encode("latin-1"))
+                raise ValueError(f"{path}: line {line_no}: {name} is not {kind}: {shown!r}")
 
 
 def show_bytes(raw: bytes) -> str:

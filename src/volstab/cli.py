@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from ._io import IntTexts, fmt, write_csv, write_json
+from ._io import fmt, write_csv, write_json
 from .episodes import (
     DEFAULT_ENTRY_RULE,
     DEFAULT_VOL_SCOPE,
@@ -412,11 +412,10 @@ def cmd_analyze(args: argparse.Namespace) -> Outcome:
         with ExitStack() as stack:
             spools = [stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
                       for _ in windows]
-            ints = IntTexts()
             for block in ensemble.series_blocks():
                 tables = [extract_table(block, w, entry_rule=args.entry_rule, vol_scope=args.vol_scope)
                           for w in windows]
-                write_episode_rows(spools, tables, ints)
+                write_episode_rows(spools, tables)
                 for (fht, vol), table in zip(kept, tables):
                     fht.append(table.fht)
                     vol.append(table.volatility)

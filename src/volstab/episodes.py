@@ -17,7 +17,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from ._io import IntTexts, TextRuns, float_texts, fmt, read_table, write_rows
+from ._io import TextRuns, distinct_texts, fmt, read_table, write_rows
 from .returns import Ensemble
 
 __all__ = [
@@ -216,19 +216,19 @@ _EPISODE_DTYPE = np.dtype([
 ])
 
 
-def write_episode_rows(files: Sequence[TextIO], tables: Sequence[EpisodeTable], ints: IntTexts) -> None:
+def write_episode_rows(files: Sequence[TextIO], tables: Sequence[EpisodeTable]) -> None:
     """Write each table's ``episodes.csv`` rows, without the header, to the file of ``files`` at its place.
 
-    The tables are one block's tables of neighbouring windows, so each
-    table takes the volatility texts of the table before it.  ``ints``
-    holds the integer texts, shared by every call of one write.
+    The tables are one block's tables, one per window, so neighbouring
+    windows share most volatilities: each column of the block is formatted
+    with ``distinct_texts`` over all its tables at once.
     """
-    seen = (np.empty(0, dtype=np.int64), np.empty(0, dtype=object))
-    for fh, table in zip(files, tables):
+    columns = [distinct_texts([np.asarray(getattr(table, name), dtype=dtype) for table in tables])
+               for name, dtype in (("start_index", np.int64), ("fht", np.int64), ("volatility", np.float64))]
+    for fh, table, start, fht, vol in zip(files, tables, *columns):
         w = table.window
         head = f",{w.window_id},{fmt(w.theta_i)},{fmt(w.theta_f)},"
-        vol, seen = float_texts(np.asarray(table.volatility, dtype=np.float64), seen)
-        write_rows(fh, table.tickers, head, ints(table.start_index), ",", ints(table.fht), ",", vol)
+        write_rows(fh, table.tickers, head, start, ",", fht, ",", vol)
 
 
 def write_episodes_csv(spools: Sequence[TextIO], path: str | Path) -> None:

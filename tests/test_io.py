@@ -20,7 +20,7 @@ from helpers import (
     oracle_trajectories_csv,
 )
 from volstab import _io
-from volstab._io import IntTexts, read_rows, write_rows
+from volstab._io import distinct_texts, fmt, read_rows, write_rows
 from volstab.cli import main, write_trajectories_csv
 from volstab.episodes import (
     _EPISODE_DTYPE,
@@ -118,9 +118,8 @@ def write_tables(tables: list[EpisodeTable], path: Path, cut: int = 0) -> None:
     """Write ``tables`` as analyze does, each to its own spool: rows before ``cut`` as one block, the rest as the next."""
     with ExitStack() as stack:
         spools = [stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8", newline="")) for _ in tables]
-        ints = IntTexts()
         for rows in (slice(None, cut), slice(cut, None)):
-            write_episode_rows(spools, [_rows_of(table, rows) for table in tables], ints)
+            write_episode_rows(spools, [_rows_of(table, rows) for table in tables])
         write_episodes_csv(spools, path)
 
 
@@ -207,6 +206,17 @@ def test_integer_columns_are_written_as_str_writes_them(values, dtype):
     fh = io.StringIO()
     write_rows(fh, column, ",", column[::-1])
     assert fh.getvalue() == "".join(f"{a},{b}\n" for a, b in zip(values, values[::-1]))
+    assert distinct_texts([column, column[::-1]]) == [list(map(str, values)), list(map(str, values[::-1]))]
+
+
+def test_distinct_float_texts_are_fmt_texts_matched_by_bits():
+    # 0.0 and -0.0 are equal with other bits and texts; NaN equals nothing,
+    # and a NaN with its sign bit set has other bits.
+    values = [*EDGE_FLOATS, float("nan"), 0.0, -0.0, *EDGE_FLOATS[::-1], -float("nan"), float("nan")]
+    columns = [np.array(values[:9]), np.array(values[9:])]
+    assert distinct_texts(columns) == [[fmt(x) for x in column] for column in columns]
+    assert distinct_texts([np.empty(0), columns[0][:0]]) == [[], []]
+    assert distinct_texts([]) == []
 
 
 @st.composite
