@@ -13,14 +13,15 @@ once per distinct value of all the block's windows, with the same bytes.
 and newline-terminated so that equal payloads give equal bytes.
 
 ``read_table`` reads a CSV back a chunk of ``_CHUNK_LINES`` lines at a
-time: each chunk's lines are read from the open file and handed to numpy's
-parser as a list, so what a read holds at once is one chunk's text and
-rows, and each caller keeps only what it reduces a chunk to.  A chunk
-numpy refuses (a whitespace-only line, a malformed row) is parsed again
-from its nonblank lines; when that fails too, its nonblank lines are put
-to numpy one at a time, so a refused line is named by its file line.
-numpy's parser is the only judge of a cell.  Files are UTF-8 in both
-directions.
+time: each chunk's lines are read from the open file as latin-1, one
+character per byte, and handed to numpy's parser as a list, so what a read
+holds at once is one chunk's text and rows, and each caller keeps only
+what it reduces a chunk to.  A text cell comes back whole, as the ``str``
+of its bytes.  A chunk numpy refuses (a whitespace-only line, a malformed
+row) is parsed again from its nonblank lines; when that fails too, its
+nonblank lines are put to numpy one at a time, so a refused line is named
+by its file line.  numpy's parser is the only judge of a cell.  Files are
+UTF-8 in both directions.
 """
 
 from __future__ import annotations
@@ -140,10 +141,9 @@ def read_table(
 ) -> tuple[Iterator[np.ndarray], Callable[[int], int]]:
     """The nonblank data rows of a CSV whose header names ``dtype``'s fields, a chunk at a time.
 
-    ``dtype`` has one field per column.  A text column (``S<n>``) keeps its
-    cells' UTF-8 bytes; ``n`` is a first guess at its width, widened until
-    no cell of a chunk fills it, so no cell is ever cut short; a chunk is
-    read at least as wide as the chunk before it.  A caller that has read
+    ``dtype`` has one field per column.  A text column is an ``object``
+    field: each cell comes back whole, every byte of it, blanks and NULs
+    too, as a ``str`` of its bytes read as latin-1.  A caller that has read
     and checked the header line itself passes it, stripped and read as
     latin-1, as ``header``.  Returns the chunks, the rows of each next
     ``_CHUNK_LINES`` lines of the file that hold any, and ``line_of``, the
@@ -155,9 +155,7 @@ def read_table(
     """
     header = ",".join(dtype.names) if header is None else header
 
-    def chunks(dtype: np.dtype) -> Iterator[np.ndarray]:
-        # latin-1 maps every byte to one character, so text cells pass the
-        # parser as their bytes.
+    def chunks() -> Iterator[np.ndarray]:
         with open(path, encoding="latin-1") as fh:
             got = fh.readline().strip()
             if got != header:
@@ -165,7 +163,7 @@ def read_table(
                 raise ValueError(f"{path}: expected header {header!r}, got {shown!r}")
             first = 2  # the file line of the chunk's first line
             while lines := list(itertools.islice(fh, _CHUNK_LINES)):
-                rows, dtype = _parse(path, lines, first, dtype)
+                rows = _parse(path, lines, first, dtype)
                 if rows.size:
                     yield rows
                 first += len(lines)
@@ -175,47 +173,39 @@ def read_table(
             numbers = (n for n, line in enumerate(fh, start=1) if n > 1 and line.strip())
             return next(itertools.islice(numbers, int(row), None))
 
-    return chunks(dtype), line_of
+    return chunks(), line_of
 
 
 def read_rows(path: str | Path, dtype: np.dtype, header: str | None = None) -> tuple[np.ndarray, Callable[[int], int]]:
-    """``read_table``'s chunks as one array, for a file whose rows are all kept; it is read as wide as its widest chunk."""
+    """``read_table``'s chunks as one array, for a file whose rows are all kept."""
     chunks, line_of = read_table(path, dtype, header)
-    parts = list(chunks)
-    if not parts:
-        return np.empty(0, dtype), line_of
-    return np.concatenate([part.astype(parts[-1].dtype) for part in parts]), line_of
+    return np.concatenate([np.empty(0, dtype), *chunks]), line_of
 
 
-def _parse(path, lines: list[str], first: int, dtype: np.dtype) -> tuple[np.ndarray, np.dtype]:
-    """The rows of ``lines``, the file's lines from line ``first`` on, and the dtype wide enough for them."""
-    while True:
+def _parse(path, lines: list[str], first: int, dtype: np.dtype) -> np.ndarray:
+    """The rows of ``lines``, the file's lines from line ``first`` on."""
+    try:
+        return _loadtxt(lines, dtype)
+    except ValueError:
+        # numpy refuses a whitespace-only line, which the line filter
+        # skips, and a malformed line, which _raise_malformed names.
         try:
-            rows = _loadtxt(lines, dtype)
-        except ValueError:
-            # numpy refuses a whitespace-only line, which the line filter
-            # skips, and a malformed line, which _raise_malformed names.
-            try:
-                rows = _loadtxt(filter(str.strip, lines), dtype)
-            except ValueError as exc:
-                _raise_malformed(path, lines, dtype, first)
-                raise ValueError(f"{path}: {exc}") from None  # a row numpy refuses whole
-        full = [name for name in dtype.names if _fills(rows, name)]
-        if not full:
-            return rows, dtype
-        dtype = np.dtype([(name, f"S{4 * dtype[name].itemsize}" if name in full else dtype[name])
-                          for name in dtype.names])
+            return _loadtxt(filter(str.strip, lines), dtype)
+        except ValueError as exc:
+            _raise_malformed(path, lines, dtype, first)
+            raise ValueError(f"{path}: {exc}") from None  # a row numpy refuses whole
 
 
 class TextRuns:
     """Runs of equal cells in a text column that a file gives chunk by chunk.
 
+    The cells are ``read_table``'s: the file's bytes read as latin-1.
     ``starts`` holds each run's first row, counted over the whole file, and
-    ``texts`` its cell decoded as UTF-8.  A run at the end of a chunk goes
-    on into the next chunk when that chunk's first cell is the same.  The
-    first run whose cell is not UTF-8 is kept as ``fault``, its row and
-    bytes, for the caller to report once the whole file has been parsed;
-    no run is added after it.
+    ``texts`` its cell's bytes decoded as UTF-8.  A run at the end of a
+    chunk goes on into the next chunk when that chunk's first cell is the
+    same.  The first run whose cell is not UTF-8 is kept as ``fault``, its
+    row and bytes, for the caller to report once the whole file has been
+    parsed; no run is added after it.
     """
 
     def __init__(self) -> None:
@@ -239,9 +229,9 @@ class TextRuns:
         texts = self.texts[-1:] if go_on else []
         for row, raw in zip(starts.tolist()[len(texts):], raws[len(texts):]):
             try:
-                texts.append(raw.decode("utf-8"))
+                texts.append(raw.encode("latin-1").decode("utf-8"))
             except UnicodeDecodeError:
-                self.fault = (before + row, raw)
+                self.fault = (before + row, raw.encode("latin-1"))
                 return None
             self.starts.append(before + row)
             self.texts.append(texts[-1])
@@ -252,14 +242,6 @@ class TextRuns:
         if self.fault:
             row, raw = self.fault
             raise ValueError(f"{path}: line {line_of(row)}: {name} {show_bytes(raw)!r} is not UTF-8")
-
-
-def _fills(rows: np.ndarray, name: str) -> bool:
-    """Whether a cell of text column ``name`` reaches the field's last byte."""
-    field, offset = rows.dtype.fields[name][:2]
-    if field.kind != "S" or rows.size == 0:
-        return False
-    return bool(rows.view(np.uint8).reshape(rows.size, -1)[:, offset + field.itemsize - 1].any())
 
 
 def _loadtxt(source: Iterable[str], dtype) -> np.ndarray:

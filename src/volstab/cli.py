@@ -163,6 +163,8 @@ def load_config_file(path: str | Path) -> dict:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
+    if path.is_dir():
+        raise ConfigError(f"{path}: is a directory, not a config file")
     with _fault(ConfigError, f"{path}: not UTF-8 text: "):  # a UnicodeDecodeError
         text = path.read_text(encoding="utf-8")
     if path.suffix == ".json":

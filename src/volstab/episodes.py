@@ -209,9 +209,8 @@ def window_family(name: str, sigma_bar: float) -> list[ThresholdWindow]:
     return [ThresholdWindow(ti, tf, sigma_bar) for ti, tf in _FAMILIES[name]]
 
 
-# The text widths are first guesses, widened by the reader when a cell fills one.
 _EPISODE_DTYPE = np.dtype([
-    ("ticker", "S16"), ("window_id", "S32"), ("theta_i", np.float64), ("theta_f", np.float64),
+    ("ticker", object), ("window_id", object), ("theta_i", np.float64), ("theta_f", np.float64),
     ("start_index", np.int64), ("fht", np.int64), ("volatility", np.float64),
 ])
 

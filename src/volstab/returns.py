@@ -261,10 +261,12 @@ def _price_columns(path: Path, layout: str) -> Iterator[tuple[str, np.ndarray, i
     if len(set(tickers)) != len(tickers):
         raise ValueError(f"{path}: duplicate ticker columns")
     # Every cell is read as text: the date, the prices and any further column.
-    dtype = np.dtype([("date", "S16"), *((f"c{j}", "S32") for j in range(1, len(names)))])
+    dtype = np.dtype([("date", object), *((f"c{j}", object) for j in range(1, len(names)))])
     rows, line_of = read_rows(path, dtype, header=line.decode("latin-1").strip())
-    dates = np.char.strip(rows["date"])
-    cells = np.stack([np.char.strip(rows[f"c{j + 1}"]) for j in range(len(tickers))], axis=-1)
+    # Each cell is taken back to its bytes, so that only ASCII blanks are stripped.
+    date, *columns = [np.char.encode(rows[name].astype(str), "latin-1") for name in dtype.names[: len(tickers) + 1]]
+    dates = np.char.strip(date)
+    cells = np.stack([np.char.strip(column) for column in columns], axis=-1)
     blank = cells == b""
     kept = np.flatnonzero((dates != b"") | ~blank.all(axis=1))  # a line of blank cells is skipped
     prices = np.full(cells.shape, np.nan)  # a blank cell is a missing price
@@ -277,7 +279,7 @@ def _price_columns(path: Path, layout: str) -> Iterator[tuple[str, np.ndarray, i
             except ValueError:
                 row, j = divmod(k, len(tickers))
                 column = "close" if layout == "per-stock" else tickers[j]
-                raw = show_bytes(rows[f"c{j + 1}"][row])
+                raw = show_bytes(columns[j][row])
                 raise ValueError(
                     f"{path}: line {line_of(row)}, column {column!r}: not a number: {raw!r}"
                 ) from None
@@ -293,8 +295,7 @@ def _price_columns(path: Path, layout: str) -> Iterator[tuple[str, np.ndarray, i
         yield ticker, prices[valid[:, j], j], kept.size - int(np.count_nonzero(valid[:, j]))
 
 
-# The ticker width is a first guess, widened by the reader when a ticker fills it.
-_RETURNS_DTYPE = np.dtype([("ticker", "S16"), ("day_index", np.int64), ("return", np.float64)])
+_RETURNS_DTYPE = np.dtype([("ticker", object), ("day_index", np.int64), ("return", np.float64)])
 
 
 def write_returns_csv(ensemble: Ensemble, path: str | Path, threads: int = 1) -> None:

@@ -307,9 +307,8 @@ def ensemble_acf(ensemble: Ensemble, max_lag: int, absolute: bool = False) -> np
     return np.stack(rows).mean(axis=0)
 
 
-# The mfht cell is text, as an unpopulated bin leaves it empty; the width is
-# a first guess, widened by the reader when a cell fills it.
-_CURVE_DTYPE = np.dtype([("bin_lo", np.float64), ("bin_hi", np.float64), ("mfht", "S32"), ("count", np.int64)])
+# The mfht cell is text, as an unpopulated bin leaves it empty.
+_CURVE_DTYPE = np.dtype([("bin_lo", np.float64), ("bin_hi", np.float64), ("mfht", object), ("count", np.int64)])
 
 
 def _finite_text(values: np.ndarray) -> list[str]:
@@ -336,8 +335,7 @@ def read_curve_csv(path: str | Path) -> MfhtCurve:
     if rows.size == 0:
         raise ValueError(f"{path}: empty curve")
     mfht = np.full(rows.size, np.nan)
-    for row, cell in enumerate(rows["mfht"].tolist()):
-        text = cell.decode("latin-1")
+    for row, text in enumerate(rows["mfht"].tolist()):
         if text.strip():
             try:
                 mfht[row] = _loadtxt([text], np.float64)[0]

@@ -57,8 +57,10 @@ def test_default_config_keys_types_and_model():
     assert build_model(DEFAULT_CONFIG) == (ModelParams(), SimConfig())
 
 
-# Config files that are not a config, by file name, and the error each ends in.
+# Config files that are not a config, by file name, and the error each ends in;
+# a body of None makes a directory of that name.
 BAD_CONFIGS = [
+    ("dir.cfg", None, "is a directory, not a config file"),
     ("bad.cfg", b"volatility = 1\n", "line 1: unknown key 'volatility'"),
     ("bad.cfg", b"m 2\n", "line 1: expected 'key = value', got 'm 2'"),
     ("bad.cfg", b"m = fast\n", "line 1: bad value for m: 'fast'"),
@@ -79,7 +81,10 @@ def test_config_file_errors(tmp_path, capsys):
     out = tmp_path / "o"
     for name, body, needle in BAD_CONFIGS:
         bad = tmp_path / name
-        bad.write_bytes(body)
+        if body is None:
+            bad.mkdir()
+        else:
+            bad.write_bytes(body)
         assert run("simulate", "--config", str(bad), "--out", str(out)) == EXIT_CONFIG, body
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: {needle}") and err.count("\n") == 1, err
@@ -485,6 +490,13 @@ def test_episode_thetas_of_equal_value_are_one_window(tmp_path):
     assert table.tickers == ["aa", "bb"] and table.fht.tolist() == [4, 2]
 
 
+def test_episode_tickers_that_differ_by_a_trailing_nul_stay_apart(tmp_path):
+    path = tmp_path / "episodes.csv"
+    path.write_text(EPISODES_HEADER + FIG1A_ROW + f"aa\0,{FIG1A},5,2,0.03\n")
+    (table,) = read_episodes_csv(path)
+    assert table.tickers == ["aa", "aa\0"] and table.fht.tolist() == [4, 2]
+
+
 def test_fractional_day_index_is_refused_with_deprecation_warnings_hidden(tmp_path):
     """Some numpy releases read "1.5" as day 1 with only a DeprecationWarning.
 
@@ -529,7 +541,7 @@ def test_files_are_utf8_whatever_the_locale(tmp_path):
 # Returns file bodies that must be accepted, and the tickers of the
 # episodes analyze finds in them, in order.
 ACCEPTED_RETURNS = [
-    # up to 15 bytes fit the readers' first guess of the ticker width; 16 and 40 are read again wider
+    # a text cell comes back whole, whatever its length
     ("7-byte ticker", _rows("T" * 7, EPISODE), ["T" * 7]),
     ("8-byte ticker", _rows("T" * 8, EPISODE), ["T" * 8]),
     ("16-byte ticker", _rows("T" * 16, EPISODE), ["T" * 16]),
@@ -538,13 +550,14 @@ ACCEPTED_RETURNS = [
     ("40-character ticker", _rows("T" * 40, EPISODE), ["T" * 40]),
     ("non-ASCII ticker", _rows("Société€", EPISODE), ["Société€"]),
     ("whitespace-only lines", " \n" + _rows("aa", EPISODE).replace("\n", "\n\t \n\n"), ["aa"]),
-    # numpy refuses the whitespace-only line, so the width is widened on the nonblank lines
+    # numpy refuses the whitespace-only line, so the chunk is parsed again from its nonblank lines
     ("16-byte ticker after a whitespace-only line", " \n" + _rows("T" * 16, EPISODE), ["T" * 16]),
     (
         "interleaved tickers",
         "".join(a + b for a, b in zip(_rows("bb", EPISODE).splitlines(True), _rows("aa", EPISODE).splitlines(True))),
         ["bb", "aa"],
     ),
+    ("tickers that differ by a trailing NUL", _rows("ab", EPISODE) + _rows("ab\0", EPISODE), ["ab", "ab\0"]),
 ]
 
 
@@ -1223,8 +1236,8 @@ def test_compare_rebins_different_grids(tmp_path):
 
 
 # Returns bodies whose rows cross the edges of chunks of CHUNK_EDGE_LINES
-# lines: the reader must carry a ticker run, the day check and the text
-# width from one chunk to the next.
+# lines: the reader must carry a ticker run and the day check from one chunk
+# to the next.
 CHUNK_EDGE_LINES = 3
 ACCEPTED_ACROSS_CHUNKS = [
     ("16-byte ticker only in a later chunk", _rows("aa", EPISODE) + _rows("T" * 16, EPISODE), ["aa", "T" * 16]),

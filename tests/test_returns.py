@@ -207,6 +207,15 @@ PRICE_FORMS = [
      "line 2, column 'close': not a number: '\\xa010'"),
     ("bad cell of a wide file", "wide", b"date,aa,bb\n2020-01-01,10,1\n2020-01-02,11,x y\n",
      "line 3, column 'bb': not a number: 'x y'"),
+    # a lone 0xA0 or 0x85 byte is no blank: only ASCII blanks are stripped from a cell's bytes
+    ("price ending in a lone 0xA0 byte", "per-stock", b"date,close\n2020-01-01,1.6\xa0\n2020-01-02,2\n",
+     "line 2, column 'close': not a number: '1.6\\\\xa0'"),
+    ("price ending in a lone 0x85 byte", "per-stock", b"date,close\n2020-01-01,1.6\x85\n2020-01-02,2\n",
+     "line 2, column 'close': not a number: '1.6\\\\x85'"),
+    ("date ending in a lone 0xA0 byte", "per-stock", b"date,close\n2020-01-01,10\n2020-01-01\xa0,11\n",
+     (["f"], [10.0, 11.0], {})),
+    ("date ending in a lone 0x85 byte", "per-stock", b"date,close\n2020-01-02\x85,10\n2020-01-01,11\n",
+     "line 3: dates must be strictly increasing, got '2020-01-01' after '2020-01-02\\\\x85'"),
 ]
 
 
@@ -241,7 +250,7 @@ def test_returns_csv_round_trip(tmp_path):
 
 
 def test_read_returns_csv_groups_rows_and_keeps_long_tickers(tmp_path):
-    long = "L" * 100  # wider than the parser's first guess at the ticker field, twice over
+    long = "L" * 100  # a cell comes back whole, however long
     path = tmp_path / "returns.csv"
     path.write_text(
         "ticker,day_index,return\n"
