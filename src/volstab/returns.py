@@ -264,7 +264,7 @@ def _price_columns(path: Path, layout: str) -> Iterator[tuple[str, np.ndarray, i
     dtype = np.dtype([("date", object), *((f"c{j}", object) for j in range(1, len(names)))])
     rows, line_of = read_rows(path, dtype, header=line.decode("latin-1").strip())
     # Each cell is taken back to its bytes, so that only ASCII blanks are stripped.
-    date, *columns = [np.char.encode(rows[name].astype(str), "latin-1") for name in dtype.names[: len(tickers) + 1]]
+    date, *columns = [np.array([s.encode("latin-1") for s in rows[n].tolist()], "S") for n in dtype.names[: len(tickers) + 1]]
     dates = np.char.strip(date)
     cells = np.stack([np.char.strip(column) for column in columns], axis=-1)
     blank = cells == b""

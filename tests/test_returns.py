@@ -170,8 +170,9 @@ def test_load_prices_wide_gap_closed_across_missing_day(tmp_path):
 
 
 # Price files in forms beyond the plain one: a name, the layout, the file's
-# bytes, and either the (tickers, prices, rows dropped per ticker) it loads
-# as or the error it raises.  Every price is read as Python's float() reads bytes.
+# bytes, and either the (tickers, prices, rows dropped per ticker[, tickers
+# skipped]) it loads as or the error it raises.  Every price is read as
+# Python's float() reads bytes.
 PRICE_FORMS = [
     ("header with another case and column", "per-stock",
      b"Date,Close,Volume\n2020-01-01,10,500\n2020-01-02,11,600\n", (["f"], [10.0, 11.0], {})),
@@ -216,6 +217,10 @@ PRICE_FORMS = [
      (["f"], [10.0, 11.0], {})),
     ("date ending in a lone 0x85 byte", "per-stock", b"date,close\n2020-01-02\x85,10\n2020-01-01,11\n",
      "line 3: dates must be strictly increasing, got '2020-01-01' after '2020-01-02\\\\x85'"),
+    # a file with no data line holds empty columns, and each ticker is skipped
+    ("header only", "per-stock", b"date,close\n", ([], [], {}, ["f"])),
+    ("blank lines only", "per-stock", b"date,close\n\n  \n\n", ([], [], {}, ["f"])),
+    ("wide header only", "wide", b"date,aa,bb\n", ([], [], {}, ["aa", "bb"])),
 ]
 
 
@@ -234,7 +239,7 @@ def test_price_forms(tmp_path, caplog, layout, body, want):
     assert (tickers, prices.tolist()) == tuple(want[:2])
     assert [rec.getMessage() for rec in caplog.records] == [
         f"{ticker}: dropped {n} rows with missing or non-positive prices" for ticker, n in want[2].items()
-    ]
+    ] + [f"{ticker}: skipped, fewer than 2 valid prices" for ticker in (want[3] if len(want) > 3 else [])]
 
 
 def test_returns_csv_round_trip(tmp_path):
